@@ -1,0 +1,198 @@
+"""Full-stack golden digests: the refactor gate of the protocol layer.
+
+Every case runs the paper stack (HELLO + intra-cluster routing + one-hop
+cluster maintenance, with an overhead-attribution ledger) at N=200 and
+reduces the outcome to a digest:
+
+* per-category message and bit totals of ``MessageStats``;
+* the ``sha256`` of the final ``roles`` and ``head_of`` arrays;
+* ``head_changes_total`` and ``reaffiliations_total``;
+* the attribution ledger's per-cause totals, plus the ``sha256`` of its
+  whole snapshot (per-node, per-cluster and heatmap shares included).
+
+The matrix is LID / HCC (``dynamic_priority=True``) / DMAC x event /
+periodic HELLO x faults off / on (crash + loss) x 2 seeds, plus one run
+with non-integer message sizes and a full-table, star-topology
+intra-cluster router.  The test asserts the digests are byte-identical
+to the committed fixture ``golden_stack.json``: a change that is meant
+to preserve simulation results must pass it unchanged.
+
+Regenerate the fixture only together with a deliberate
+``ENGINE_SCHEMA_VERSION`` bump, from the root of a checkout::
+
+    PYTHONPATH=src:tests python -c \\
+        "import test_golden_stack; test_golden_stack.regenerate_fixture()"
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.clustering import (
+    ClusterMaintenanceProtocol,
+    DmacClustering,
+    HighestConnectivityClustering,
+    LowestIdClustering,
+)
+from repro.core.params import MessageSizes, NetworkParameters
+from repro.faults import FaultConfig, attach_faults, build_plan
+from repro.mobility import EpochRandomWaypointModel
+from repro.obs.attribution import OverheadLedger
+from repro.routing import IntraClusterRoutingProtocol
+from repro.sim import HelloProtocol, Simulation
+from repro.sim.engine import ENGINE_SCHEMA_VERSION
+
+FIXTURE = Path(__file__).with_name("golden_stack.json")
+
+N_NODES = 200
+WARMUP = 0.5
+DURATION = 3.0
+FAULTS = FaultConfig(
+    crash_rate=0.01, crash_recover_after=1.0, loss_rate=0.08, hello_miss_limit=3
+)
+ODD_SIZES = MessageSizes(p_hello=250.5, p_cluster=127.25, p_route=96.125)
+
+
+def _cases() -> dict[str, dict]:
+    cases = {}
+    for algorithm in ("lid", "hcc", "dmac"):
+        for hello in ("event", "periodic"):
+            for faults in (False, True):
+                for seed in (0, 1):
+                    name = (
+                        f"{algorithm}-{hello}-"
+                        f"{'faults' if faults else 'clean'}-s{seed}"
+                    )
+                    cases[name] = dict(
+                        algorithm=algorithm, hello=hello, faults=faults, seed=seed
+                    )
+    cases["lid-event-clean-s0-odd-sizes-star-full"] = dict(
+        algorithm="lid",
+        hello="event",
+        faults=False,
+        seed=0,
+        sizes=ODD_SIZES,
+        full_table=True,
+        topology="star",
+    )
+    return cases
+
+
+CASES = _cases()
+
+
+def _sha256(array: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def run_case(
+    algorithm: str,
+    hello: str,
+    faults: bool,
+    seed: int,
+    sizes: MessageSizes | None = None,
+    full_table: bool = False,
+    topology: str = "all",
+) -> dict:
+    """Run one case of the matrix and return its digest."""
+    params = NetworkParameters.from_fractions(
+        n_nodes=N_NODES,
+        range_fraction=0.15,
+        velocity_fraction=0.05,
+        messages=sizes or MessageSizes(),
+    )
+    sim = Simulation(
+        params, EpochRandomWaypointModel(params.velocity, epoch=1.0), seed=seed
+    )
+    if faults:
+        attach_faults(
+            sim, build_plan(FAULTS, N_NODES, horizon=WARMUP + DURATION, seed=seed)
+        )
+    if hello == "event":
+        sim.attach(HelloProtocol(mode="event"))
+    else:
+        miss_limit = FAULTS.hello_miss_limit if faults else None
+        sim.attach(HelloProtocol(mode="periodic", interval=0.5, miss_limit=miss_limit))
+    clustering = {
+        "lid": LowestIdClustering,
+        "hcc": HighestConnectivityClustering,
+        "dmac": DmacClustering,
+    }[algorithm]()
+    maintenance = ClusterMaintenanceProtocol(
+        clustering, dynamic_priority=algorithm == "hcc"
+    )
+    sim.attach(
+        IntraClusterRoutingProtocol(
+            maintenance, full_table=full_table, topology=topology
+        )
+    )
+    sim.attach(maintenance)
+    ledger = sim.attach(OverheadLedger(maintenance))
+    sim.run(duration=DURATION, warmup=WARMUP)
+
+    state = maintenance.state
+    snapshot = ledger.snapshot()
+    return {
+        "totals": {
+            category: [totals.messages, totals.bits]
+            for category, totals in sorted(sim.stats.totals.items())
+        },
+        "roles_sha256": _sha256(state.roles),
+        "head_of_sha256": _sha256(state.head_of),
+        "head_changes_total": maintenance.head_changes_total,
+        "reaffiliations_total": maintenance.reaffiliations_total,
+        "causes": snapshot["causes"],
+        "ledger_sha256": hashlib.sha256(_canonical(snapshot).encode()).hexdigest(),
+    }
+
+
+def _canonical(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def regenerate_fixture(path: Path = FIXTURE) -> None:
+    """Rewrite the fixture from the current code (deliberate bumps only)."""
+    fixture = {
+        "engine_schema_version": ENGINE_SCHEMA_VERSION,
+        "digests": {name: run_case(**case) for name, case in CASES.items()},
+    }
+    path.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n")
+
+
+@pytest.fixture(scope="module")
+def fixture() -> dict:
+    return json.loads(FIXTURE.read_text())
+
+
+def test_fixture_matches_the_engine_schema_version(fixture):
+    assert fixture["engine_schema_version"] == ENGINE_SCHEMA_VERSION
+    assert set(fixture["digests"]) == set(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stack_digest_is_byte_identical(name, fixture):
+    digest = run_case(**CASES[name])
+    assert _canonical(digest) == _canonical(fixture["digests"][name])
+
+
+def test_matrix_exercises_every_repair_path(fixture):
+    """The fixture is only a gate if the runs actually repair things."""
+    causes = set()
+    for digest in fixture["digests"].values():
+        for per_category in digest["causes"].values():
+            causes.update(per_category)
+    assert {
+        "reaffiliation",
+        "head-adjacency-repair",
+        "head-merge-cascade",
+        "intra-cluster-update",
+        "crash-recovery",
+        "loss-retransmit",
+        "event-hello",
+        "periodic-hello",
+    } <= causes
