@@ -20,11 +20,14 @@ from __future__ import annotations
 
 import abc
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
+    "HEAD",
+    "MEMBER",
+    "UNASSIGNED",
     "Role",
     "ClusterState",
     "ClusteringAlgorithm",
@@ -40,22 +43,36 @@ class Role(enum.IntEnum):
     HEAD = 2
 
 
+#: Plain-int role codes for hot paths.  On Python 3.11 every ``Role.HEAD``
+#: attribute read goes through ``EnumType.__getattr__``; comparing the
+#: ``roles`` array's raw ints against these costs nothing extra.
+HEAD = int(Role.HEAD)
+MEMBER = int(Role.MEMBER)
+UNASSIGNED = int(Role.UNASSIGNED)
+
+
 @dataclass
 class ClusterState:
     """Roles and affiliations of all nodes.
 
     ``head_of[i]`` is the node id of ``i``'s cluster-head; heads point
-    to themselves; unassigned nodes carry ``-1``.
+    to themselves; unassigned nodes carry ``-1``.  ``sizes[h]`` counts
+    the nodes whose ``head_of`` is ``h`` (the head included), kept up to
+    date by :meth:`make_head` / :meth:`make_member` so a cluster's size
+    is an ``O(1)`` read.
     """
 
     roles: np.ndarray
     head_of: np.ndarray
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.roles = np.asarray(self.roles, dtype=np.int8)
         self.head_of = np.asarray(self.head_of, dtype=np.int64)
         if self.roles.shape != self.head_of.shape:
             raise ValueError("roles and head_of must have equal shapes")
+        affiliated = self.head_of[self.head_of >= 0]
+        self.sizes = np.bincount(affiliated, minlength=len(self.head_of))
 
     # ------------------------------------------------------------------
     @classmethod
@@ -64,7 +81,7 @@ class ClusterState:
         if n < 1:
             raise ValueError(f"node count must be positive, got {n}")
         return cls(
-            roles=np.full(n, Role.UNASSIGNED, dtype=np.int8),
+            roles=np.full(n, UNASSIGNED, dtype=np.int8),
             head_of=np.full(n, -1, dtype=np.int64),
         )
 
@@ -76,30 +93,37 @@ class ClusterState:
     # ------------------------------------------------------------------
     # Mutation (kept here so role and affiliation stay consistent)
     # ------------------------------------------------------------------
+    def _move(self, node: int, head: int) -> None:
+        old = self.head_of.item(node)
+        if old >= 0:
+            self.sizes[old] -= 1
+        self.sizes[head] += 1
+        self.head_of[node] = head
+
     def make_head(self, node: int) -> None:
         """Declare ``node`` a cluster-head of its own cluster."""
-        self.roles[node] = Role.HEAD
-        self.head_of[node] = node
+        self.roles[node] = HEAD
+        self._move(node, node)
 
     def make_member(self, node: int, head: int) -> None:
         """Affiliate ``node`` to cluster-head ``head``."""
-        if self.roles[head] != Role.HEAD:
+        if self.roles.item(head) != HEAD:
             raise ValueError(f"node {head} is not a cluster-head")
         if node == head:
             raise ValueError("a head cannot be its own member")
-        self.roles[node] = Role.MEMBER
-        self.head_of[node] = head
+        self.roles[node] = MEMBER
+        self._move(node, head)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def is_head(self, node: int) -> bool:
         """Whether ``node`` is a cluster-head."""
-        return self.roles[node] == Role.HEAD
+        return self.roles[node] == HEAD
 
     def heads(self) -> np.ndarray:
         """Indices of all cluster-heads."""
-        return np.flatnonzero(self.roles == Role.HEAD)
+        return np.flatnonzero(self.roles == HEAD)
 
     def members_of(self, head: int) -> np.ndarray:
         """Member indices of the cluster headed by ``head`` (excl. the head)."""
@@ -109,7 +133,7 @@ class ClusterState:
 
     def cluster_count(self) -> int:
         """Number of clusters (= number of heads)."""
-        return int(np.sum(self.roles == Role.HEAD))
+        return int(np.sum(self.roles == HEAD))
 
     def head_ratio(self) -> float:
         """Measured cluster-head ratio ``P`` = heads / nodes."""
@@ -117,10 +141,7 @@ class ClusterState:
 
     def cluster_sizes(self) -> np.ndarray:
         """Sizes (head included) of all clusters, sorted by head id."""
-        heads = self.heads()
-        return np.array(
-            [1 + len(self.members_of(int(h))) for h in heads], dtype=int
-        )
+        return self.sizes[self.heads()]
 
     def same_cluster(self, u: int, v: int) -> bool:
         """Whether ``u`` and ``v`` belong to the same cluster."""
@@ -191,9 +212,7 @@ def sequential_formation(
     for node in order:
         node = int(node)
         neighbor_idx = np.flatnonzero(adjacency[node])
-        head_neighbors = neighbor_idx[
-            state.roles[neighbor_idx] == Role.HEAD
-        ]
+        head_neighbors = neighbor_idx[state.roles[neighbor_idx] == HEAD]
         if len(head_neighbors):
             best = int(head_neighbors[np.argmax(priority[head_neighbors])])
             state.make_member(node, best)

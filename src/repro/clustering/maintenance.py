@@ -48,7 +48,7 @@ from ..obs.attribution import (
     attributed,
 )
 from ..sim.engine import Protocol, Simulation
-from .base import ClusteringAlgorithm, ClusterState, Role
+from .base import HEAD, MEMBER, ClusteringAlgorithm, ClusterState
 
 __all__ = ["ClusterMaintenanceProtocol"]
 
@@ -116,7 +116,7 @@ class ClusterMaintenanceProtocol(Protocol):
 
     def _neighboring_heads(self, sim: Simulation, node: int) -> np.ndarray:
         neighbors = sim.neighbors_of(node)
-        return neighbors[self.state.roles[neighbors] == Role.HEAD]
+        return neighbors[self.state.roles[neighbors] == HEAD]
 
     def _best_head(self, candidates: np.ndarray) -> int:
         return int(candidates[np.argmax(self._priority[candidates])])
@@ -247,11 +247,14 @@ class ClusterMaintenanceProtocol(Protocol):
     # Event handlers
     # ------------------------------------------------------------------
     def on_link_down(self, sim: Simulation, u: int, v: int, time: float) -> None:
-        state = self.state
-        # Member lost the link to its own head (P2 violation).
-        if state.roles[u] == Role.MEMBER and state.head_of[u] == v:
+        # Member lost the link to its own head (P2 violation).  Heads
+        # point to themselves and u != v, so ``head_of[u] == v`` alone
+        # says "u is a member of v's cluster".  ``item`` reads a Python
+        # int, cheaper to compare than a numpy scalar.
+        head_of = self.state.head_of
+        if head_of.item(u) == v:
             orphan = u
-        elif state.roles[v] == Role.MEMBER and state.head_of[v] == u:
+        elif head_of.item(v) == u:
             orphan = v
         else:
             return
@@ -271,29 +274,26 @@ class ClusterMaintenanceProtocol(Protocol):
             spans.end(time)
 
     def on_link_up(self, sim: Simulation, u: int, v: int, time: float) -> None:
-        state = self.state
-        if (
-            self.dynamic_priority
-            and state.roles[u] == Role.HEAD
-            and state.roles[v] == Role.HEAD
-        ):
+        roles = self.state.roles
+        if roles.item(u) != HEAD or roles.item(v) != HEAD:
+            # Any other combination keeps P1/P2 intact (LCC: a member
+            # does not switch to a newly reachable head).
+            return
+        if self.dynamic_priority:
             self._priority = np.asarray(
                 self.algorithm.head_priority(sim.adjacency), dtype=float
             )
-        if state.roles[u] == Role.HEAD and state.roles[v] == Role.HEAD:
-            cause = CAUSE_HEAD_ADJACENCY_REPAIR
-            if sim.faults is not None and sim.faults.is_fault_transition(u, v):
-                # Two heads meeting because one just recovered (or an
-                # outage lifted) is crash-recovery overhead, not a
-                # mobility-driven adjacency repair.
-                cause = CAUSE_CRASH_RECOVERY
-            # P1 violation: lower priority head resigns.
-            if self._priority[u] >= self._priority[v]:
-                self._resign_head(sim, v, u, time, cause=cause)
-            else:
-                self._resign_head(sim, u, v, time, cause=cause)
-        # Any other combination keeps P1/P2 intact (LCC: a member does
-        # not switch to a newly reachable head).
+        cause = CAUSE_HEAD_ADJACENCY_REPAIR
+        if sim.faults is not None and sim.faults.is_fault_transition(u, v):
+            # Two heads meeting because one just recovered (or an
+            # outage lifted) is crash-recovery overhead, not a
+            # mobility-driven adjacency repair.
+            cause = CAUSE_CRASH_RECOVERY
+        # P1 violation: lower priority head resigns.
+        if self._priority[u] >= self._priority[v]:
+            self._resign_head(sim, v, u, time, cause=cause)
+        else:
+            self._resign_head(sim, u, v, time, cause=cause)
 
     # ------------------------------------------------------------------
     # Crash handling (fault plans)
@@ -308,7 +308,7 @@ class ClusterMaintenanceProtocol(Protocol):
         themselves through the ordinary ``on_link_down`` path as the
         engine delivers the mask-induced link breaks.
         """
-        if self.state.roles[node] == Role.MEMBER:
+        if self.state.roles[node] == MEMBER:
             self.state.make_head(node)
             self.head_changes_total += 1
             if sim.tracer.enabled:

@@ -29,7 +29,7 @@ from collections import deque
 
 import numpy as np
 
-from .base import ClusteringAlgorithm, ClusterState, Role
+from .base import HEAD, ClusteringAlgorithm, ClusterState
 
 __all__ = ["MaxMinDCluster"]
 
@@ -113,7 +113,7 @@ class MaxMinDCluster(ClusteringAlgorithm):
                     queue.append(neighbor)
 
         for node in range(n):
-            if state.roles[node] == Role.HEAD:
+            if state.roles[node] == HEAD:
                 continue
             if owner[node] >= 0:
                 state.make_member(node, int(owner[node]))

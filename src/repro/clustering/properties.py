@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import ClusterState, Role
+from .base import HEAD, MEMBER, UNASSIGNED, ClusterState
 
 __all__ = ["PropertyViolations", "check_properties", "assert_valid"]
 
@@ -78,15 +78,15 @@ def check_properties(
     for node in range(n):
         role = state.roles[node]
         head = state.head_of[node]
-        if role == Role.UNASSIGNED or head < 0:
+        if role == UNASSIGNED or head < 0:
             violations.unaffiliated.append(node)
             continue
-        if role == Role.MEMBER:
-            if state.roles[head] != Role.HEAD:
+        if role == MEMBER:
+            if state.roles[head] != HEAD:
                 violations.dangling_members.append(node)
             elif not adjacency[node, head]:
                 violations.detached_members.append(node)
-        elif role == Role.HEAD and head != node:
+        elif role == HEAD and head != node:
             violations.dangling_members.append(node)
     return violations
 

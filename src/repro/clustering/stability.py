@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..sim.engine import Protocol, Simulation
-from .base import Role
+from .base import HEAD, MEMBER
 from .maintenance import ClusterMaintenanceProtocol
 
 __all__ = [
@@ -115,7 +115,7 @@ class StabilityTracker(Protocol):
         self._start_time = sim.time
         self._last_time = sim.time
         for node in range(state.n_nodes):
-            if state.roles[node] == Role.HEAD:
+            if state.roles[node] == HEAD:
                 self._head_tenures.open_tenure(node, sim.time)
             self._affiliation_tenures.open_tenure(node, sim.time)
 
@@ -128,10 +128,10 @@ class StabilityTracker(Protocol):
 
         for node in np.flatnonzero(role_changed):
             node = int(node)
-            if self._previous_roles[node] == Role.HEAD:
+            if self._previous_roles[node] == HEAD:
                 self._head_tenures.close_tenure(node, time)
                 self.head_changes += 1
-            if roles[node] == Role.HEAD:
+            if roles[node] == HEAD:
                 self._head_tenures.open_tenure(node, time)
 
         for node in np.flatnonzero(head_changed):
@@ -216,7 +216,7 @@ class ClusterDynamicsCollector(Protocol):
         head_of = state.head_of
         cross = head_of[edges[:, 0]] != head_of[edges[:, 1]]
         endpoints = edges[cross].ravel()
-        members = endpoints[state.roles[endpoints] == Role.MEMBER]
+        members = endpoints[state.roles[endpoints] == MEMBER]
         return frozenset(int(n) for n in np.unique(members))
 
     def _mean_diameter(self, sim: Simulation) -> float:
@@ -237,7 +237,7 @@ class ClusterDynamicsCollector(Protocol):
 
     def _on_change(self, sim: Simulation, node: int, time: float) -> None:
         """Maintenance change listener: track head-tenure boundaries."""
-        if self.maintenance.state.roles[node] == Role.HEAD:
+        if self.maintenance.state.roles[node] == HEAD:
             self._head_tenures.open_tenure(int(node), time)
         else:
             self._head_tenures.close_tenure(int(node), time)

@@ -23,6 +23,12 @@ a non-zero exit, which is how CI uses it.
 Attach the auditor *after* the maintenance protocol so its
 ``on_step_end`` sees the repaired structure of the step, not the
 pre-repair one (:func:`repro.obs.health.attach_run_health` does this).
+
+When a :class:`~repro.sim.traffic.TrafficProtocol` is attached, every
+audit also checks data-plane conservation: the packets actually held in
+flight must equal ``generated - delivered - dropped``.  The audit event
+then carries ``traffic_unbalanced`` (traffic protocols whose books do
+not balance), and an imbalance fails the audit like a P1/P2 violation.
 """
 
 from __future__ import annotations
@@ -107,14 +113,17 @@ class InvariantAuditor:
         if state is None:
             return True
         found = check_properties(state, sim.adjacency)
+        unbalanced = _unbalanced_traffic(sim)
         self.audits += 1
-        ok = found.ok
+        ok = found.ok and not unbalanced
         counts = {
             "adjacent_heads": len(found.adjacent_heads),
             "unaffiliated": len(found.unaffiliated),
             "detached_members": len(found.detached_members),
             "dangling_members": len(found.dangling_members),
         }
+        if unbalanced is not None:
+            counts["traffic_unbalanced"] = len(unbalanced)
         if not ok:
             self.violations += 1
             if self._violating_since is None:
@@ -133,9 +142,11 @@ class InvariantAuditor:
                 **counts,
             )
         if not ok and self.strict:
+            problems = [] if found.ok else [found.describe()]
+            problems.extend(unbalanced or ())
             raise AuditError(
                 f"invariant audit failed at t={time:.6g} "
-                f"(sim {sim.sim_id}): {found.describe()}"
+                f"(sim {sim.sim_id}): {'; '.join(problems)}"
             )
         return ok
 
@@ -149,3 +160,28 @@ class InvariantAuditor:
     def ok(self) -> bool:
         """Whether every audit so far passed."""
         return self.violations == 0
+
+
+def _unbalanced_traffic(sim) -> list[str] | None:
+    """Conservation failures of the attached traffic protocols.
+
+    ``None`` when no :class:`~repro.sim.traffic.TrafficProtocol` is
+    attached; otherwise one description per protocol whose in-flight
+    packet list disagrees with ``generated - delivered - dropped``.
+    """
+    from ..sim.traffic import TrafficProtocol
+
+    traffic = [p for p in sim.protocols if isinstance(p, TrafficProtocol)]
+    if not traffic:
+        return None
+    problems = []
+    for protocol in traffic:
+        books = protocol.traffic
+        held = protocol.in_flight_count
+        if held != books.generated - books.delivered - books.dropped:
+            problems.append(
+                f"{protocol.name}: {held} packets in flight but generated "
+                f"{books.generated} - delivered {books.delivered} - dropped "
+                f"{books.dropped} = {books.in_flight}"
+            )
+    return problems

@@ -27,7 +27,7 @@ from ..obs.attribution import (
     attributed,
 )
 from ..sim.engine import Simulation
-from ..clustering.base import ClusterState, Role
+from ..clustering.base import HEAD, MEMBER, ClusterState
 from .messages import rrep_bits, rreq_bits
 
 __all__ = [
@@ -65,7 +65,7 @@ class DiscoveryResult:
 
 def is_gateway(state: ClusterState, adjacency: np.ndarray, node: int) -> bool:
     """Whether ``node`` is a gateway (member with out-of-cluster neighbors)."""
-    if state.roles[node] != Role.MEMBER:
+    if state.roles[node] != MEMBER:
         return False
     my_head = state.head_of[node]
     neighbors = np.flatnonzero(adjacency[node])
@@ -74,7 +74,7 @@ def is_gateway(state: ClusterState, adjacency: np.ndarray, node: int) -> bool:
 
 def _forwards(state: ClusterState, adjacency: np.ndarray, node: int) -> bool:
     """Whether ``node`` retransmits an RREQ (head or gateway)."""
-    return state.roles[node] == Role.HEAD or is_gateway(state, adjacency, node)
+    return state.roles[node] == HEAD or is_gateway(state, adjacency, node)
 
 
 @dataclass(frozen=True)

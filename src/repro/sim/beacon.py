@@ -147,6 +147,8 @@ class HelloProtocol(Protocol):
         self.signal_window = signal_window
         self.signal_alpha = signal_alpha
         self.neighbor_lists: list[dict[int, float]] = []
+        #: Bits of one event-mode link-up announce pair (set at attach).
+        self._pair_bits = 0.0
         self._next_beacon: np.ndarray | None = None
         # Loss degradation state: per-receiver consecutive-miss counts
         # (miss_limit modes) and the event-mode announce-retry queue of
@@ -168,6 +170,7 @@ class HelloProtocol(Protocol):
     # ------------------------------------------------------------------
     def on_attach(self, sim: Simulation) -> None:
         n = sim.n_nodes
+        self._pair_bits = 2 * sim.params.messages.p_hello
         # Seed neighbor lists from the initial adjacency: the paper does
         # not measure the initial discovery phase.
         self.neighbor_lists = [
@@ -244,7 +247,7 @@ class HelloProtocol(Protocol):
             return
         # Both endpoints announce themselves; each learns the other.
         with attributed(sim, CAUSE_EVENT_HELLO, nodes=(u, v)):
-            sim.stats.record("hello", 2, 2 * sim.params.messages.p_hello)
+            sim.stats.record("hello", 2, self._pair_bits)
         faults = sim.faults
         if faults is not None and faults.loss_rate > 0.0:
             # Each direction's announce is its own reception; a lost one
@@ -268,7 +271,7 @@ class HelloProtocol(Protocol):
         self._pending_retx = []
         for sender, learner, attempts in pending:
             if (
-                not sim.adjacency[sender, learner]
+                not sim.has_link(sender, learner)
                 or sender in self.neighbor_lists[learner]
             ):
                 # Link vanished, or a later announce already landed.

@@ -9,11 +9,12 @@ from repro.clustering import ClusterMaintenanceProtocol, LowestIdClustering
 from repro.clustering.base import Role
 from repro.mobility import EpochRandomWaypointModel
 from repro.obs import AuditError, CollectingTracer, InvariantAuditor
-from repro.routing import IntraClusterRoutingProtocol
+from repro.routing import HybridRoutingProtocol, IntraClusterRoutingProtocol
 from repro.sim import HelloProtocol, Simulation
+from repro.sim.traffic import CbrFlow, HybridRouterAdapter, Packet, TrafficProtocol
 
 
-def _build_stack(params, seed=0, tracer=None, every=1.0, strict=False):
+def _build_stack(params, seed=0, tracer=None, every=1.0, strict=False, flows=()):
     sim = Simulation(
         params,
         EpochRandomWaypointModel(params.velocity, epoch=1.0),
@@ -22,8 +23,11 @@ def _build_stack(params, seed=0, tracer=None, every=1.0, strict=False):
     )
     sim.attach(HelloProtocol(mode="event"))
     maintenance = ClusterMaintenanceProtocol(LowestIdClustering())
-    sim.attach(IntraClusterRoutingProtocol(maintenance))
+    intra = sim.attach(IntraClusterRoutingProtocol(maintenance))
     sim.attach(maintenance)
+    if flows:
+        hybrid = sim.attach(HybridRoutingProtocol(maintenance, intra))
+        sim.attach(TrafficProtocol(list(flows), HybridRouterAdapter(hybrid)))
     auditor = sim.attach(
         InvariantAuditor(maintenance, every=every, strict=strict)
     )
@@ -108,3 +112,56 @@ class TestAuditViolations:
         assert auditor.violation_spans
         start, end = auditor.violation_spans[-1]
         assert end >= start
+
+
+class TestTrafficConservation:
+    FLOWS = (CbrFlow(0, 50, 0.2), CbrFlow(7, 93, 0.3, start=0.1))
+
+    @staticmethod
+    def _traffic(sim):
+        (traffic,) = [p for p in sim.protocols if isinstance(p, TrafficProtocol)]
+        return traffic
+
+    def test_balanced_books_pass_and_are_traced(self, params):
+        tracer = CollectingTracer()
+        sim, _, auditor = _build_stack(
+            params, tracer=tracer, strict=True, flows=self.FLOWS
+        )
+        sim.run(duration=3.0, warmup=0.0)
+        assert auditor.ok
+        assert self._traffic(sim).traffic.generated > 0
+        events = tracer.of("invariant_audit")
+        assert events
+        assert all(record["traffic_unbalanced"] == 0 for record in events)
+
+    def test_no_traffic_field_without_a_traffic_protocol(self, params):
+        tracer = CollectingTracer()
+        sim, _, _ = _build_stack(params, tracer=tracer)
+        sim.run(duration=1.0, warmup=0.0)
+        assert all(
+            "traffic_unbalanced" not in record
+            for record in tracer.of("invariant_audit")
+        )
+
+    def test_lost_packet_fails_the_audit(self, params):
+        tracer = CollectingTracer()
+        sim, _, auditor = _build_stack(params, tracer=tracer, flows=self.FLOWS)
+        sim.run(duration=1.0, warmup=0.0)
+        traffic = self._traffic(sim)
+        # A packet generated but neither held, delivered nor dropped.
+        traffic.traffic.generated += 1
+        assert auditor.audit(sim, sim.time) is False
+        assert auditor.violations == 1
+        last = tracer.of("invariant_audit")[-1]
+        assert last["ok"] is False
+        assert last["traffic_unbalanced"] == 1
+        assert last["adjacent_heads"] == 0
+
+    def test_strict_mode_raises_on_a_ghost_packet(self, params):
+        sim, _, auditor = _build_stack(params, strict=True, flows=self.FLOWS)
+        sim.run(duration=1.0, warmup=0.0)
+        traffic = self._traffic(sim)
+        # A packet in flight that was never generated.
+        traffic._in_flight.append(Packet(10**6, 0, 50, sim.time, current=0))
+        with pytest.raises(AuditError, match="packets in flight"):
+            auditor.audit(sim, sim.time)

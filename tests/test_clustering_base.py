@@ -72,6 +72,62 @@ class TestClusterState:
             ClusterState(np.zeros(3, dtype=np.int8), np.zeros(4, dtype=np.int64))
 
 
+def _expected_sizes(state: ClusterState) -> np.ndarray:
+    head_of = state.head_of
+    return np.bincount(head_of[head_of >= 0], minlength=state.n_nodes)
+
+
+class TestClusterSizes:
+    """``sizes`` stays the per-head node count under every mutation."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_mutations_keep_sizes_exact(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 30
+        state = ClusterState.unassigned(n)
+        np.testing.assert_array_equal(state.sizes, np.zeros(n))
+        for _ in range(400):
+            node = int(rng.integers(n))
+            heads = state.heads()
+            heads = heads[heads != node]
+            if len(heads) and rng.uniform() < 0.7:
+                state.make_member(node, int(rng.choice(heads)))
+            else:
+                state.make_head(node)
+            np.testing.assert_array_equal(state.sizes, _expected_sizes(state))
+            if rng.uniform() < 0.05:
+                clone = state.copy()
+                np.testing.assert_array_equal(clone.sizes, state.sizes)
+                clone.make_head(node)
+                np.testing.assert_array_equal(clone.sizes, _expected_sizes(clone))
+                np.testing.assert_array_equal(state.sizes, _expected_sizes(state))
+
+    def test_construction_from_arrays(self):
+        roles = np.array([2, 1, 1, 2, 1, 0], dtype=np.int8)
+        head_of = np.array([0, 0, 3, 3, 0, -1])
+        state = ClusterState(roles, head_of)
+        np.testing.assert_array_equal(state.sizes, [3, 0, 0, 2, 0, 0])
+        np.testing.assert_array_equal(state.cluster_sizes(), [3, 2])
+
+    def test_members_of_a_resigned_head_stay_counted(self):
+        # A resigning head's former members keep pointing at it until
+        # they re-affiliate; sizes counts them by head_of, not by role.
+        state = ClusterState.unassigned(4)
+        state.make_head(0)
+        state.make_head(2)
+        state.make_member(1, 0)
+        state.make_member(0, 2)
+        np.testing.assert_array_equal(state.sizes, [1, 0, 2, 0])
+        np.testing.assert_array_equal(state.sizes, _expected_sizes(state))
+
+    def test_formation_sizes_match_cluster_nodes(self, unit_open, rng):
+        positions = unit_open.uniform_positions(80, rng)
+        adjacency = unit_open.adjacency(positions, 0.2)
+        state = sequential_formation(adjacency, -np.arange(80, dtype=float))
+        for head in state.heads():
+            assert state.sizes[head] == len(state.cluster_nodes(int(head)))
+
+
 class TestSequentialFormation:
     def test_path_topology(self, small_adjacency):
         # Priorities = -index: node 0 first.

@@ -306,6 +306,16 @@ class TestGracefulDegradation:
         assert injector.hello_losses_total > 0
         assert injector.hello_retransmits_total > 0
 
+    def test_event_hello_retransmits_need_no_dense_adjacency(self):
+        sim = _sim(_params())
+        injector = attach_faults(sim, _explicit_plan([], loss_rate=0.3))
+        sim.attach(HelloProtocol(mode="event"))
+        for _ in range(40):
+            sim.step()
+            # Retransmit checks are point link queries on the edge set.
+            assert sim._adjacency_cache is None
+        assert injector.hello_retransmits_total > 0
+
     def test_periodic_hello_miss_tolerance(self):
         sim = _sim(_params())
         injector = attach_faults(sim, _explicit_plan([], loss_rate=0.3))
