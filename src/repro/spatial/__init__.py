@@ -15,6 +15,8 @@ from .neighbors import (
     degree_counts_from_edges,
     diff_adjacency,
     diff_edge_sets,
+    edge_key,
+    edge_keys,
     edges_to_adjacency,
     select_connectivity_method,
 )
@@ -36,6 +38,8 @@ __all__ = [
     "degree_counts_from_edges",
     "diff_adjacency",
     "diff_edge_sets",
+    "edge_key",
+    "edge_keys",
     "edges_to_adjacency",
     "select_connectivity_method",
 ]

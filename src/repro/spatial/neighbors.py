@@ -42,6 +42,8 @@ __all__ = [
     "degree_counts_from_edges",
     "diff_adjacency",
     "diff_edge_sets",
+    "edge_key",
+    "edge_keys",
     "edges_to_adjacency",
     "select_connectivity_method",
 ]
@@ -228,9 +230,21 @@ def _as_edge_array(edges: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _edge_keys(edges: np.ndarray) -> np.ndarray:
-    """Unique int64 key per edge, monotone in lexicographic pair order."""
-    return (edges[:, 0] << np.int64(32)) | edges[:, 1]
+_EDGE_KEY_SHIFT = 32
+
+
+def edge_keys(edges: np.ndarray) -> np.ndarray:
+    """Unique int64 key per edge, monotone in lexicographic pair order.
+
+    A sorted canonical edge set (``i < j``, lexicographic) therefore has
+    sorted keys, which :func:`edge_key` probes by binary search.
+    """
+    return (edges[:, 0] << np.int64(_EDGE_KEY_SHIFT)) | edges[:, 1]
+
+
+def edge_key(i: int, j: int) -> int:
+    """The :func:`edge_keys` key of the canonical pair ``(i, j)``, ``i < j``."""
+    return (int(i) << _EDGE_KEY_SHIFT) | int(j)
 
 
 def diff_edge_sets(previous: np.ndarray, current: np.ndarray) -> LinkEvents:
@@ -243,8 +257,8 @@ def diff_edge_sets(previous: np.ndarray, current: np.ndarray) -> LinkEvents:
     """
     prev = _as_edge_array(previous)
     curr = _as_edge_array(current)
-    prev_keys = _edge_keys(prev)
-    curr_keys = _edge_keys(curr)
+    prev_keys = edge_keys(prev)
+    curr_keys = edge_keys(curr)
     generated = curr[~np.isin(curr_keys, prev_keys, assume_unique=True)]
     broken = prev[~np.isin(prev_keys, curr_keys, assume_unique=True)]
     return LinkEvents(generated=generated, broken=broken)

@@ -174,3 +174,110 @@ class TestChangeListeners:
                     assert int(state.head_of[member]) == before
                     return
         pytest.skip("no member/foreign-head pair available")
+
+
+class _HeadPairRefreshReference(ClusterMaintenanceProtocol):
+    """Reference link-up rule: ``Role`` enum reads, no early return.
+
+    HCC's live-degree priority is refreshed on a link generation between
+    two heads, and only there; every other repair reads the vector from
+    the latest such refresh.
+    """
+
+    name = "cluster-maintenance-reference"
+
+    def on_link_up(self, sim, u, v, time):
+        state = self.state
+        if (
+            self.dynamic_priority
+            and state.roles[u] == Role.HEAD
+            and state.roles[v] == Role.HEAD
+        ):
+            self._priority = np.asarray(
+                self.algorithm.head_priority(sim.adjacency), dtype=float
+            )
+        if state.roles[u] == Role.HEAD and state.roles[v] == Role.HEAD:
+            if self._priority[u] >= self._priority[v]:
+                self._resign_head(sim, v, u, time)
+            else:
+                self._resign_head(sim, u, v, time)
+
+
+def _hcc_pair(vf, seed):
+    """An HCC sim with the maintenance protocol and the reference rule."""
+    sim, maintenance = _sim_with_maintenance(
+        vf=vf, seed=seed, algorithm=HighestConnectivityClustering()
+    )
+    maintenance.dynamic_priority = True
+    reference = _HeadPairRefreshReference(
+        HighestConnectivityClustering(), dynamic_priority=True
+    )
+    sim.attach(reference)
+    return sim, maintenance, reference
+
+
+def _assert_same_structure(a, b):
+    np.testing.assert_array_equal(a.state.roles, b.state.roles)
+    np.testing.assert_array_equal(a.state.head_of, b.state.head_of)
+    np.testing.assert_array_equal(a._priority, b._priority)
+
+
+class TestHccPriorityRefresh:
+    """HCC (``dynamic_priority``) repairs match the reference rule."""
+
+    def test_stale_priority_ranks_p2_candidates(self):
+        """Non-head link-ups leave the priority; a P2 repair then uses it."""
+        sim, maintenance, reference = _hcc_pair(vf=0.0, seed=11)
+        state = maintenance.state
+        adjacency = sim.adjacency
+        stale = maintenance._priority.copy()
+
+        def link_up(u, v):
+            adjacency[u, v] = adjacency[v, u] = True
+            for protocol in (maintenance, reference):
+                protocol.on_link_up(sim, min(u, v), max(u, v), 0.0)
+
+        heads = [int(h) for h in state.heads()]
+        members = [int(m) for m in np.flatnonzero(state.roles == Role.MEMBER)]
+        # An orphan-to-be with two other heads in range: B ranks first
+        # by the stale priority among all of its candidate heads.
+        orphan = members[0]
+        own = int(state.head_of[orphan])
+        others = [h for h in heads if h != own]
+        for head in others[:2]:
+            if not adjacency[orphan, head]:
+                link_up(orphan, head)
+        candidates = [h for h in others if adjacency[orphan, h]]
+        b = max(candidates, key=lambda h: stale[h])
+        a = next(h for h in candidates if h != b)
+        # Member links raise A's live degree above B's: non-head
+        # generations, so no priority refresh.
+        degree = adjacency.sum(axis=1)
+        for member in members:
+            if degree[a] > degree[b]:
+                break
+            if member != orphan and not adjacency[a, member]:
+                link_up(a, member)
+                degree = adjacency.sum(axis=1)
+        fresh = HighestConnectivityClustering().head_priority(adjacency)
+        assert fresh[a] > fresh[b] and stale[b] > stale[a]
+        np.testing.assert_array_equal(maintenance._priority, stale)
+        _assert_same_structure(maintenance, reference)
+
+        adjacency[orphan, own] = adjacency[own, orphan] = False
+        for protocol in (maintenance, reference):
+            protocol.on_link_down(sim, min(orphan, own), max(orphan, own), 0.0)
+        assert int(state.head_of[orphan]) == b
+        _assert_same_structure(maintenance, reference)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_reference_under_mobility(self, seed):
+        sim, maintenance, reference = _hcc_pair(vf=0.2, seed=seed)
+        refreshes = 0
+        previous = maintenance._priority
+        for _ in range(120):
+            sim.step()
+            _assert_same_structure(maintenance, reference)
+            refreshes += maintenance._priority is not previous
+            previous = maintenance._priority
+        assert refreshes > 0
