@@ -11,8 +11,9 @@ reduces the outcome to a digest:
   whole snapshot (per-node, per-cluster and heatmap shares included).
 
 The matrix is LID / HCC (``dynamic_priority=True``) / DMAC x event /
-periodic HELLO x faults off / on (crash + loss) x 2 seeds, plus one run
-with non-integer message sizes and a full-table, star-topology
+periodic HELLO x faults off / on (crash + loss) x 2 seeds, LID with
+adaptive (staleness-bounded) HELLO x faults off / on x 2 seeds, plus one
+run with non-integer message sizes and a full-table, star-topology
 intra-cluster router.  The test asserts the digests are byte-identical
 to the committed fixture ``golden_stack.json``: a change that is meant
 to preserve simulation results must pass it unchanged.
@@ -39,6 +40,7 @@ from repro.clustering import (
     HighestConnectivityClustering,
     LowestIdClustering,
 )
+from repro.control import build_policy
 from repro.core.params import MessageSizes, NetworkParameters
 from repro.faults import FaultConfig, attach_faults, build_plan
 from repro.mobility import EpochRandomWaypointModel
@@ -71,6 +73,12 @@ def _cases() -> dict[str, dict]:
                     cases[name] = dict(
                         algorithm=algorithm, hello=hello, faults=faults, seed=seed
                     )
+    for faults in (False, True):
+        for seed in (0, 1):
+            name = f"lid-adaptive-{'faults' if faults else 'clean'}-s{seed}"
+            cases[name] = dict(
+                algorithm="lid", hello="adaptive", faults=faults, seed=seed
+            )
     cases["lid-event-clean-s0-odd-sizes-star-full"] = dict(
         algorithm="lid",
         hello="event",
@@ -113,10 +121,19 @@ def run_case(
         attach_faults(
             sim, build_plan(FAULTS, N_NODES, horizon=WARMUP + DURATION, seed=seed)
         )
+    miss_limit = FAULTS.hello_miss_limit if faults else None
     if hello == "event":
         sim.attach(HelloProtocol(mode="event"))
+    elif hello == "adaptive":
+        sim.attach(
+            HelloProtocol(
+                mode="adaptive",
+                policy=build_policy({"policy": "staleness-bounded"}),
+                signal_window=0.5,
+                miss_limit=miss_limit,
+            )
+        )
     else:
-        miss_limit = FAULTS.hello_miss_limit if faults else None
         sim.attach(HelloProtocol(mode="periodic", interval=0.5, miss_limit=miss_limit))
     clustering = {
         "lid": LowestIdClustering,
@@ -195,4 +212,5 @@ def test_matrix_exercises_every_repair_path(fixture):
         "loss-retransmit",
         "event-hello",
         "periodic-hello",
+        "adaptive-hello-staleness",
     } <= causes
