@@ -1162,6 +1162,12 @@ def _run_compare(args) -> int:
         if args.threshold is not None
         else DEFAULT_COMPARE_THRESHOLD
     )
+    if threshold <= 0.0:
+        print(
+            f"bad input: threshold must be positive, got {threshold}",
+            file=sys.stderr,
+        )
+        return 2
     try:
         comparison = compare_traces(
             args.trace_a, args.trace_b, threshold=threshold
@@ -1170,7 +1176,7 @@ def _run_compare(args) -> int:
         print(f"cannot read trace: {error}", file=sys.stderr)
         return 2
     except ValueError as error:
-        print(f"bad input: {error}", file=sys.stderr)
+        print(f"malformed trace: {error}", file=sys.stderr)
         return 2
     if args.json:
         print(_json.dumps(comparison.to_dict(), indent=2))

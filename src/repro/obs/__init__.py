@@ -18,8 +18,14 @@ individually optional channels:
 Configuration flows either explicitly (constructor arguments) or via
 the ambient context (:func:`observe`), which is how the CLI turns on
 telemetry for whole experiments without touching their signatures.
-:func:`summarize_trace` closes the loop, folding a trace back into the
-per-category totals and rates that :class:`MessageStats` reported.
+:func:`summarize_trace` closes the loop: one streaming pass folds a
+trace back into the per-category totals and rates that
+:class:`MessageStats` reported, plus every per-run series the trace
+commands show.  ``trace-summary``, ``report`` (:mod:`~repro.obs.report`),
+``compare`` (:mod:`~repro.obs.compare`) and ``metrics``
+(:mod:`~repro.obs.openmetrics`) all render from that one
+:class:`TraceSummary`; only the ``timeline`` export streams
+:func:`read_trace` itself, slice by slice.
 
 On top of the three channels sits the **run-health layer**
 (:mod:`~repro.obs.audit`, :mod:`~repro.obs.residuals`,
@@ -64,7 +70,7 @@ from .openmetrics import (
     render_openmetrics,
     write_openmetrics,
 )
-from .report import HealthReport, TraceHealth, build_report
+from .report import HealthReport, build_report
 from .residuals import MONITORED_CATEGORIES, ResidualMonitor
 from .resources import ResourceSampler, current_rss_kb
 from .spans import SpanTracker, next_span_id
@@ -101,7 +107,6 @@ __all__ = [
     "current_rss_kb",
     "attach_run_health",
     "HealthReport",
-    "TraceHealth",
     "build_report",
     "PROGRESS_LOGGER",
     "configure_logging",

@@ -19,8 +19,9 @@ Two sources feed the renderer:
   the parent's by the parallel runner, so any ``--jobs`` value exports
   identical bytes;
 * a **trace file** (``repro-manet metrics trace.jsonl``) — rebuilt by
-  :func:`registry_from_trace` from ``run_end`` totals, ``attribution``
-  events and the raw event counts, so the export needs nothing beyond
+  :func:`registry_from_trace` from the trace's
+  :class:`~repro.obs.summary.TraceSummary` (event counts, ``run_end``
+  totals, ``attribution`` cells), so the export needs nothing beyond
   the trace.
 
 Family naming follows the Prometheus convention: a counter family is
@@ -33,6 +34,7 @@ import math
 from pathlib import Path
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .summary import summarize_trace
 
 __all__ = [
     "render_openmetrics",
@@ -163,16 +165,17 @@ def registry_from_trace(path) -> MetricsRegistry:
     totals), the attribution ``overhead_*_total`` cross-product (from
     ``attribution`` events' ``cells``), per-node attribution counters,
     per-run ``measured_time`` gauges, and ``trace_events_total`` counts
-    of every record type read.
+    of every record type read.  Repeated ``run_end`` / ``attribution``
+    records of one sim add up; families keep the order in which the
+    trace first shows them.
     """
-    from .summary import read_trace
-
+    summary = summarize_trace(path)
     registry = MetricsRegistry()
-    for record in read_trace(path):
-        event = record["event"]
-        registry.counter("trace_events_total", event=event).inc()
-        if event == "run_end":
-            sim = str(record.get("sim", 0))
+    for event, count in summary.event_counts.items():
+        registry.counter("trace_events_total", event=event).inc(count)
+    for record in summary.run_records:
+        sim = str(record.get("sim", 0))
+        if record["event"] == "run_end":
             registry.gauge("measured_time", sim=sim).set(
                 float(record.get("measured_time", 0.0))
             )
@@ -185,8 +188,7 @@ def registry_from_trace(path) -> MetricsRegistry:
                 registry.counter(
                     "bits_total", category=category, sim=sim
                 ).inc(totals["bits"])
-        elif event == "attribution":
-            sim = str(record.get("sim", 0))
+        else:
             for category, cause, cluster, messages, bits in record.get(
                 "cells", []
             ):

@@ -3,11 +3,9 @@
 ``repro-manet report`` renders one or more trace files into a single
 Markdown document with four diagnostic sections per trace:
 
-* **reconciliation** — the per-category message/bit totals, aggregated
-  from the ``msg_tx`` stream exactly as ``trace-summary`` computes them
-  (both commands share :func:`~repro.obs.summary.summarize_trace`, so
-  the numbers reconcile by construction), and the verdict of the
-  events-vs-``run_end`` closed loop;
+* **reconciliation** — the per-category message/bit totals of the
+  ``msg_tx`` stream and the verdict of the events-vs-``run_end`` closed
+  loop;
 * **overhead attribution** — the run-end ``attribution`` ledger: a
   per-cause breakdown of every message category (whose totals equal the
   reconciliation section's, by construction), top-K hotspot nodes and
@@ -16,8 +14,7 @@ Markdown document with four diagnostic sections per trace:
   series (head changes, reaffiliations, gateway churn, mean cluster
   count/tenure/diameter), reconciled against the trace's own
   ``head_change`` / ``cluster_reaffiliation`` / ``gateway_change``
-  event counts — the same counts ``trace-summary`` prints — so the
-  two commands agree by construction;
+  event counts;
 * **invariant timeline** — audits, violations and violation spans from
   the ``invariant_audit`` stream;
 * **analytic residuals** — per-category window statistics (quantiles
@@ -29,19 +26,22 @@ Markdown document with four diagnostic sections per trace:
   from the ``cache_hit`` / ``cache_miss`` / ``cache_write`` stream of
   a ``--store`` run (see :mod:`repro.store`).
 
-:meth:`HealthReport.healthy` folds it all into one boolean — the exit
-code of the CLI command — and :meth:`HealthReport.problems` lists what
-went wrong in one line each.
+Every section renders from the trace's
+:class:`~repro.obs.summary.TraceSummary` — the one fold that
+``trace-summary``, ``compare`` and ``metrics`` read too, so the
+commands agree by construction.  :meth:`HealthReport.healthy` folds it
+all into one boolean — the exit code of the CLI command — and
+:meth:`HealthReport.problems` lists what went wrong in one line each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .metrics import Histogram
-from .summary import TraceSummary, read_trace, summarize_trace
+from .summary import RunSummary, TraceSummary, summarize_trace
 
-__all__ = ["TraceHealth", "HealthReport", "build_report"]
+__all__ = ["HealthReport", "build_report"]
 
 
 def _fmt(value, precision: str = ".4g") -> str:
@@ -64,206 +64,109 @@ def _table(headers: list[str], rows: list[list]) -> list[str]:
     return lines
 
 
-@dataclass
-class _AuditTimeline:
-    """Aggregated ``invariant_audit`` stream of one simulation."""
+def _dynamics_mismatches(run: RunSummary) -> list[str]:
+    """Window sums that fail to reproduce the run's event counts.
 
-    audits: int = 0
-    violations: int = 0
-    spans: list[tuple[float, float]] = field(default_factory=list)
-    _open_since: float | None = None
-    last_time: float | None = None
-
-    def feed(self, record: dict) -> None:
-        self.audits += 1
-        time = float(record["t"])
-        if record.get("ok", True):
-            if self._open_since is not None:
-                self.spans.append((self._open_since, time))
-                self._open_since = None
-        else:
-            self.violations += 1
-            if self._open_since is None:
-                self._open_since = time
-        self.last_time = time
-
-    def close(self) -> None:
-        if self._open_since is not None and self.last_time is not None:
-            self.spans.append((self._open_since, self.last_time))
-            self._open_since = None
-
-
-@dataclass
-class TraceHealth:
-    """Everything the report knows about one trace file."""
-
-    summary: TraceSummary
-    audits: dict[int, _AuditTimeline] = field(default_factory=dict)
-    #: ``(sim, category) -> list`` of ``kind="window"`` residual records.
-    residual_windows: dict[tuple[int, str], list[dict]] = field(
-        default_factory=dict
-    )
-    #: ``(sim, category) -> `` the ``kind="final"`` verdict record.
-    residual_finals: dict[tuple[int, str], dict] = field(default_factory=dict)
-    resources: list[dict] = field(default_factory=list)
-    #: ``cache_hit`` / ``cache_miss`` / ``cache_write`` event counts.
-    cache: dict[str, int] = field(default_factory=dict)
-    #: ``sim -> list`` of ``cluster_window`` records, in trace order.
-    dynamics: dict[int, list[dict]] = field(default_factory=dict)
-    #: ``sim -> list`` of ``control_window`` records (adaptive beacon).
-    control: dict[int, list[dict]] = field(default_factory=dict)
-    #: ``sim -> `` run-end ``attribution`` record (overhead ledger).
-    attribution: dict[int, dict] = field(default_factory=dict)
-    #: ``sim -> list`` of ``fault_inject`` / ``fault_clear`` records,
-    #: in trace order (empty for unfaulted runs).
-    faults: dict[int, list[dict]] = field(default_factory=dict)
-
-    def cache_hit_rate(self) -> float | None:
-        """Task cache-hit rate, or ``None`` without cache events."""
-        hits = self.cache.get("cache_hit", 0)
-        misses = self.cache.get("cache_miss", 0)
-        if hits + misses == 0:
-            return None
-        return hits / (hits + misses)
-
-    def dynamics_mismatches(self) -> list[str]:
-        """Window sums that fail to reproduce the trace's event counts.
-
-        The collector computes window deltas from counters incremented
-        at the exact emission points of ``head_change`` /
-        ``cluster_reaffiliation`` / ``gateway_change``, so any
-        difference means records were lost — the cluster-dynamics
-        analogue of the ``msg_tx`` reconciliation loop.
-        """
-        found: list[str] = []
-        checks = (
-            ("head_changes", "head_change"),
-            ("reaffiliations", "cluster_reaffiliation"),
-        )
-        for sim, windows in sorted(self.dynamics.items()):
-            run = self.summary.runs.get(sim)
-            events = run.events if run is not None else {}
-            for window_field, event in checks:
-                summed = sum(int(w.get(window_field, 0)) for w in windows)
-                counted = events.get(event, 0)
-                if summed != counted:
-                    found.append(
-                        f"sim {sim}: cluster_window {window_field} sum to "
-                        f"{summed}, trace has {counted} {event} events"
-                    )
-            churn = sum(
-                int(w.get("gateway_adds", 0)) + int(w.get("gateway_drops", 0))
-                for w in windows
+    The collector computes window deltas from counters incremented at
+    the exact emission points of ``head_change`` /
+    ``cluster_reaffiliation`` / ``gateway_change``, so any difference
+    means records were lost — the cluster-dynamics analogue of the
+    ``msg_tx`` reconciliation loop.
+    """
+    found: list[str] = []
+    totals = run.dynamics_totals()
+    for window_field, event in (
+        ("head_changes", "head_change"),
+        ("reaffiliations", "cluster_reaffiliation"),
+    ):
+        counted = run.events.get(event, 0)
+        if totals[window_field] != counted:
+            found.append(
+                f"sim {run.sim}: cluster_window {window_field} sum to "
+                f"{totals[window_field]}, trace has {counted} {event} events"
             )
-            counted = events.get("gateway_change", 0)
-            if churn != counted:
-                found.append(
-                    f"sim {sim}: cluster_window gateway churn sums to "
-                    f"{churn}, trace has {counted} gateway_change events"
-                )
-        return found
+    counted = run.events.get("gateway_change", 0)
+    if totals["gateway_churn"] != counted:
+        found.append(
+            f"sim {run.sim}: cluster_window gateway churn sums to "
+            f"{totals['gateway_churn']}, trace has {counted} gateway_change "
+            "events"
+        )
+    return found
 
-    def attribution_mismatches(self) -> list[str]:
-        """Ledger totals that fail to reproduce the ``msg_tx`` stream.
 
-        The ledger chains into the same ``MessageStats.on_record`` hook
-        that feeds the trace's ``msg_tx`` events, so the two views must
-        agree message-for-message; any difference means a send site
-        bypassed the hook (or a trace lost records).
-        """
-        found: list[str] = []
-        for sim, record in sorted(self.attribution.items()):
-            if not record.get("reconciled", True):
-                found.append(
-                    f"sim {sim}: overhead attribution failed to reconcile "
-                    f"with the run's message totals"
-                )
-            run = self.summary.runs.get(sim)
-            traced = run.messages if run is not None else {}
-            totals = record.get("totals", {})
-            for category in sorted(set(totals) | set(traced)):
-                ledger = int(totals.get(category, {}).get("messages", 0))
-                streamed = int(traced.get(category, 0))
-                if ledger != streamed:
-                    found.append(
-                        f"sim {sim} {category}: attribution ledger has "
-                        f"{ledger} messages, traced msg_tx stream has "
-                        f"{streamed}"
-                    )
-        return found
+def _attribution_mismatches(run: RunSummary) -> list[str]:
+    """Ledger totals that fail to reproduce the ``msg_tx`` stream.
 
-    # ------------------------------------------------------------------
-    def problems(self) -> list[str]:
-        """Everything unhealthy about this trace, one line each."""
-        path = self.summary.path
-        found = [f"{path}: {m}" for m in self.summary.mismatches()]
-        found.extend(f"{path}: {m}" for m in self.dynamics_mismatches())
-        found.extend(f"{path}: {m}" for m in self.attribution_mismatches())
-        for sim, timeline in sorted(self.audits.items()):
-            if timeline.violations:
-                found.append(
-                    f"{path}: sim {sim} failed {timeline.violations} of "
-                    f"{timeline.audits} invariant audits"
-                )
-        for (sim, category), final in sorted(self.residual_finals.items()):
+    The ledger chains into the same ``MessageStats.on_record`` hook that
+    feeds the trace's ``msg_tx`` events, so the two views must agree
+    message-for-message; any difference means a send site bypassed the
+    hook (or a trace lost records).
+    """
+    found: list[str] = []
+    record = run.attribution
+    if not record.get("reconciled", True):
+        found.append(
+            f"sim {run.sim}: overhead attribution failed to reconcile "
+            f"with the run's message totals"
+        )
+    totals = record.get("totals", {})
+    for category in sorted(set(totals) | set(run.messages)):
+        ledger = int(totals.get(category, {}).get("messages", 0))
+        streamed = int(run.messages.get(category, 0))
+        if ledger != streamed:
+            found.append(
+                f"sim {run.sim} {category}: attribution ledger has "
+                f"{ledger} messages, traced msg_tx stream has {streamed}"
+            )
+    return found
+
+
+def _runs(summary: TraceSummary, attribute: str) -> list[RunSummary]:
+    """Runs whose ``attribute`` is non-empty, in sim order."""
+    return [
+        run for _, run in sorted(summary.runs.items()) if getattr(run, attribute)
+    ]
+
+
+def _problems(summary: TraceSummary) -> list[str]:
+    """Everything unhealthy about one trace, one line each."""
+    path = summary.path
+    found = [f"{path}: {m}" for m in summary.mismatches()]
+    for run in _runs(summary, "cluster_windows"):
+        found.extend(f"{path}: {m}" for m in _dynamics_mismatches(run))
+    for run in _runs(summary, "attribution"):
+        found.extend(f"{path}: {m}" for m in _attribution_mismatches(run))
+    for run in _runs(summary, "audits"):
+        violations = sum(1 for a in run.audits if not a.get("ok", True))
+        if violations:
+            found.append(
+                f"{path}: sim {run.sim} failed {violations} of "
+                f"{len(run.audits)} invariant audits"
+            )
+    for _, run in sorted(summary.runs.items()):
+        for category, finals in sorted(run.residual_finals.items()):
+            final = finals[-1]
             if not final.get("ok", True):
                 found.append(
-                    f"{path}: sim {sim} {category} rate "
+                    f"{path}: sim {run.sim} {category} rate "
                     f"{final['measured']:.4g} below analytic bound "
                     f"{final['bound']:.4g}"
                 )
-        return found
-
-
-def analyze_trace(path) -> TraceHealth:
-    """Read one trace into a :class:`TraceHealth`."""
-    health = TraceHealth(summary=summarize_trace(path))
-    for record in read_trace(path):
-        event = record.get("event")
-        if event == "invariant_audit":
-            sim = int(record.get("sim", 0))
-            timeline = health.audits.get(sim)
-            if timeline is None:
-                timeline = health.audits[sim] = _AuditTimeline()
-            timeline.feed(record)
-        elif event == "residual":
-            sim = int(record.get("sim", 0))
-            key = (sim, record.get("category", "?"))
-            if record.get("kind") == "final":
-                health.residual_finals[key] = record
-            else:
-                health.residual_windows.setdefault(key, []).append(record)
-        elif event == "cluster_window":
-            sim = int(record.get("sim", 0))
-            health.dynamics.setdefault(sim, []).append(record)
-        elif event == "control_window":
-            sim = int(record.get("sim", 0))
-            health.control.setdefault(sim, []).append(record)
-        elif event == "attribution":
-            health.attribution[int(record.get("sim", 0))] = record
-        elif event == "resource_sample":
-            health.resources.append(record)
-        elif event in ("fault_inject", "fault_clear"):
-            sim = int(record.get("sim", 0))
-            health.faults.setdefault(sim, []).append(record)
-        elif event in ("cache_hit", "cache_miss", "cache_write"):
-            health.cache[event] = health.cache.get(event, 0) + 1
-    for timeline in health.audits.values():
-        timeline.close()
-    return health
+    return found
 
 
 @dataclass
 class HealthReport:
     """A rendered-on-demand run-health report over one or more traces."""
 
-    traces: list[TraceHealth]
+    traces: list[TraceSummary]
 
     def problems(self) -> list[str]:
         """All problems across traces (empty when healthy)."""
         found: list[str] = []
-        for trace in self.traces:
-            found.extend(trace.problems())
+        for summary in self.traces:
+            found.extend(_problems(summary))
         return found
 
     @property
@@ -292,17 +195,14 @@ class HealthReport:
                          "invariants hold, measured rates respect the "
                          "analytic bounds.")
         lines.append("")
-        for trace in self.traces:
-            lines.extend(self._render_trace(trace))
+        for summary in self.traces:
+            lines.extend(self._render_trace(summary))
         return "\n".join(lines).rstrip() + "\n"
 
     # ------------------------------------------------------------------
-    def _render_trace(self, trace: TraceHealth) -> list[str]:
-        summary = trace.summary
+    def _render_trace(self, summary: TraceSummary) -> list[str]:
         lines = [f"## Trace `{summary.path}`", ""]
-        lines.append(
-            f"- records: {summary.records}"
-        )
+        lines.append(f"- records: {summary.records}")
         if summary.first_time is not None:
             lines.append(
                 f"- simulated time span: {summary.first_time:.4g} .. "
@@ -317,36 +217,24 @@ class HealthReport:
         )
         lines.append("")
         lines.extend(self._render_totals(summary))
-        lines.extend(self._render_attribution(trace))
-        lines.extend(self._render_dynamics(trace))
-        lines.extend(self._render_control(trace))
-        lines.extend(self._render_faults(trace))
-        lines.extend(self._render_audits(trace))
-        lines.extend(self._render_residuals(trace))
-        lines.extend(self._render_resources(trace))
-        lines.extend(self._render_cache(trace))
+        lines.extend(self._render_attribution(summary))
+        lines.extend(self._render_dynamics(summary))
+        lines.extend(self._render_control(summary))
+        lines.extend(self._render_faults(summary))
+        lines.extend(self._render_audits(summary))
+        lines.extend(self._render_residuals(summary))
+        lines.extend(self._render_resources(summary))
+        lines.extend(self._render_cache(summary))
         return lines
 
-    def _render_faults(self, trace: TraceHealth) -> list[str]:
+    def _render_faults(self, summary: TraceSummary) -> list[str]:
         """The "Fault injection" section (omitted for unfaulted runs)."""
-        if not trace.faults:
+        runs = _runs(summary, "faults")
+        if not runs:
             return []
         lines = ["### Fault injection", ""]
-        for sim, records in sorted(trace.faults.items()):
-            counts: dict[tuple[str, str], int] = {}
-            loss_rate = None
-            for record in records:
-                kind = str(record.get("kind", "?"))
-                if kind == "loss":
-                    loss_rate = float(record.get("rate", 0.0))
-                    continue
-                verb = (
-                    "inject"
-                    if record.get("event") == "fault_inject"
-                    else "clear"
-                )
-                key = (kind, verb)
-                counts[key] = counts.get(key, 0) + 1
+        for run in runs:
+            counts, loss_rate = run.fault_counts()
             parts = []
             for (kind, verb), count in sorted(counts.items()):
                 label = {
@@ -358,17 +246,15 @@ class HealthReport:
                 parts.append(f"{count} {label}")
             if loss_rate is not None:
                 parts.append(f"Bernoulli loss rate {loss_rate:g}")
-            lines.append(f"- sim {sim}: " + ", ".join(parts))
+            lines.append(f"- sim {run.sim}: " + ", ".join(parts))
             rows = [
                 [
                     record["t"],
-                    "inject"
-                    if record.get("event") == "fault_inject"
-                    else "clear",
+                    "inject" if record["event"] == "fault_inject" else "clear",
                     record.get("kind", "?"),
                     record.get("node", "-"),
                 ]
-                for record in records
+                for record in run.faults
                 if record.get("kind") != "loss"
             ]
             if rows:
@@ -422,9 +308,10 @@ class HealthReport:
             lines.append("")
         return lines
 
-    def _render_attribution(self, trace: TraceHealth) -> list[str]:
+    def _render_attribution(self, summary: TraceSummary) -> list[str]:
         lines = ["### Overhead attribution", ""]
-        if not trace.attribution:
+        runs = _runs(summary, "attribution")
+        if not runs:
             lines.append(
                 "No `attribution` events — run with `--trace` to collect "
                 "the overhead ledger."
@@ -436,7 +323,8 @@ class HealthReport:
         # reconciliation check pins to the msg_tx stream, so this table
         # sums to the "Message totals" section by construction.
         rows = []
-        for sim, record in sorted(trace.attribution.items()):
+        for run in runs:
+            sim, record = run.sim, run.attribution
             causes = record.get("causes", {})
             for category in sorted(causes):
                 breakdown = causes[category]
@@ -478,9 +366,9 @@ class HealthReport:
             )
         )
         lines.append("")
-        lines.extend(self._render_hotspots(trace))
-        lines.extend(self._render_heatmap(trace))
-        mismatches = trace.attribution_mismatches()
+        lines.extend(self._render_hotspots(runs))
+        lines.extend(self._render_heatmap(runs))
+        mismatches = [m for run in runs for m in _attribution_mismatches(run)]
         if mismatches:
             lines.append("**Attribution reconciliation FAILED:**")
             lines.extend(f"- {m}" for m in mismatches)
@@ -493,19 +381,19 @@ class HealthReport:
         lines.append("")
         return lines
 
-    def _render_hotspots(self, trace: TraceHealth) -> list[str]:
+    def _render_hotspots(self, runs: list[RunSummary]) -> list[str]:
         lines: list[str] = []
         for kind, key in (("nodes", "node"), ("clusters", "cluster")):
             rows = []
-            for sim, record in sorted(trace.attribution.items()):
-                tallies = record.get(kind, {})
+            for run in runs:
+                tallies = run.attribution.get(kind, {})
                 top = sorted(
                     tallies.items(),
                     key=lambda item: (-item[1]["messages"], int(item[0])),
                 )[:5]
                 for name, tally in top:
                     rows.append(
-                        [sim, int(name), tally["messages"], tally["bits"]]
+                        [run.sim, int(name), tally["messages"], tally["bits"]]
                     )
             if rows:
                 lines.append(f"Top overhead {kind} (by attributed messages):")
@@ -516,17 +404,17 @@ class HealthReport:
                 lines.append("")
         return lines
 
-    def _render_heatmap(self, trace: TraceHealth) -> list[str]:
+    def _render_heatmap(self, runs: list[RunSummary]) -> list[str]:
         lines: list[str] = []
         shades = " .:-=+*#%@"
-        for sim, record in sorted(trace.attribution.items()):
-            heatmap = record.get("heatmap") or {}
+        for run in runs:
+            heatmap = run.attribution.get("heatmap") or {}
             grid = heatmap.get("messages") or []
             peak = max((max(row) for row in grid if row), default=0)
             if not peak:
                 continue
             lines.append(
-                f"Spatial heatmap, sim {sim} "
+                f"Spatial heatmap, sim {run.sim} "
                 f"({heatmap.get('bins')}x{heatmap.get('bins')} cells over "
                 f"side {_fmt(heatmap.get('side'))}; peak "
                 f"{_fmt(float(peak))} messages/cell):"
@@ -550,9 +438,10 @@ class HealthReport:
             lines.append("")
         return lines
 
-    def _render_dynamics(self, trace: TraceHealth) -> list[str]:
+    def _render_dynamics(self, summary: TraceSummary) -> list[str]:
         lines = ["### Cluster dynamics", ""]
-        if not trace.dynamics:
+        runs = _runs(summary, "cluster_windows")
+        if not runs:
             lines.append(
                 "No `cluster_window` events — run with `--trace` and an "
                 "attached maintenance protocol to collect the series."
@@ -562,19 +451,17 @@ class HealthReport:
         import statistics
 
         rows = []
-        for sim, windows in sorted(trace.dynamics.items()):
+        for run in runs:
+            windows = run.cluster_windows
+            totals = run.dynamics_totals()
             clusters = [int(w.get("clusters", 0)) for w in windows]
             rows.append(
                 [
-                    sim,
+                    run.sim,
                     len(windows),
-                    sum(int(w.get("head_changes", 0)) for w in windows),
-                    sum(int(w.get("reaffiliations", 0)) for w in windows),
-                    sum(
-                        int(w.get("gateway_adds", 0))
-                        + int(w.get("gateway_drops", 0))
-                        for w in windows
-                    ),
+                    totals["head_changes"],
+                    totals["reaffiliations"],
+                    totals["gateway_churn"],
                     statistics.mean(clusters) if clusters else None,
                     windows[-1].get("mean_head_tenure"),
                     windows[-1].get("mean_diameter"),
@@ -596,7 +483,7 @@ class HealthReport:
             )
         )
         lines.append("")
-        mismatches = trace.dynamics_mismatches()
+        mismatches = [m for run in runs for m in _dynamics_mismatches(run)]
         if mismatches:
             lines.append("**Cluster-dynamics reconciliation FAILED:**")
             lines.extend(f"- {m}" for m in mismatches)
@@ -609,9 +496,10 @@ class HealthReport:
         lines.append("")
         return lines
 
-    def _render_control(self, trace: TraceHealth) -> list[str]:
+    def _render_control(self, summary: TraceSummary) -> list[str]:
         lines = ["### Adaptive beaconing", ""]
-        if not trace.control:
+        runs = _runs(summary, "control_windows")
+        if not runs:
             lines.append(
                 "No `control_window` events — run without an adaptive "
                 "beacon policy (or untraced)."
@@ -619,21 +507,17 @@ class HealthReport:
             lines.append("")
             return lines
         rows = []
-        for sim, windows in sorted(trace.control.items()):
-            beacons = sum(int(w.get("beacons", 0)) for w in windows)
-            interval_sum = sum(
-                float(w.get("mean_interval", 0.0)) * int(w.get("beacons", 0))
-                for w in windows
-            )
+        for run in runs:
+            windows = run.control_windows
+            totals = run.control_totals()
             active = [w for w in windows if int(w.get("beacons", 0))]
-            staleness = [float(w.get("staleness", 0.0)) for w in windows]
             rows.append(
                 [
-                    sim,
+                    run.sim,
                     windows[0].get("policy", "?"),
                     len(windows),
-                    beacons,
-                    interval_sum / beacons if beacons else None,
+                    totals["beacons"],
+                    totals["mean_interval"],
                     min(
                         (float(w["min_interval"]) for w in active),
                         default=None,
@@ -642,7 +526,7 @@ class HealthReport:
                         (float(w["max_interval"]) for w in active),
                         default=None,
                     ),
-                    sum(staleness) / len(staleness) if staleness else None,
+                    totals["mean_staleness"],
                     sum(float(w.get("mean_rate", 0.0)) for w in windows)
                     / len(windows),
                 ]
@@ -672,24 +556,26 @@ class HealthReport:
         lines.append("")
         return lines
 
-    def _render_audits(self, trace: TraceHealth) -> list[str]:
+    def _render_audits(self, summary: TraceSummary) -> list[str]:
         lines = ["### Invariant audits (P1/P2)", ""]
-        if not trace.audits:
+        runs = _runs(summary, "audits")
+        if not runs:
             lines.append(
                 "No `invariant_audit` events — run without `--audit`."
             )
             lines.append("")
             return lines
         rows = []
-        for sim, timeline in sorted(trace.audits.items()):
-            violation_time = sum(end - start for start, end in timeline.spans)
+        spans = {run.sim: run.violation_spans() for run in runs}
+        for run in runs:
+            violations = sum(1 for a in run.audits if not a.get("ok", True))
             rows.append(
                 [
-                    sim,
-                    timeline.audits,
-                    timeline.violations,
-                    violation_time,
-                    "OK" if timeline.violations == 0 else "VIOLATED",
+                    run.sim,
+                    len(run.audits),
+                    violations,
+                    sum(end - start for start, end in spans[run.sim]),
+                    "OK" if violations == 0 else "VIOLATED",
                 ]
             )
         lines.extend(
@@ -699,36 +585,40 @@ class HealthReport:
             )
         )
         lines.append("")
-        for sim, timeline in sorted(trace.audits.items()):
-            for start, end in timeline.spans:
+        for sim, intervals in spans.items():
+            for start, end in intervals:
                 lines.append(
                     f"- sim {sim}: invariants violated from t={start:.4g} "
                     f"to t={end:.4g}"
                 )
-        if any(timeline.spans for timeline in trace.audits.values()):
+        if any(spans.values()):
             lines.append("")
         return lines
 
-    def _render_residuals(self, trace: TraceHealth) -> list[str]:
+    def _render_residuals(self, summary: TraceSummary) -> list[str]:
         lines = ["### Analytic residuals (measured vs lower bound)", ""]
-        keys = sorted(
-            set(trace.residual_windows) | set(trace.residual_finals)
-        )
+        keys = [
+            (run, category)
+            for _, run in sorted(summary.runs.items())
+            for category in sorted(
+                set(run.residual_windows) | set(run.residual_finals)
+            )
+        ]
         if not keys:
             lines.append("No `residual` events — run without `--audit`.")
             lines.append("")
             return lines
         rows = []
-        for key in keys:
-            sim, category = key
-            windows = trace.residual_windows.get(key, [])
-            final = trace.residual_finals.get(key)
+        for run, category in keys:
+            windows = run.residual_windows.get(category, [])
+            finals = run.residual_finals.get(category)
+            final = finals[-1] if finals else None
             histogram = _window_histogram(windows, final)
             stats = histogram.summary()
             flagged = sum(1 for w in windows if not w.get("ok", True))
             rows.append(
                 [
-                    sim,
+                    run.sim,
                     category,
                     len(windows),
                     flagged,
@@ -768,9 +658,9 @@ class HealthReport:
         lines.append("")
         return lines
 
-    def _render_resources(self, trace: TraceHealth) -> list[str]:
+    def _render_resources(self, summary: TraceSummary) -> list[str]:
         lines = ["### Resources", ""]
-        samples = trace.resources
+        samples = summary.resources
         if not samples:
             lines.append(
                 "No `resource_sample` events — run without "
@@ -806,10 +696,7 @@ class HealthReport:
         lines.append(
             f"- CPU utilisation: mean {sum(utils) / len(utils):.2f} cores"
         )
-        phase_totals: dict[str, float] = {}
-        for sample in samples:
-            for phase, seconds in (sample.get("phases") or {}).items():
-                phase_totals[phase] = phase_totals.get(phase, 0.0) + seconds
+        phase_totals = summary.phase_totals()
         if phase_totals:
             total = sum(phase_totals.values())
             lines.append("")
@@ -827,8 +714,12 @@ class HealthReport:
         lines.append("")
         return lines
 
-    def _render_cache(self, trace: TraceHealth) -> list[str]:
-        if not trace.cache:
+    def _render_cache(self, summary: TraceSummary) -> list[str]:
+        hits, misses, writes = (
+            summary.event_counts.get(event, 0)
+            for event in ("cache_hit", "cache_miss", "cache_write")
+        )
+        if not (hits or misses or writes):
             # Degrade to an explicit note rather than silently omitting
             # the section (or printing a meaningless 0/0 rate).
             return [
@@ -838,12 +729,10 @@ class HealthReport:
                 "store was never consulted.",
                 "",
             ]
-        hits = trace.cache.get("cache_hit", 0)
-        misses = trace.cache.get("cache_miss", 0)
-        writes = trace.cache.get("cache_write", 0)
         lines = ["### Result store", ""]
-        rate = trace.cache_hit_rate()
-        rate_text = f"{rate:.1%}" if rate is not None else "n/a"
+        rate_text = (
+            f"{hits / (hits + misses):.1%}" if hits + misses else "n/a"
+        )
         lines.append(
             f"- tasks: {hits} hit(s), {misses} miss(es) "
             f"({rate_text} hit rate), {writes} record(s) written"
@@ -876,5 +765,5 @@ def _rss_buckets(rss_values: list[float]) -> tuple[float, ...]:
 
 
 def build_report(paths) -> HealthReport:
-    """Analyze one or more trace files into a :class:`HealthReport`."""
-    return HealthReport(traces=[analyze_trace(path) for path in paths])
+    """Fold one or more trace files into a :class:`HealthReport`."""
+    return HealthReport(traces=[summarize_trace(path) for path in paths])

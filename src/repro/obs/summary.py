@@ -1,14 +1,18 @@
-"""Trace aggregation: turn a JSONL trace back into per-category rates.
+"""The one fold of a JSONL trace that every trace command reads.
 
-This is the read side of :class:`~repro.obs.tracer.JsonlTracer` and the
-engine behind ``repro-manet trace-summary``: it folds the ``msg_tx``
-event stream into per-category message/bit totals (per simulation run
-and overall) and — when ``run_begin`` / ``run_end`` events are present —
-derives the paper's per-node frequencies and checks that the streamed
-events *exactly* reproduce the totals the run's
-:class:`~repro.sim.stats.MessageStats` reported.  A trace that fails
-reconciliation means events were lost or double-counted somewhere,
-which is precisely the regression this closed loop exists to catch.
+This is the read side of :class:`~repro.obs.tracer.JsonlTracer`.
+:func:`summarize_trace` makes a single streaming pass over a trace and
+keeps what ``trace-summary``, ``report``, ``compare`` and ``metrics``
+render: per-category message/bit totals and per-node frequencies, and
+per run the cluster/control windows, attribution ledger, fault
+transitions, audits and residuals.  Sums that several commands print
+are computed here once.
+
+The fold also checks that the streamed ``msg_tx`` events *exactly*
+reproduce the totals the run's :class:`~repro.sim.stats.MessageStats`
+reported.  A trace that fails reconciliation means events were lost or
+double-counted somewhere, which is precisely the regression this closed
+loop exists to catch.
 """
 
 from __future__ import annotations
@@ -39,6 +43,19 @@ class RunSummary:
     #: cluster-dynamics report section reconciles its window sums
     #: against.
     events: dict[str, int] = field(default_factory=dict)
+    #: ``cluster_window`` / ``control_window`` records, in trace order.
+    cluster_windows: list[dict] = field(default_factory=list)
+    control_windows: list[dict] = field(default_factory=list)
+    #: The run's (last) ``attribution`` record: the overhead ledger.
+    attribution: dict | None = None
+    #: ``fault_inject`` / ``fault_clear`` records, in trace order.
+    faults: list[dict] = field(default_factory=list)
+    #: ``invariant_audit`` records, in trace order.
+    audits: list[dict] = field(default_factory=list)
+    #: ``category -> `` ``kind="window"`` / ``kind="final"`` residual
+    #: records, in trace order (the last final is the run's verdict).
+    residual_windows: dict[str, list[dict]] = field(default_factory=dict)
+    residual_finals: dict[str, list[dict]] = field(default_factory=dict)
 
     def frequencies(self) -> dict[str, float] | None:
         """Per-node message frequencies, when run metadata is present."""
@@ -74,6 +91,74 @@ class RunSummary:
                 )
         return problems
 
+    def dynamics_totals(self) -> dict[str, int]:
+        """Head changes, reaffiliations and gateway churn over the windows."""
+        windows = self.cluster_windows
+        return {
+            "head_changes": sum(int(w.get("head_changes", 0)) for w in windows),
+            "reaffiliations": sum(
+                int(w.get("reaffiliations", 0)) for w in windows
+            ),
+            "gateway_churn": sum(
+                int(w.get("gateway_adds", 0)) + int(w.get("gateway_drops", 0))
+                for w in windows
+            ),
+        }
+
+    def control_totals(self) -> dict:
+        """Beacon count, beacon-weighted mean interval, mean staleness."""
+        windows = self.control_windows
+        beacons = sum(int(w.get("beacons", 0)) for w in windows)
+        interval_sum = sum(
+            float(w.get("mean_interval", 0.0)) * int(w.get("beacons", 0))
+            for w in windows
+        )
+        staleness = [float(w.get("staleness", 0.0)) for w in windows]
+        return {
+            "beacons": beacons,
+            "mean_interval": interval_sum / beacons if beacons else None,
+            "mean_staleness": (
+                sum(staleness) / len(staleness) if staleness else None
+            ),
+        }
+
+    def fault_counts(self) -> tuple[dict[tuple[str, str], int], float | None]:
+        """``(kind, "inject"|"clear") -> `` count, and the loss rate.
+
+        Crash and outage transitions are counted; the one ``kind="loss"``
+        announcement contributes its ``rate`` instead.
+        """
+        counts: dict[tuple[str, str], int] = {}
+        loss_rate = None
+        for record in self.faults:
+            kind = str(record.get("kind", "?"))
+            if kind == "loss":
+                loss_rate = float(record.get("rate", 0.0))
+                continue
+            verb = "inject" if record["event"] == "fault_inject" else "clear"
+            counts[(kind, verb)] = counts.get((kind, verb), 0) + 1
+        return counts, loss_rate
+
+    def violation_spans(self) -> list[tuple[float, float]]:
+        """``(start, end)`` intervals during which audits failed.
+
+        A span opens at the first failed audit and closes at the next
+        passing one, or at the last audit when none passes.
+        """
+        spans = []
+        open_since = None
+        for record in self.audits:
+            time = float(record["t"])
+            if not record.get("ok", True):
+                if open_since is None:
+                    open_since = time
+            elif open_since is not None:
+                spans.append((open_since, time))
+                open_since = None
+        if open_since is not None:
+            spans.append((open_since, float(self.audits[-1]["t"])))
+        return spans
+
 
 @dataclass
 class TraceSummary:
@@ -85,6 +170,12 @@ class TraceSummary:
     runs: dict[int, RunSummary] = field(default_factory=dict)
     first_time: float | None = None
     last_time: float | None = None
+    #: ``resource_sample`` records, in trace order.
+    resources: list[dict] = field(default_factory=list)
+    #: Every ``run_end`` and ``attribution`` record, in trace order.  The
+    #: OpenMetrics export sums repeated ones per sim, where each
+    #: :class:`RunSummary` keeps only the last.
+    run_records: list[dict] = field(default_factory=list)
 
     # ------------------------------------------------------------------
     @property
@@ -114,6 +205,25 @@ class TraceSummary:
             "ended": counts.get("span_end", 0),
             "links": counts.get("span_link", 0),
         }
+
+    def phase_totals(self) -> dict[str, float]:
+        """Per-phase wall-clock seconds summed over the resource samples."""
+        totals: dict[str, float] = {}
+        for sample in self.resources:
+            for phase, seconds in (sample.get("phases") or {}).items():
+                totals[phase] = totals.get(phase, 0.0) + float(seconds)
+        return totals
+
+    def residual_verdicts(self) -> dict[str, bool]:
+        """``category -> `` whether every final residual verdict was OK."""
+        verdicts: dict[str, bool] = {}
+        for run in self.runs.values():
+            for category, finals in run.residual_finals.items():
+                for final in finals:
+                    verdicts[category] = verdicts.get(category, True) and bool(
+                        final.get("ok", True)
+                    )
+        return verdicts
 
     def mismatches(self) -> list[str]:
         """All reconciliation problems across runs (empty when clean)."""
@@ -197,62 +307,80 @@ class TraceSummary:
 
 
 def read_trace(path):
-    """Yield every record of a JSONL trace, checking the schema version.
+    """Yield every record of a JSONL trace, checking each envelope.
 
-    A malformed *final* line in a trace with no trailing newline — the
-    signature of a writer killed mid-record — is skipped with a warning
-    rather than failing the whole read; a malformed line anywhere else
-    (or one the writer did terminate) still raises, because a trace
-    that is corrupt in the middle cannot be trusted at all.
+    The file is streamed line by line, so a pass holds one record at a
+    time.  A record must be a JSON object with the supported ``schema``
+    version and a string ``event``; anything else raises ``ValueError``
+    naming the line.  A malformed *final* line in a trace with no
+    trailing newline — the signature of a writer killed mid-record — is
+    skipped with a warning rather than failing the whole read; a
+    malformed line anywhere else (or one the writer did terminate, in a
+    file that ends with a newline) still raises, because a trace that is
+    corrupt in the middle cannot be trusted at all.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    last_content = -1
-    if text and not text.endswith("\n"):
-        last_content = max(
-            (i for i, line in enumerate(lines) if line.strip()), default=-1
-        )
-    for line_number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            if line_number - 1 == last_content:
+    pending = None  # (line number, error) of an unparsable line
+    terminated = True
+    with Path(path).open(encoding="utf-8", newline="") as lines:
+        for line_number, line in enumerate(lines, start=1):
+            terminated = line.endswith("\n")
+            line = line.strip()
+            if not line:
+                continue
+            if pending is not None:
+                break
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as error:
+                pending = (line_number, error)
+                continue
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{line_number}: not a JSON object")
+            version = record.get("schema")
+            if version != TRACE_SCHEMA_VERSION:
+                raise ValueError(
+                    f"{path}:{line_number}: unsupported trace schema "
+                    f"version {version!r} (supported: {TRACE_SCHEMA_VERSION})"
+                )
+            if not isinstance(record.get("event"), str):
+                raise ValueError(
+                    f"{path}:{line_number}: record has no string 'event'"
+                )
+            yield record
+        else:
+            if pending is not None and not terminated:
                 logger.warning(
                     "%s:%d: skipping truncated final record "
                     "(trace writer was interrupted mid-line)",
                     path,
-                    line_number,
+                    pending[0],
                 )
                 return
-            raise ValueError(
-                f"{path}:{line_number}: not valid JSON: {error}"
-            ) from None
-        version = record.get("schema")
-        if version != TRACE_SCHEMA_VERSION:
-            raise ValueError(
-                f"{path}:{line_number}: unsupported trace schema "
-                f"version {version!r} (supported: {TRACE_SCHEMA_VERSION})"
-            )
-        yield record
+    if pending is not None:
+        line_number, error = pending
+        raise ValueError(
+            f"{path}:{line_number}: not valid JSON: {error}"
+        ) from None
 
 
 def summarize_trace(path) -> TraceSummary:
-    """Aggregate a trace file into a :class:`TraceSummary`.
+    """Fold a trace file into a :class:`TraceSummary` in one pass.
 
-    Raises ``ValueError`` when the trace contains no records at all —
-    an empty file is always a broken pipeline, never a healthy run.
+    Raises ``ValueError`` for a malformed trace (see :func:`read_trace`)
+    and when the trace contains no records at all — an empty file is
+    always a broken pipeline, never a healthy run.
     """
     summary = TraceSummary(path=str(path))
     for record in read_trace(path):
         summary.records += 1
-        event = record.get("event", "?")
+        event = record["event"]
         summary.event_counts[event] = summary.event_counts.get(event, 0) + 1
-        if event == "resource_sample" or event.startswith("cache_"):
-            # Wall-clock envelope and no owning run; counted above only.
+        if event == "resource_sample":
+            # Wall-clock envelope and no owning run.
+            summary.resources.append(record)
             continue
+        if event.startswith("cache_"):
+            continue  # runless; counted above only
         time = record.get("t")
         if time is not None:
             if summary.first_time is None:
@@ -276,6 +404,26 @@ def summarize_trace(path) -> TraceSummary:
         elif event == "run_end":
             run.measured_time = float(record["measured_time"])
             run.reported_totals = record.get("totals")
+            summary.run_records.append(record)
+        elif event == "attribution":
+            run.attribution = record
+            summary.run_records.append(record)
+        elif event == "cluster_window":
+            run.cluster_windows.append(record)
+        elif event == "control_window":
+            run.control_windows.append(record)
+        elif event == "invariant_audit":
+            run.audits.append(record)
+        elif event == "residual":
+            residuals = (
+                run.residual_finals
+                if record.get("kind") == "final"
+                else run.residual_windows
+            )
+            category = str(record.get("category", "?"))
+            residuals.setdefault(category, []).append(record)
+        elif event in ("fault_inject", "fault_clear"):
+            run.faults.append(record)
     if summary.records == 0:
         raise ValueError(f"{path}: empty trace (no records)")
     return summary

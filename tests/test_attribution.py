@@ -344,14 +344,14 @@ class TestTraceFixture:
         }
 
     def test_report_flags_ledger_stream_divergence(self, tmp_path):
-        from repro.obs.report import analyze_trace
+        from repro.obs.report import build_report
 
-        clean = analyze_trace(_fixture_trace(tmp_path))
-        assert clean.attribution_mismatches() == []
-        tampered = analyze_trace(_fixture_trace(tmp_path, tampered=True))
-        problems = tampered.attribution_mismatches()
+        clean = build_report([_fixture_trace(tmp_path)])
+        assert clean.problems() == []
+        tampered = build_report([_fixture_trace(tmp_path, tampered=True)])
+        problems = tampered.problems()
         assert problems, "tampered ledger must fail attribution check"
-        assert any("hello" in p for p in problems)
+        assert any("hello" in p and "attribution ledger" in p for p in problems)
 
     def test_compare_decomposes_delta_by_cause(self, tmp_path):
         from repro.obs.compare import compare_traces

@@ -306,6 +306,154 @@ class TestReadTrace:
         with pytest.raises(ValueError, match="empty trace"):
             summarize_trace(path)
 
+    def test_terminated_bad_line_before_blank_unterminated_tail_is_skipped(
+        self, tmp_path, caplog
+    ):
+        # The file does not end in a newline and the bad line is its last
+        # non-blank line, so it reads as an interrupted write.
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"schema": 1, "event": "step", "t": 0}\n'
+            '{"schema": 1, "event": "st\n'
+            "   "
+        )
+        with caplog.at_level("WARNING", logger="repro.obs.summary"):
+            records = list(read_trace(path))
+        assert len(records) == 1
+        assert "t.jsonl:2: skipping truncated final record" in caplog.text
+
+    def test_bad_line_followed_by_a_record_raises(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"schema": 1, "event": "st\n'
+            "\n"
+            '{"schema": 1, "event": "step", "t": 0}'
+        )
+        with pytest.raises(ValueError, match=r"t\.jsonl:1: not valid JSON"):
+            list(read_trace(path))
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"schema": 1, "t": 0}',
+            '{"schema": 1, "event": 7, "t": 0}',
+            '{"schema": 1, "event": null, "t": 0}',
+            '[1, 2]',
+        ],
+    )
+    def test_rejects_record_without_string_event(self, tmp_path, line):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"schema": 1, "event": "step", "t": 0}\n' + line + "\n")
+        with pytest.raises(ValueError, match=r"t\.jsonl:2: "):
+            list(read_trace(path))
+
+    def test_streams_without_reading_the_whole_file(self, tmp_path, monkeypatch):
+        import pathlib
+
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"schema": 1, "event": "step", "t": 0}\n' * 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("read_trace must not slurp the file")
+
+        monkeypatch.setattr(pathlib.Path, "read_text", refuse)
+        assert len(list(read_trace(path))) == 3
+
+
+#: The five trace commands, each with its argv for one trace path.
+TRACE_COMMANDS = {
+    "trace-summary": lambda path, tmp: ["trace-summary", path],
+    "report": lambda path, tmp: ["report", path],
+    "compare": lambda path, tmp: ["compare", path, path],
+    "metrics": lambda path, tmp: ["metrics", path],
+    "timeline": lambda path, tmp: [
+        "timeline", path, "--out", str(tmp / "timeline.json")
+    ],
+}
+
+
+class TestMalformedTraceCli:
+    @pytest.mark.parametrize("command", sorted(TRACE_COMMANDS))
+    def test_record_without_event_exits_two(self, command, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "no-event.jsonl"
+        path.write_text(
+            '{"schema": 1, "event": "run_begin", "t": 0, "sim": 0, '
+            '"n_nodes": 4}\n'
+            '{"schema": 1, "t": 0.5, "sim": 0}\n'
+        )
+        assert main(TRACE_COMMANDS[command](str(path), tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "malformed trace" in err
+        assert "no-event.jsonl:2:" in err
+
+    @pytest.mark.parametrize("command", sorted(TRACE_COMMANDS))
+    def test_empty_trace_exits_two(self, command, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        assert main(TRACE_COMMANDS[command](str(path), tmp_path)) == 2
+        assert "empty trace" in capsys.readouterr().err
+
+
+class TestOneFold:
+    """report, compare and metrics read each trace file exactly once."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        import repro.obs.summary as summary_module
+        from repro.obs import compare, openmetrics, report, timeline
+
+        calls: list[str] = []
+        real = summary_module.read_trace
+
+        def counting(path):
+            calls.append(str(path))
+            return real(path)
+
+        for module in (summary_module, report, compare, openmetrics, timeline):
+            monkeypatch.setattr(module, "read_trace", counting, raising=False)
+        return calls
+
+    @pytest.fixture
+    def traces(self, tmp_path):
+        paths = []
+        for index, messages in enumerate((3, 5)):
+            path = tmp_path / f"t{index}.jsonl"
+            records = [
+                {"event": "run_begin", "t": 0.0, "sim": 0, "n_nodes": 4},
+                {"event": "msg_tx", "t": 0.5, "sim": 0, "category": "hello",
+                 "messages": messages, "bits": 8.0 * messages},
+                {"event": "run_end", "t": 1.0, "sim": 0, "measured_time": 1.0,
+                 "totals": {"hello": {"messages": messages,
+                                      "bits": 8.0 * messages}}},
+            ]
+            path.write_text(
+                "".join(json.dumps({"schema": 1, **r}) + "\n" for r in records)
+            )
+            paths.append(str(path))
+        return paths
+
+    def test_build_report_reads_each_trace_once(self, reads, traces):
+        from repro.obs import build_report
+
+        build_report(traces).render()
+        assert sorted(reads) == sorted(traces)
+
+    def test_compare_traces_reads_each_trace_once(self, reads, traces):
+        from repro.obs import compare_traces
+
+        compare_traces(*traces).render()
+        assert sorted(reads) == sorted(traces)
+
+    def test_registry_from_trace_reads_the_trace_once(self, reads, traces):
+        from repro.obs import registry_from_trace, render_openmetrics
+
+        render_openmetrics(registry_from_trace(traces[0]))
+        assert reads == [traces[0]]
+
 
 class TestSummarizeTrace:
     def _write(self, path, records):

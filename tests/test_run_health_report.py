@@ -81,10 +81,10 @@ class TestReportReconciliation:
         _traced_health_run(params, path)
         summary = summarize_trace(path)
         report = build_report([path])
-        health = report.traces[0]
-        assert health.summary.messages == summary.messages
-        assert health.summary.bits == summary.bits
-        assert health.summary.reconciles()
+        folded = report.traces[0]
+        assert folded.messages == summary.messages
+        assert folded.bits == summary.bits
+        assert folded.reconciles()
         text = report.render()
         for category, count in summary.messages.items():
             assert f"| {category} | {count} |" in text
