@@ -14,9 +14,19 @@ The matrix is LID / HCC (``dynamic_priority=True``) / DMAC x event /
 periodic HELLO x faults off / on (crash + loss) x 2 seeds, LID with
 adaptive (staleness-bounded) HELLO x faults off / on x 2 seeds, plus one
 run with non-integer message sizes and a full-table, star-topology
-intra-cluster router.  The test asserts the digests are byte-identical
-to the committed fixture ``golden_stack.json``: a change that is meant
-to preserve simulation results must pass it unchanged.
+intra-cluster router.
+
+Data-plane rows add CBR traffic on top of LID with event HELLO: the
+hybrid router (faults off / on x 2 seeds) and one faulted AODV run.
+They gate the route reads, so their digests also carry the traffic
+books (generated / delivered / dropped / hop-count sum), the router's
+discovery and cache-hit counters, the ``sha256`` of its route table in
+insertion order, and the intra-cluster ``path`` answers for a fixed
+grid of same-cluster pairs at the end of the run.
+
+The test asserts the digests are byte-identical to the committed
+fixture ``golden_stack.json``: a change that is meant to preserve
+simulation results must pass it unchanged.
 
 Regenerate the fixture only together with a deliberate
 ``ENGINE_SCHEMA_VERSION`` bump, from the root of a checkout::
@@ -45,8 +55,19 @@ from repro.core.params import MessageSizes, NetworkParameters
 from repro.faults import FaultConfig, attach_faults, build_plan
 from repro.mobility import EpochRandomWaypointModel
 from repro.obs.attribution import OverheadLedger
-from repro.routing import IntraClusterRoutingProtocol
-from repro.sim import HelloProtocol, Simulation
+from repro.routing import (
+    AodvProtocol,
+    HybridRoutingProtocol,
+    IntraClusterRoutingProtocol,
+)
+from repro.sim import (
+    AodvRouterAdapter,
+    CbrFlow,
+    HelloProtocol,
+    HybridRouterAdapter,
+    Simulation,
+    TrafficProtocol,
+)
 from repro.sim.engine import ENGINE_SCHEMA_VERSION
 
 FIXTURE = Path(__file__).with_name("golden_stack.json")
@@ -58,6 +79,10 @@ FAULTS = FaultConfig(
     crash_rate=0.01, crash_recover_after=1.0, loss_rate=0.08, hello_miss_limit=3
 )
 ODD_SIZES = MessageSizes(p_hello=250.5, p_cluster=127.25, p_route=96.125)
+FLOWS = 12
+FLOW_INTERVAL = 0.2
+#: Every fifth node: the intra-cluster path grid is its same-cluster pairs.
+PATH_GRID = range(0, N_NODES, 5)
 
 
 def _cases() -> dict[str, dict]:
@@ -88,6 +113,16 @@ def _cases() -> dict[str, dict]:
         full_table=True,
         topology="star",
     )
+    for faults in (False, True):
+        for seed in (0, 1):
+            name = f"lid-event-{'faults' if faults else 'clean'}-s{seed}-hybrid-cbr"
+            cases[name] = dict(
+                algorithm="lid", hello="event", faults=faults, seed=seed,
+                routing="hybrid",
+            )
+    cases["lid-event-faults-s0-aodv-cbr"] = dict(
+        algorithm="lid", hello="event", faults=True, seed=0, routing="aodv"
+    )
     return cases
 
 
@@ -98,6 +133,27 @@ def _sha256(array: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
+def _flows(seed: int) -> list[CbrFlow]:
+    """``FLOWS`` CBR flows between distinct random endpoints."""
+    rng = np.random.default_rng(1000 + seed)
+    flows = []
+    for _ in range(FLOWS):
+        source, destination = rng.choice(N_NODES, size=2, replace=False)
+        flows.append(CbrFlow(int(source), int(destination), FLOW_INTERVAL))
+    return flows
+
+
+def _route_table(router) -> list:
+    """The router's route state in insertion order."""
+    if isinstance(router, HybridRoutingProtocol):
+        return [[list(key), path] for key, path in router._cache.items()]
+    return [
+        [node, destination, entry.next_hop, entry.hops]
+        for node, table in enumerate(router.routes)
+        for destination, entry in table.items()
+    ]
+
+
 def run_case(
     algorithm: str,
     hello: str,
@@ -106,8 +162,13 @@ def run_case(
     sizes: MessageSizes | None = None,
     full_table: bool = False,
     topology: str = "all",
+    routing: str | None = None,
 ) -> dict:
-    """Run one case of the matrix and return its digest."""
+    """Run one case of the matrix and return its digest.
+
+    ``routing`` (``"hybrid"`` or ``"aodv"``) adds that router and a
+    CBR traffic protocol, and the data-plane fields to the digest.
+    """
     params = NetworkParameters.from_fractions(
         n_nodes=N_NODES,
         range_fraction=0.15,
@@ -143,18 +204,27 @@ def run_case(
     maintenance = ClusterMaintenanceProtocol(
         clustering, dynamic_priority=algorithm == "hcc"
     )
-    sim.attach(
+    intra = sim.attach(
         IntraClusterRoutingProtocol(
             maintenance, full_table=full_table, topology=topology
         )
     )
     sim.attach(maintenance)
+    router = traffic = None
+    if routing == "hybrid":
+        router = sim.attach(HybridRoutingProtocol(maintenance, intra))
+        adapter = HybridRouterAdapter(router)
+    elif routing == "aodv":
+        router = sim.attach(AodvProtocol(max_retries=2))
+        adapter = AodvRouterAdapter(router)
+    if router is not None:
+        traffic = sim.attach(TrafficProtocol(_flows(seed), adapter))
     ledger = sim.attach(OverheadLedger(maintenance))
     sim.run(duration=DURATION, warmup=WARMUP)
 
     state = maintenance.state
     snapshot = ledger.snapshot()
-    return {
+    digest = {
         "totals": {
             category: [totals.messages, totals.bits]
             for category, totals in sorted(sim.stats.totals.items())
@@ -164,12 +234,38 @@ def run_case(
         "head_changes_total": maintenance.head_changes_total,
         "reaffiliations_total": maintenance.reaffiliations_total,
         "causes": snapshot["causes"],
-        "ledger_sha256": hashlib.sha256(_canonical(snapshot).encode()).hexdigest(),
+        "ledger_sha256": _sha256_json(snapshot),
     }
+    if router is not None:
+        books = traffic.traffic
+        paths = [
+            [source, destination, intra.path(sim, source, destination)]
+            for source in PATH_GRID
+            for destination in PATH_GRID
+            if source != destination and state.same_cluster(source, destination)
+        ]
+        digest.update(
+            traffic=[
+                books.generated,
+                books.delivered,
+                books.dropped,
+                sum(books.hop_counts),
+            ],
+            discoveries=router.discoveries,
+            cache_hits=router.cache_hits,
+            route_table_sha256=_sha256_json(_route_table(router)),
+            intra_paths=len(paths),
+            intra_paths_sha256=_sha256_json(paths),
+        )
+    return digest
 
 
 def _canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256_json(payload) -> str:
+    return hashlib.sha256(_canonical(payload).encode()).hexdigest()
 
 
 def regenerate_fixture(path: Path = FIXTURE) -> None:
