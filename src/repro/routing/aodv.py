@@ -18,8 +18,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..obs.attribution import (
     CAUSE_CRASH_RECOVERY,
     CAUSE_LINK_BREAK_REPAIR,
@@ -94,7 +92,7 @@ class AodvProtocol(Protocol):
     # ------------------------------------------------------------------
     def _flood(self, sim: Simulation, source: int, destination: int):
         """BFS flood; returns (parents, rreq transmission count)."""
-        adjacency = sim.adjacency
+        lists = sim.adjacency_lists
         faults = sim.faults
         lossy = faults is not None and faults.loss_rate > 0.0
         parents: dict[int, int] = {source: source}
@@ -105,8 +103,7 @@ class AodvProtocol(Protocol):
             if current == destination:
                 continue  # the destination answers instead of forwarding
             transmissions += 1
-            for neighbor in np.flatnonzero(adjacency[current]):
-                neighbor = int(neighbor)
+            for neighbor in lists[current]:
                 if neighbor not in parents:
                     if lossy and faults.drop():
                         # Lost reception: the neighbor may still be

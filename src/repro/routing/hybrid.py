@@ -10,6 +10,12 @@ Combines :class:`~repro.routing.intra_cluster.IntraClusterRoutingProtocol`
   cached and invalidated when one of its links breaks (with an RERR
   notification per surviving upstream hop, AODV-style).
 
+A link → cached-routes index makes a break cost one dict lookup plus
+``O(path length)`` per route it actually invalidates, instead of a scan
+of the whole cache.  Each link's routes are kept in an insertion-ordered
+dict, so they come out in cache insertion order and the RERRs are
+recorded in the same order a scan of the cache would produce.
+
 ``route(src, dst)`` returns the path actually usable for data delivery;
 experiments use the message statistics to compare the hybrid total
 against the flat baselines.
@@ -49,6 +55,11 @@ class HybridRoutingProtocol(Protocol):
         self.maintenance = maintenance
         self.intra = intra
         self._cache: dict[tuple[int, int], list[int]] = {}
+        #: Link ``(a, b)`` with ``a < b`` -> cache keys of the routes
+        #: over it, in cache insertion order (values unused).
+        self._routes_by_link: dict[
+            tuple[int, int], dict[tuple[int, int], None]
+        ] = {}
         self.discoveries = 0
         self.cache_hits = 0
 
@@ -61,7 +72,8 @@ class HybridRoutingProtocol(Protocol):
         if state.same_cluster(source, destination):
             return self.intra.path(sim, source, destination)
 
-        cached = self._cache.get((source, destination))
+        key = (source, destination)
+        cached = self._cache.get(key)
         if cached is not None:
             self.cache_hits += 1
             return cached
@@ -70,26 +82,30 @@ class HybridRoutingProtocol(Protocol):
         self.discoveries += 1
         if not result.found:
             return None
-        self._cache[(source, destination)] = result.path
+        self._cache[key] = result.path
+        for link in _links(result.path):
+            self._routes_by_link.setdefault(link, {})[key] = None
         return result.path
 
     # ------------------------------------------------------------------
     def on_link_down(self, sim: Simulation, u: int, v: int, time: float) -> None:
         """Invalidate cached routes using the broken link, emitting RERRs."""
-        broken: list[tuple[int, int]] = []
-        for key, path in self._cache.items():
-            for a, b in zip(path, path[1:]):
-                if (a, b) in ((u, v), (v, u)):
-                    broken.append(key)
-                    break
+        link = (u, v) if u < v else (v, u)
+        broken = self._routes_by_link.pop(link, None)
+        if broken is None:
+            return
+        index = self._routes_by_link
         for key in broken:
             path = self._cache.pop(key)
+            links = _links(path)
+            for other in links:
+                if other != link:
+                    routes = index[other]
+                    del routes[key]
+                    if not routes:
+                        del index[other]
             # One RERR per upstream hop that must learn of the failure.
-            upstream = 0
-            for a, b in zip(path, path[1:]):
-                upstream += 1
-                if (a, b) in ((u, v), (v, u)):
-                    break
+            upstream = links.index(link) + 1
             # One RERR transmission per upstream node of the break.
             with attributed(
                 sim, CAUSE_LINK_BREAK_REPAIR, nodes=path[:upstream]
@@ -105,3 +121,8 @@ class HybridRoutingProtocol(Protocol):
     def cached_routes(self) -> int:
         """Number of currently cached cross-cluster routes."""
         return len(self._cache)
+
+
+def _links(path: list[int]) -> list[tuple[int, int]]:
+    """The links of ``path`` in path order, each as ``(min, max)``."""
+    return [(a, b) if a < b else (b, a) for a, b in zip(path, path[1:])]

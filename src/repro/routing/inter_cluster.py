@@ -12,6 +12,12 @@ retransmits an RREQ iff it is a cluster-head or a gateway (a member with
 a neighbor outside its own cluster).  Pure interior members stay silent,
 which is exactly the flooding reduction clustering buys.  The reply is
 unicast back along the discovered path.
+
+Each flood computes its forwarding set once, as one vectorized ``O(E)``
+backbone mask over the edge set (:func:`backbone_mask`), and walks the
+per-step :attr:`~repro.sim.engine.Simulation.adjacency_lists`, so a
+discovery costs ``O(E)`` plus ``O(degree)`` per reached node instead of
+an ``O(N)`` dense-row scan per node.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ __all__ = [
     "DiscoveryResult",
     "BroadcastResult",
     "is_gateway",
+    "backbone_mask",
     "discover_route",
     "broadcast_flood",
 ]
@@ -72,9 +79,19 @@ def is_gateway(state: ClusterState, adjacency: np.ndarray, node: int) -> bool:
     return bool(np.any(state.head_of[neighbors] != my_head))
 
 
-def _forwards(state: ClusterState, adjacency: np.ndarray, node: int) -> bool:
-    """Whether ``node`` retransmits an RREQ (head or gateway)."""
-    return state.roles[node] == HEAD or is_gateway(state, adjacency, node)
+def backbone_mask(state: ClusterState, edges: np.ndarray) -> np.ndarray:
+    """Per-node mask of heads and gateways over the edge set ``edges``.
+
+    Node by node it equals ``roles == HEAD or is_gateway(...)``: an edge
+    whose endpoints have different heads makes both endpoints gateway
+    candidates, and only members among them are gateways.
+    """
+    head_of = state.head_of
+    cross = edges[head_of[edges[:, 0]] != head_of[edges[:, 1]]]
+    mask = np.zeros(len(head_of), dtype=bool)
+    mask[cross.ravel()] = True
+    roles = state.roles
+    return (mask & (roles == MEMBER)) | (roles == HEAD)
 
 
 @dataclass(frozen=True)
@@ -109,21 +126,17 @@ def broadcast_flood(
     (blind flooding, the baseline).  Statistics are recorded under
     ``"broadcast"``.
     """
-    adjacency = sim.adjacency
+    lists = sim.adjacency_lists
+    forwards = None if state is None else backbone_mask(state, sim.edges).tolist()
     reached: set[int] = {source}
     queue: deque[int] = deque([source])
     transmissions = 0
     while queue:
         current = queue.popleft()
-        if (
-            current != source
-            and state is not None
-            and not _forwards(state, adjacency, current)
-        ):
+        if current != source and forwards is not None and not forwards[current]:
             continue
         transmissions += 1
-        for neighbor in np.flatnonzero(adjacency[current]):
-            neighbor = int(neighbor)
+        for neighbor in lists[current]:
             if neighbor not in reached:
                 reached.add(neighbor)
                 queue.append(neighbor)
@@ -155,18 +168,18 @@ def discover_route(
     if source == destination:
         return DiscoveryResult(path=[source], rreq_transmissions=0, rrep_transmissions=0)
 
-    adjacency = sim.adjacency
+    lists = sim.adjacency_lists
+    forwards = backbone_mask(state, sim.edges).tolist()
     parents: dict[int, int] = {source: source}
     queue: deque[int] = deque([source])
     transmissions = 0
     found = False
     while queue:
         current = queue.popleft()
-        if current != source and not _forwards(state, adjacency, current):
+        if current != source and not forwards[current]:
             continue
         transmissions += 1
-        for neighbor in np.flatnonzero(adjacency[current]):
-            neighbor = int(neighbor)
+        for neighbor in lists[current]:
             if neighbor in parents:
                 continue
             parents[neighbor] = current

@@ -9,6 +9,15 @@ message rate is the simulation counterpart of Eqn (13) — and also
 maintains real intra-cluster routing tables (shortest paths over the
 cluster subgraph) so the hybrid protocol can actually forward packets.
 
+The tables are lazy and per source.  Any link event (or membership
+change) marks them dirty; the next query snapshots the cluster
+membership and :attr:`~repro.sim.engine.Simulation.adjacency_lists`,
+and each source's table is then built on first use by one BFS over
+that snapshot restricted to the source's cluster.  Every table of a
+generation is thus computed against the same state an eager rebuild of
+all clusters would have used, at the cost of only the sources actually
+queried.
+
 Attach order matters: this protocol must be attached *before* the
 cluster maintenance protocol so that, for a link break, it still sees
 the pre-repair membership (a member–head break is an intra-cluster
@@ -19,10 +28,9 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 from ..obs.attribution import CAUSE_INTRA_CLUSTER_UPDATE, attributed
 from ..sim.engine import Protocol, Simulation
+from ..clustering.base import HEAD
 from ..clustering.maintenance import ClusterMaintenanceProtocol
 from .messages import route_update_bits
 
@@ -70,8 +78,14 @@ class IntraClusterRoutingProtocol(Protocol):
         self.full_table = full_table
         self.update_on_membership_change = update_on_membership_change
         self.topology = topology
-        self._tables_dirty = True
-        self._next_hop: dict[tuple[int, int], int] = {}
+        #: Snapshot of the current table generation: the neighbor lists
+        #: of the step it was taken in (``None`` once a link event made
+        #: the tables dirty, so the old lists are freed) and each node's
+        #: head (-1 when it belongs to no head's cluster).
+        self._lists: list[list[int]] | None = None
+        self._cluster_of: list[int] = []
+        #: Per-source tables of the generation: destination -> next hop.
+        self._tables: dict[int, dict[int, int]] = {}
         if update_on_membership_change:
             maintenance.add_change_listener(self._on_membership_change)
 
@@ -100,7 +114,7 @@ class IntraClusterRoutingProtocol(Protocol):
             # Same cluster; a star link joins a member to its head.
             if self.topology == "all" or head == u or head == v:
                 self._broadcast_round(sim, head)
-        self._tables_dirty = True
+        self._lists = None
 
     def on_link_up(self, sim: Simulation, u: int, v: int, time: float) -> None:
         self._handle_link_event(sim, u, v)
@@ -112,39 +126,47 @@ class IntraClusterRoutingProtocol(Protocol):
         """Affiliation changed: flood the node's *new* cluster (optional)."""
         head = int(self.maintenance.state.head_of[node])
         self._broadcast_round(sim, head)
-        self._tables_dirty = True
+        self._lists = None
 
     # ------------------------------------------------------------------
     # Actual routing tables
     # ------------------------------------------------------------------
-    def _rebuild_tables(self, sim: Simulation) -> None:
-        """Recompute next hops over every cluster subgraph (BFS)."""
-        self._next_hop = {}
-        state = self.maintenance.state
-        adjacency = sim.adjacency
-        for head in state.heads():
-            nodes = state.cluster_nodes(int(head))
-            node_set = set(int(x) for x in nodes)
-            for source in node_set:
-                # BFS restricted to the cluster subgraph.
-                parents = {source: source}
-                queue = deque([source])
+    def _table(self, sim: Simulation, source: int) -> dict[int, int]:
+        """``source``'s next hops, built on first use in this generation."""
+        lists = self._lists
+        if lists is None:
+            state = self.maintenance.state
+            roles = state.roles.tolist()
+            self._cluster_of = [
+                head if head >= 0 and roles[head] == HEAD else -1
+                for head in state.head_of.tolist()
+            ]
+            lists = self._lists = sim.adjacency_lists
+            self._tables = {}
+        table = self._tables.get(source)
+        if table is None:
+            table = self._tables[source] = {}
+            cluster_of = self._cluster_of
+            cluster = cluster_of[source]
+            if cluster >= 0:
+                # BFS restricted to the cluster subgraph; a destination's
+                # next hop is the first hop of the path that reached it.
+                for neighbor in lists[source]:
+                    if cluster_of[neighbor] == cluster:
+                        table[neighbor] = neighbor
+                queue = deque(table)
                 while queue:
                     current = queue.popleft()
-                    for neighbor in np.flatnonzero(adjacency[current]):
-                        neighbor = int(neighbor)
-                        if neighbor in node_set and neighbor not in parents:
-                            parents[neighbor] = current
+                    hop = table[current]
+                    for neighbor in lists[current]:
+                        if (
+                            cluster_of[neighbor] == cluster
+                            and neighbor not in table
+                            and neighbor != source
+                        ):
+                            table[neighbor] = hop
                             queue.append(neighbor)
-                for destination, parent in parents.items():
-                    if destination == source:
-                        continue
-                    # Walk back to find the first hop from source.
-                    hop = destination
-                    while parents[hop] != source:
-                        hop = parents[hop]
-                    self._next_hop[(source, destination)] = hop
-        self._tables_dirty = False
+        return table
 
     def next_hop(self, sim: Simulation, source: int, destination: int) -> int | None:
         """Next hop from ``source`` toward ``destination`` inside a cluster.
@@ -153,9 +175,7 @@ class IntraClusterRoutingProtocol(Protocol):
         or the cluster subgraph does not connect them (members of a
         one-hop cluster may be mutually unreachable without the head).
         """
-        if self._tables_dirty:
-            self._rebuild_tables(sim)
-        return self._next_hop.get((source, destination))
+        return self._table(sim, source).get(destination)
 
     def path(self, sim: Simulation, source: int, destination: int) -> list[int] | None:
         """Full intra-cluster path, or ``None`` when not routable."""
@@ -178,6 +198,4 @@ class IntraClusterRoutingProtocol(Protocol):
 
         The paper notes storage is proportional to the cluster size.
         """
-        if self._tables_dirty:
-            self._rebuild_tables(sim)
-        return sum(1 for (src, _dst) in self._next_hop if src == node)
+        return len(self._table(sim, node))

@@ -8,10 +8,13 @@ pair array — ``O(E)`` state instead of an ``O(N^2)`` matrix), diffs
 consecutive edge sets into link generation/break events in
 ``O(E log E)``, and delivers those events — in deterministic order — to
 attached protocols (HELLO beaconing, clustering maintenance, routing).
-A dense boolean :attr:`Simulation.adjacency` view is still available
-for consumers that index into a matrix; it is materialized lazily from
-the edge set and cached until the next step.  Message accounting flows
-into a shared :class:`~repro.sim.stats.MessageStats`.
+Two neighbor views are derived from the edge set lazily and cached
+until the next step: a dense boolean :attr:`Simulation.adjacency`
+matrix for consumers that index into one (formation, audits, point
+queries), and :attr:`Simulation.adjacency_lists`, one ascending Python
+list per node, for the routing layer's ``O(degree)`` BFS walks.
+Message accounting flows into a shared
+:class:`~repro.sim.stats.MessageStats`.
 
 The kernel is fully instrumented (see :mod:`repro.obs`): every step
 charges its phases (mobility advance, adjacency recompute, link diff,
@@ -50,6 +53,7 @@ from ..spatial import (
     edge_key,
     edge_keys,
     edges_to_adjacency,
+    edges_to_lists,
     select_connectivity_method,
 )
 from .stats import MessageStats
@@ -280,6 +284,7 @@ class Simulation:
             )
         self.edges = self._mask_failed(initial)
         self._adjacency_cache: np.ndarray | None = None
+        self._adjacency_lists: list[list[int]] | None = None
         #: :func:`~repro.spatial.edge_keys` of the live edge set (sorted),
         #: built lazily for :meth:`has_link` and cached until the next step.
         self._edge_keys: np.ndarray | None = None
@@ -420,6 +425,22 @@ class Simulation:
                 self.edges, self.params.n_nodes
             )
         return self._adjacency_cache
+
+    @property
+    def adjacency_lists(self) -> list[list[int]]:
+        """Per-node ascending neighbor lists of the live edge set.
+
+        ``adjacency_lists[i]`` equals ``np.flatnonzero(adjacency[i])``
+        as Python ints, so BFS walks over it visit neighbors in the same
+        order as over the dense view.  Built in ``O(N + E)`` from the
+        sorted edge set (:func:`~repro.spatial.edges_to_lists`) and
+        cached until the next step.
+        """
+        if self._adjacency_lists is None:
+            self._adjacency_lists = edges_to_lists(
+                self.edges, self.params.n_nodes
+            )
+        return self._adjacency_lists
 
     @property
     def edge_count(self) -> int:
@@ -606,6 +627,7 @@ class Simulation:
         self._prev_all_active = all_active
         self.edges = new_edges
         self._adjacency_cache = None
+        self._adjacency_lists = None
         self._edge_keys = None
         self.time += self.dt
         self.stats.advance_time(self.dt)

@@ -18,6 +18,7 @@ from .neighbors import (
     edge_key,
     edge_keys,
     edges_to_adjacency,
+    edges_to_lists,
     select_connectivity_method,
 )
 
@@ -41,5 +42,6 @@ __all__ = [
     "edge_key",
     "edge_keys",
     "edges_to_adjacency",
+    "edges_to_lists",
     "select_connectivity_method",
 ]

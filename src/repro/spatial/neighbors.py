@@ -10,10 +10,11 @@ an ``(E, 2)`` integer array of pairs with ``i < j`` in lexicographic
 order, as produced by :func:`compute_edges` /
 :meth:`~repro.spatial.grid_index.UniformGridIndex.neighbor_pairs`.
 Edge sets cost ``O(E)`` memory instead of ``O(N^2)`` and diff in
-``O(E log E)`` (:func:`diff_edge_sets`).  Dense boolean adjacency
-matrices remain available as a derived view (:func:`edges_to_adjacency`,
-:func:`compute_adjacency`) for clustering/routing consumers that index
-into a matrix.
+``O(E log E)`` (:func:`diff_edge_sets`).  Two views derive from it:
+dense boolean adjacency matrices (:func:`edges_to_adjacency`,
+:func:`compute_adjacency`) for clustering consumers that index into a
+matrix, and ascending per-node neighbor lists (:func:`edges_to_lists`)
+for the routing layer's ``O(degree)`` walks.
 
 Whether an edge set is computed through the dense metric or the uniform
 grid index is decided by a measured cost model (see
@@ -45,6 +46,7 @@ __all__ = [
     "edge_key",
     "edge_keys",
     "edges_to_adjacency",
+    "edges_to_lists",
     "select_connectivity_method",
 ]
 
@@ -163,6 +165,23 @@ def edges_to_adjacency(edges: np.ndarray, n_nodes: int) -> np.ndarray:
         adj[edges[:, 0], edges[:, 1]] = True
         adj[edges[:, 1], edges[:, 0]] = True
     return adj
+
+
+def edges_to_lists(edges: np.ndarray, n_nodes: int) -> list[list[int]]:
+    """Ascending neighbor list of every node of a sorted edge set.
+
+    ``lists[i]`` equals ``np.flatnonzero(edges_to_adjacency(edges,
+    n_nodes)[i])`` as Python ints, built in ``O(N + E)``.
+    """
+    edges = _as_edge_array(edges)
+    # Neighbors of x are the e[:, 0] of edges (., x), ascending because
+    # the set is sorted, then the e[:, 1] of edges (x, .), ascending and
+    # all larger: a stable sort by x keeps both runs in place.
+    owners = np.concatenate((edges[:, 1], edges[:, 0]))
+    others = np.concatenate((edges[:, 0], edges[:, 1]))
+    flat = others[np.argsort(owners, kind="stable")].tolist()
+    bounds = np.cumsum(np.bincount(owners, minlength=n_nodes)).tolist()
+    return [flat[start:stop] for start, stop in zip([0] + bounds, bounds)]
 
 
 def compute_edges(

@@ -60,8 +60,10 @@ class TestDiscovery:
 
     def test_unreachable_destination(self):
         sim, aodv = _sim()
-        sim.adjacency[9, :] = False
-        sim.adjacency[:, 9] = False
+        # Node 9's radio fails; the next step breaks all its links (the
+        # network is static).
+        sim.fail_node(9)
+        sim.step()
         assert aodv.discover(sim, 0, 9) is None
         assert aodv.discoveries == 1
 

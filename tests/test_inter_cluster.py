@@ -88,9 +88,10 @@ class TestDiscovery:
 
     def test_unreachable_destination(self, clustered_sim):
         sim, maintenance = clustered_sim
-        # Disconnect node 7 completely.
-        sim.adjacency[7, :] = False
-        sim.adjacency[:, 7] = False
+        # Disconnect node 7 completely: its radio fails, and the next
+        # step breaks all its links (the fixture is static).
+        sim.fail_node(7)
+        sim.step()
         result = discover_route(sim, maintenance.state, 0, 7, record_stats=False)
         assert not result.found
         assert result.path is None
