@@ -24,6 +24,16 @@ discovery and cache-hit counters, the ``sha256`` of its route table in
 insertion order, and the intra-cluster ``path`` answers for a fixed
 grid of same-cluster pairs at the end of the run.
 
+Traced rows gate the telemetry path: the hybrid + CBR stack at N=300
+(faults off / on, seed 0) runs under ``observe`` with a
+:class:`~repro.obs.JsonlTracer` and a live :class:`~repro.obs.MetricsRegistry`,
+with the ledger attached by ``attach_attribution`` ahead of the traffic
+protocol (the order ``run_scenario`` uses).  Their digests pin the
+``sha256`` of the trace bytes, of the ledger snapshot at a mid-run step
+and at run end, and of the OpenMetrics text of the registry rebuilt
+from the trace and of the live registry.  Sim and span ids are process
+counters, so the rows run with both counters restarted at zero.
+
 The test asserts the digests are byte-identical to the committed
 fixture ``golden_stack.json``: a change that is meant to preserve
 simulation results must pass it unchanged.
@@ -38,7 +48,9 @@ Regenerate the fixture only together with a deliberate
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +66,15 @@ from repro.control import build_policy
 from repro.core.params import MessageSizes, NetworkParameters
 from repro.faults import FaultConfig, attach_faults, build_plan
 from repro.mobility import EpochRandomWaypointModel
-from repro.obs.attribution import OverheadLedger
+from repro.obs import (
+    JsonlTracer,
+    MetricsRegistry,
+    observe,
+    registry_from_trace,
+    render_openmetrics,
+)
+from repro.obs import spans as obs_spans
+from repro.obs.attribution import OverheadLedger, attach_attribution
 from repro.routing import (
     AodvProtocol,
     HybridRoutingProtocol,
@@ -83,6 +103,7 @@ FLOWS = 12
 FLOW_INTERVAL = 0.2
 #: Every fifth node: the intra-cluster path grid is its same-cluster pairs.
 PATH_GRID = range(0, N_NODES, 5)
+TRACED_N_NODES = 300
 
 
 def _cases() -> dict[str, dict]:
@@ -128,17 +149,24 @@ def _cases() -> dict[str, dict]:
 
 CASES = _cases()
 
+TRACED_CASES = {
+    f"lid-event-{'faults' if faults else 'clean'}-s0-hybrid-cbr-traced": dict(
+        faults=faults, seed=0
+    )
+    for faults in (False, True)
+}
+
 
 def _sha256(array: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
-def _flows(seed: int) -> list[CbrFlow]:
+def _flows(seed: int, n_nodes: int = N_NODES) -> list[CbrFlow]:
     """``FLOWS`` CBR flows between distinct random endpoints."""
     rng = np.random.default_rng(1000 + seed)
     flows = []
     for _ in range(FLOWS):
-        source, destination = rng.choice(N_NODES, size=2, replace=False)
+        source, destination = rng.choice(n_nodes, size=2, replace=False)
         flows.append(CbrFlow(int(source), int(destination), FLOW_INTERVAL))
     return flows
 
@@ -268,11 +296,103 @@ def _sha256_json(payload) -> str:
     return hashlib.sha256(_canonical(payload).encode()).hexdigest()
 
 
+def _file_sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _text_sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_traced_case(faults: bool, seed: int) -> dict:
+    """Run one traced row and return its digest.
+
+    The stack is driven step by step the way :meth:`Simulation.run`
+    drives it, so the ledger can be read between two measured steps.
+    """
+    saved = Simulation._instance_ids, obs_spans._span_ids
+    Simulation._instance_ids = itertools.count()
+    obs_spans._span_ids = itertools.count()
+    try:
+        with tempfile.TemporaryDirectory() as scratch:
+            trace_path = Path(scratch) / "trace.jsonl"
+            registry = MetricsRegistry()
+            with JsonlTracer(trace_path) as tracer, observe(
+                tracer=tracer, registry=registry
+            ):
+                params = NetworkParameters.from_fractions(
+                    n_nodes=TRACED_N_NODES,
+                    range_fraction=0.15,
+                    velocity_fraction=0.05,
+                )
+                sim = Simulation(
+                    params,
+                    EpochRandomWaypointModel(params.velocity, epoch=1.0),
+                    seed=seed,
+                )
+                if faults:
+                    attach_faults(
+                        sim,
+                        build_plan(
+                            FAULTS,
+                            TRACED_N_NODES,
+                            horizon=WARMUP + DURATION,
+                            seed=seed,
+                        ),
+                    )
+                sim.attach(HelloProtocol(mode="event"))
+                maintenance = ClusterMaintenanceProtocol(LowestIdClustering())
+                intra = sim.attach(IntraClusterRoutingProtocol(maintenance))
+                sim.attach(maintenance)
+                router = sim.attach(HybridRoutingProtocol(maintenance, intra))
+                ledger = attach_attribution(sim, maintenance)
+                sim.attach(
+                    TrafficProtocol(
+                        _flows(seed, TRACED_N_NODES), HybridRouterAdapter(router)
+                    )
+                )
+                warmup_steps = int(round(WARMUP / sim.dt))
+                measured_steps = max(1, int(round(DURATION / sim.dt)))
+                sim.trace_run_begin(DURATION, WARMUP)
+                sim.stats.stop_measuring()
+                for _ in range(warmup_steps):
+                    sim.step()
+                sim.stats.start_measuring()
+                for index in range(measured_steps):
+                    sim.step()
+                    if index == measured_steps // 2:
+                        snapshot_mid = _sha256_json(ledger.snapshot())
+                sim.stats.stop_measuring()
+                sim.notify_run_end()
+                sim.trace_run_end()
+                snapshot_end = _sha256_json(ledger.snapshot())
+            return {
+                "totals": {
+                    category: [totals.messages, totals.bits]
+                    for category, totals in sorted(sim.stats.totals.items())
+                },
+                "trace_sha256": _file_sha256(trace_path),
+                "snapshot_mid_sha256": snapshot_mid,
+                "snapshot_end_sha256": snapshot_end,
+                "openmetrics_trace_sha256": _text_sha256(
+                    render_openmetrics(registry_from_trace(trace_path))
+                ),
+                "openmetrics_live_sha256": _text_sha256(
+                    render_openmetrics(registry)
+                ),
+            }
+    finally:
+        Simulation._instance_ids, obs_spans._span_ids = saved
+
+
 def regenerate_fixture(path: Path = FIXTURE) -> None:
     """Rewrite the fixture from the current code (deliberate bumps only)."""
     fixture = {
         "engine_schema_version": ENGINE_SCHEMA_VERSION,
         "digests": {name: run_case(**case) for name, case in CASES.items()},
+        "traced_digests": {
+            name: run_traced_case(**case) for name, case in TRACED_CASES.items()
+        },
     }
     path.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n")
 
@@ -291,6 +411,16 @@ def test_fixture_matches_the_engine_schema_version(fixture):
 def test_stack_digest_is_byte_identical(name, fixture):
     digest = run_case(**CASES[name])
     assert _canonical(digest) == _canonical(fixture["digests"][name])
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_CASES))
+def test_traced_stack_digest_is_byte_identical(name, fixture):
+    digest = run_traced_case(**TRACED_CASES[name])
+    assert _canonical(digest) == _canonical(fixture["traced_digests"][name])
+
+
+def test_traced_rows_cover_the_fixture(fixture):
+    assert set(fixture["traced_digests"]) == set(TRACED_CASES)
 
 
 def test_matrix_exercises_every_repair_path(fixture):
