@@ -73,6 +73,10 @@ region accumulates a spatial heatmap of message density.
 
 from __future__ import annotations
 
+import weakref
+
+import numpy as np
+
 from . import context as obs_context
 from .audit import AuditError
 
@@ -208,9 +212,9 @@ class _Tally:
 
     __slots__ = ("messages", "bits")
 
-    def __init__(self) -> None:
-        self.messages = 0.0
-        self.bits = 0.0
+    def __init__(self, messages=0.0, bits=0.0) -> None:
+        self.messages = messages
+        self.bits = bits
 
     def add(self, messages, bits) -> None:
         self.messages += messages
@@ -221,6 +225,12 @@ def _num(value):
     """Integral floats → int, for compact deterministic JSON."""
     value = float(value)
     return int(value) if value.is_integer() else value
+
+
+def _tallies(seen, messages, bits):
+    """``(slot, messages, bits)`` of every seen slot, as Python scalars."""
+    slots = np.flatnonzero(seen)
+    return zip(slots.tolist(), messages[slots].tolist(), bits[slots].tolist())
 
 
 class OverheadLedger:
@@ -235,6 +245,12 @@ class OverheadLedger:
     construction.  ``on_run_end`` emits one ``attribution`` trace event
     with the complete breakdown and verifies the reconciliation,
     raising :class:`~repro.obs.audit.AuditError` in strict mode.
+
+    ``by_cause``, ``totals`` and the registry counters are updated on
+    every record.  The per-target fan-out behind ``by_node``,
+    ``by_cluster``, ``by_cell`` and ``heatmap`` is buffered as rows and
+    applied to numpy accumulators by :meth:`fold`, once per step; those
+    four are read-only views that fold before they are built.
 
     Parameters
     ----------
@@ -275,32 +291,59 @@ class OverheadLedger:
         self.labels = dict(labels) if labels else {}
         #: ``(category, cause) -> _Tally``
         self.by_cause: dict[tuple[str, str], _Tally] = {}
-        #: ``node -> _Tally`` (transmitter attribution).
-        self.by_node: dict[int, _Tally] = {}
-        #: ``cluster head -> _Tally`` (``-1`` = no cluster).
-        self.by_cluster: dict[int, _Tally] = {}
-        #: ``(category, cause, cluster) -> _Tally`` — the full label
-        #: cross-product behind the ``overhead_*_total`` counters, kept
-        #: ledger-side too so a trace alone can rebuild the metrics.
-        self.by_cell: dict[tuple[str, str, int], _Tally] = {}
         #: ``category -> _Tally`` accumulated in record order — the
         #: bitwise mirror of the ``MessageStats`` counters.
         self.totals: dict[str, _Tally] = {}
-        #: Row-major ``bins * bins`` message-density grid.
-        self.heatmap: list[float] = [0.0] * (bins * bins)
         self._scope = None
+        #: Weak reference to the simulation, which holds the ledger.
         self._sim = None
         self._side = 1.0
         self._chained = None
         self._counter_cache: dict[tuple[str, str, int], tuple] = {}
         self._flushed = False
+        #: ``(category, cause) -> (by_cause tally, category total, pair id)``
+        self._pair_of: dict[tuple[str, str], tuple] = {}
+        #: ``(category, cause)`` by pair id, in first-record order.
+        self._pairs: list[tuple[str, str]] = []
+        # Rows buffered since the last fold.  Per row: the target (-1
+        # for a record without targets) and its home cluster.  Per
+        # record: its row count, the per-row message and bit shares and
+        # the (category, cause) pair id.
+        self._targets: list[int] = []
+        self._homes: list[int] = []
+        self._rows: list[int] = []
+        self._messages: list[float] = []
+        self._bits: list[float] = []
+        self._pair_ids: list[int] = []
+        self._allocate(0)
+
+    def _allocate(self, n_nodes: int) -> None:
+        """Zeroed accumulators for ``n_nodes`` nodes.
+
+        A cluster head ``h`` (``-1`` = no cluster) owns slot ``h + 1``;
+        a cell is slot ``pair_id * (n_nodes + 1) + h + 1``.
+        """
+        self._width = n_nodes + 1
+        self._node_messages = np.zeros(n_nodes)
+        self._node_bits = np.zeros(n_nodes)
+        self._node_seen = np.zeros(n_nodes, dtype=bool)
+        self._cluster_messages = np.zeros(self._width)
+        self._cluster_bits = np.zeros(self._width)
+        self._cluster_seen = np.zeros(self._width, dtype=bool)
+        self._cell_messages = np.zeros(0)
+        self._cell_bits = np.zeros(0)
+        self._cell_seen = np.zeros(0, dtype=bool)
+        self._heat = np.zeros(self.bins * self.bins)
 
     # ------------------------------------------------------------------
     # Protocol hooks (duck-typed; see Simulation.attach)
     # ------------------------------------------------------------------
     def on_attach(self, sim) -> None:
-        self._sim = sim
+        # A strong reference would close a cycle (sim → protocols →
+        # ledger → sim) that only the cyclic GC could free.
+        self._sim = weakref.ref(sim)
         self._side = float(sim.params.side)
+        self._allocate(sim.n_nodes)
         sim.attribution = self
         # Chain in front of the existing hook (the msg_tx trace mirror)
         # so both observe the identical record stream.
@@ -317,7 +360,7 @@ class OverheadLedger:
         pass
 
     def on_step_end(self, sim, time: float) -> None:
-        pass
+        self.fold()
 
     def on_run_end(self, sim, time: float) -> None:
         if self._flushed:  # manual drivers may notify more than once
@@ -348,97 +391,197 @@ class OverheadLedger:
         else:
             cause, node, nodes, cluster = scope
 
-        tally = self.by_cause.get((category, cause))
-        if tally is None:
-            tally = self.by_cause[(category, cause)] = _Tally()
+        entry = self._pair_of.get((category, cause))
+        if entry is None:
+            entry = self._new_pair(category, cause)
+        tally, total, pair_id = entry
         tally.add(messages, bits)
-        total = self.totals.get(category)
-        if total is None:
-            total = self.totals[category] = _Tally()
         total.add(messages, bits)
 
         if node is not None:
-            targets = (int(node),)
+            targets = (node,)
         elif nodes is not None:
             if callable(nodes):  # resolve the cluster's nodes now
                 nodes = nodes(cluster)
-            targets = tuple(int(x) for x in nodes)
+            targets = (
+                nodes.tolist() if isinstance(nodes, np.ndarray) else tuple(nodes)
+            )
         else:
             targets = ()
 
-        if targets:
-            share_messages = messages / len(targets)
-            share_bits = bits / len(targets)
-            positions = self._sim.positions
-            scale = self.bins / self._side
-            last = self.bins - 1
-            for target in targets:
-                entry = self.by_node.get(target)
-                if entry is None:
-                    entry = self.by_node[target] = _Tally()
-                entry.add(share_messages, share_bits)
-                home = (
-                    int(cluster)
-                    if cluster is not None
-                    else self._cluster_of(target)
-                )
-                entry = self.by_cluster.get(home)
-                if entry is None:
-                    entry = self.by_cluster[home] = _Tally()
-                entry.add(share_messages, share_bits)
-                x, y = positions[target]
-                col = min(last, int(x * scale))
-                row = min(last, int(y * scale))
-                self.heatmap[row * self.bins + col] += share_messages
-                self._registry_add(
-                    category, cause, home, share_messages, share_bits
-                )
+        rows = len(targets)
+        if rows:
+            # Homes are resolved now: head_of changes within a step.
+            if cluster is not None:
+                homes = [int(cluster)] * rows
+            else:
+                homes = self._homes_of(targets)
+            self._targets.extend(targets)
+            share_messages = messages / rows
+            share_bits = bits / rows
         else:
-            home = int(cluster) if cluster is not None else -1
-            entry = self.by_cluster.get(home)
-            if entry is None:
-                entry = self.by_cluster[home] = _Tally()
-            entry.add(messages, bits)
-            self._registry_add(category, cause, home, messages, bits)
+            rows = 1
+            homes = [int(cluster) if cluster is not None else -1]
+            self._targets.append(-1)
+            share_messages = messages
+            share_bits = bits
+        self._homes.extend(homes)
+        self._rows.append(rows)
+        self._messages.append(share_messages)
+        self._bits.append(share_bits)
+        self._pair_ids.append(pair_id)
+        if self.registry is not None:
+            self._count(category, cause, homes, share_messages, share_bits)
 
         if self._chained is not None:
             self._chained(category, messages, bits)
 
-    def _cluster_of(self, node: int) -> int:
+    def _new_pair(self, category: str, cause: str) -> tuple:
+        tally = self.by_cause[(category, cause)] = _Tally()
+        total = self.totals.get(category)
+        if total is None:
+            total = self.totals[category] = _Tally()
+        entry = (tally, total, len(self._pairs))
+        self._pair_of[(category, cause)] = entry
+        self._pairs.append((category, cause))
+        return entry
+
+    def _homes_of(self, targets) -> list[int]:
+        """Each target's current cluster head (``-1`` when unclustered)."""
         maintenance = self.maintenance
         if maintenance is None or maintenance.state is None:
-            return -1
-        return int(maintenance.state.head_of[node])
+            return [-1] * len(targets)
+        head_of = maintenance.state.head_of
+        return [head_of.item(target) for target in targets]
 
-    def _registry_add(self, category, cause, cluster, messages, bits) -> None:
-        cell = self.by_cell.get((category, cause, cluster))
-        if cell is None:
-            cell = self.by_cell[(category, cause, cluster)] = _Tally()
-        cell.add(messages, bits)
-        if self.registry is None:
+    def _count(self, category, cause, homes, messages, bits) -> None:
+        """Add one record's rows to the registry counters, in row order.
+
+        Counters are created at record time, so the registry keeps the
+        registration order (and ``to_dict`` output) of the record stream.
+        """
+        cache = self._counter_cache
+        for home in homes:
+            pair = cache.get((category, cause, home))
+            if pair is None:
+                labels = dict(
+                    cause=cause, protocol=category, cluster=str(home), **self.labels
+                )
+                pair = cache[(category, cause, home)] = (
+                    self.registry.counter("overhead_messages_total", **labels),
+                    self.registry.counter("overhead_bits_total", **labels),
+                )
+            pair[0].inc(messages)
+            pair[1].inc(bits)
+
+    def fold(self) -> None:
+        """Apply the buffered rows to the folded accumulators.
+
+        ``np.add.at`` applies repeated indices one at a time in input
+        order, so each accumulator receives the same additions in the
+        same order as a per-row loop: the sums are bit-identical.
+        Heatmap bins come from the current positions, which is why
+        :meth:`Simulation.step` folds before it moves the nodes.
+        """
+        if not self._rows:
             return
-        key = (category, cause, cluster)
-        pair = self._counter_cache.get(key)
-        if pair is None:
-            pair = (
-                self.registry.counter(
-                    "overhead_messages_total",
-                    cause=cause,
-                    protocol=category,
-                    cluster=str(cluster),
-                    **self.labels,
-                ),
-                self.registry.counter(
-                    "overhead_bits_total",
-                    cause=cause,
-                    protocol=category,
-                    cluster=str(cluster),
-                    **self.labels,
-                ),
+        rows = np.array(self._rows, dtype=np.int64)
+        messages = np.repeat(np.array(self._messages, dtype=float), rows)
+        bits = np.repeat(np.array(self._bits, dtype=float), rows)
+        pair_ids = np.repeat(np.array(self._pair_ids, dtype=np.int64), rows)
+        targets = np.array(self._targets, dtype=np.int64)
+        slots = np.array(self._homes, dtype=np.int64) + 1
+        for buffer in (
+            self._targets,
+            self._homes,
+            self._rows,
+            self._messages,
+            self._bits,
+            self._pair_ids,
+        ):
+            buffer.clear()
+        width = self._width
+        if slots.min() < 0 or slots.max() >= width:
+            raise ValueError(
+                f"attributed cluster outside [-1, {width - 2}]: "
+                f"{sorted(set((slots - 1).tolist()))}"
             )
-            self._counter_cache[key] = pair
-        pair[0].inc(messages)
-        pair[1].inc(bits)
+
+        np.add.at(self._cluster_messages, slots, messages)
+        np.add.at(self._cluster_bits, slots, bits)
+        self._cluster_seen[slots] = True
+
+        grow = len(self._pairs) * width - len(self._cell_seen)
+        if grow > 0:
+            self._cell_messages = np.concatenate([self._cell_messages, np.zeros(grow)])
+            self._cell_bits = np.concatenate([self._cell_bits, np.zeros(grow)])
+            self._cell_seen = np.concatenate(
+                [self._cell_seen, np.zeros(grow, dtype=bool)]
+            )
+        cells = pair_ids * width + slots
+        np.add.at(self._cell_messages, cells, messages)
+        np.add.at(self._cell_bits, cells, bits)
+        self._cell_seen[cells] = True
+
+        sent = targets >= 0
+        targets, messages, bits = targets[sent], messages[sent], bits[sent]
+        np.add.at(self._node_messages, targets, messages)
+        np.add.at(self._node_bits, targets, bits)
+        self._node_seen[targets] = True
+        xy = self._sim().positions[targets]
+        scale = self.bins / self._side
+        last = self.bins - 1
+        cols = np.minimum(last, (xy[:, 0] * scale).astype(np.int64))
+        grid_rows = np.minimum(last, (xy[:, 1] * scale).astype(np.int64))
+        np.add.at(self._heat, grid_rows * self.bins + cols, messages)
+
+    # ------------------------------------------------------------------
+    # Folded views: each read folds, then builds a fresh copy
+    # ------------------------------------------------------------------
+    @property
+    def by_node(self) -> dict[int, _Tally]:
+        """``node -> _Tally`` (transmitter attribution)."""
+        self.fold()
+        return {
+            node: _Tally(messages, bits)
+            for node, messages, bits in _tallies(
+                self._node_seen, self._node_messages, self._node_bits
+            )
+        }
+
+    @property
+    def by_cluster(self) -> dict[int, _Tally]:
+        """``cluster head -> _Tally`` (``-1`` = no cluster)."""
+        self.fold()
+        return {
+            slot - 1: _Tally(messages, bits)
+            for slot, messages, bits in _tallies(
+                self._cluster_seen, self._cluster_messages, self._cluster_bits
+            )
+        }
+
+    @property
+    def by_cell(self) -> dict[tuple[str, str, int], _Tally]:
+        """``(category, cause, cluster) -> _Tally``.
+
+        The full label cross-product behind the ``overhead_*_total``
+        counters, kept ledger-side too so a trace alone can rebuild the
+        metrics.
+        """
+        self.fold()
+        width = self._width
+        return {
+            (*self._pairs[cell // width], cell % width - 1): _Tally(messages, bits)
+            for cell, messages, bits in _tallies(
+                self._cell_seen, self._cell_messages, self._cell_bits
+            )
+        }
+
+    @property
+    def heatmap(self) -> list[float]:
+        """Row-major ``bins * bins`` message-density grid."""
+        self.fold()
+        return self._heat.tolist()
 
     # ------------------------------------------------------------------
     # Reporting
@@ -451,8 +594,9 @@ class OverheadLedger:
         same accumulation order — bitwise), and per-cause message
         counts sum to the category totals (integer arithmetic).
         """
+        self.fold()
         problems: list[str] = []
-        stats_totals = self._sim.stats.totals
+        stats_totals = self._sim().stats.totals
         categories = sorted(set(stats_totals) | set(self.totals))
         for category in categories:
             expected = stats_totals.get(category)
@@ -487,6 +631,7 @@ class OverheadLedger:
                 "messages": _num(tally.messages),
                 "bits": tally.bits,
             }
+        heatmap = self.heatmap
         return {
             "causes": causes,
             "nodes": {
@@ -520,7 +665,7 @@ class OverheadLedger:
                 "side": self._side,
                 "messages": [
                     [
-                        _num(self.heatmap[row * self.bins + col])
+                        _num(heatmap[row * self.bins + col])
                         for col in range(self.bins)
                     ]
                     for row in range(self.bins)

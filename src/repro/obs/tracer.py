@@ -11,6 +11,15 @@ per potential emission, so an untraced simulation runs at full speed.
     {"schema": 1, "event": "msg_tx", "t": 3.25, "sim": 0,
      "category": "hello", "messages": 2, "bits": 96.0}
 
+``msg_tx``, ``link_up`` and ``link_down`` are most of a trace, so
+``JsonlTracer.emit`` writes them with fixed-key encoders: f-strings that
+produce the bytes ``json.dumps(record, separators=(",", ":"))`` would.
+They apply only when the field keys are exactly the ones the engine
+emits, in its order — ``(sim, category, messages, bits[, span])`` and
+``(sim, u, v)`` — and every value is a plain ``int``, a finite ``float`` or
+a ``str`` that JSON writes without escapes.  Any other record goes
+through the JSON encoder.
+
 Event vocabulary (``TRACE_EVENTS``):
 
 ``run_begin`` / ``run_end``
@@ -153,6 +162,33 @@ def _jsonable(value):
     raise TypeError(f"not JSON serializable: {value!r}")
 
 
+#: ``json.dumps(record, separators=(",", ":"), default=_jsonable)``
+#: without building a new encoder per call.
+_encode = json.JSONEncoder(separators=(",", ":"), default=_jsonable).encode
+
+#: Field keys, in emission order, of the records the fixed-key encoders
+#: write (``Simulation`` emits exactly these).
+_MSG_TX_KEYS = ("sim", "category", "messages", "bits")
+_MSG_TX_SPAN_KEYS = _MSG_TX_KEYS + ("span",)
+_LINK_KEYS = ("sim", "u", "v")
+_MSG_TX_HEAD = f'{{"schema":{TRACE_SCHEMA_VERSION},"event":"msg_tx","t":'
+_LINK_HEADS = {
+    event: f'{{"schema":{TRACE_SCHEMA_VERSION},"event":"{event}","t":'
+    for event in ("link_up", "link_down")
+}
+
+
+def _plain(text) -> bool:
+    """Whether ``text`` is a ``str`` JSON writes without any escape."""
+    return (
+        type(text) is str
+        and text.isascii()
+        and text.isprintable()
+        and '"' not in text
+        and "\\" not in text
+    )
+
+
 class Tracer:
     """Base tracer: a no-op sink.
 
@@ -269,19 +305,59 @@ class JsonlTracer(Tracer):
             if (self._steps_seen - 1) % self.step_every:
                 self.suppressed += 1
                 return
-        if RESERVED_FIELDS & fields.keys():
-            clash = sorted(RESERVED_FIELDS & fields.keys())
-            raise ValueError(f"event fields shadow envelope keys: {clash}")
-        record = {
-            "schema": TRACE_SCHEMA_VERSION,
-            "event": event,
-            "t": float(time),
-        }
-        record.update(fields)
-        payload = json.dumps(record, separators=(",", ":"), default=_jsonable)
+        time = float(time)
+        line = None
+        # Fixed-key encoders for the per-event hot records: the bytes
+        # json.dumps writes, for exactly the keys the engine emits and
+        # plain int / str / finite float values.  Anything else falls
+        # through to the encoder.
+        if event == "msg_tx":
+            keys = tuple(fields)
+            if keys == _MSG_TX_KEYS or keys == _MSG_TX_SPAN_KEYS:
+                sim = fields["sim"]
+                category = fields["category"]
+                messages = fields["messages"]
+                bits = fields["bits"]
+                span = fields.get("span", 0)
+                if (
+                    type(sim) is int
+                    and type(messages) is int
+                    and type(bits) is float
+                    and type(span) is int
+                    and time - time == 0.0
+                    and bits - bits == 0.0
+                    and _plain(category)
+                ):
+                    line = (
+                        f'{_MSG_TX_HEAD}{time!r},"sim":{sim},'
+                        f'"category":"{category}","messages":{messages},'
+                        f'"bits":{bits!r}'
+                    )
+                    line += f',"span":{span}}}\n' if len(keys) == 5 else "}\n"
+        elif event in _LINK_HEADS:
+            if tuple(fields) == _LINK_KEYS:
+                sim = fields["sim"]
+                u = fields["u"]
+                v = fields["v"]
+                if (
+                    type(sim) is int
+                    and type(u) is int
+                    and type(v) is int
+                    and time - time == 0.0
+                ):
+                    line = (
+                        f'{_LINK_HEADS[event]}{time!r},"sim":{sim},'
+                        f'"u":{u},"v":{v}}}\n'
+                    )
+        if line is None:
+            if RESERVED_FIELDS & fields.keys():
+                clash = sorted(RESERVED_FIELDS & fields.keys())
+                raise ValueError(f"event fields shadow envelope keys: {clash}")
+            record = {"schema": TRACE_SCHEMA_VERSION, "event": event, "t": time}
+            record.update(fields)
+            line = _encode(record) + "\n"
         with self._lock:
-            self._fh.write(payload)
-            self._fh.write("\n")
+            self._fh.write(line)
             self.emitted += 1
 
     def close(self) -> None:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import weakref
 from time import perf_counter
 
 import numpy as np
@@ -145,6 +146,31 @@ class Protocol:
         """
 
 
+def _msg_tx_mirror(sim_ref):
+    """``MessageStats.on_record`` hook writing each record as ``msg_tx``.
+
+    It holds the simulation weakly: a bound method would close a cycle
+    (sim → stats → hook → sim) that only the cyclic GC could free.
+    """
+
+    def mirror(category: str, messages: int, bits: float) -> None:
+        sim = sim_ref()
+        fields = {
+            "sim": sim.sim_id,
+            "category": category,
+            "messages": int(messages),
+            "bits": float(bits),
+        }
+        # Attribute the transmission to the innermost materialized span
+        # (the handler that sent it, or the phase/run otherwise).
+        span = sim.spans.current
+        if span is not None:
+            fields["span"] = span
+        sim.tracer.emit("msg_tx", sim.time, **fields)
+
+    return mirror
+
+
 class Simulation:
     """Synchronous time-stepped simulation of ``N`` mobile nodes.
 
@@ -219,7 +245,7 @@ class Simulation:
         else:
             self.stats = MessageStats(params.n_nodes)
         if self.tracer.enabled:
-            self.stats.on_record = self._trace_msg_tx
+            self.stats.on_record = _msg_tx_mirror(weakref.ref(self))
         #: Overhead-attribution ledger, set by
         #: :func:`repro.obs.attribution.attach_attribution`; ``None``
         #: (the default) makes every ``attributed(...)`` scope a no-op.
@@ -302,20 +328,6 @@ class Simulation:
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
-    def _trace_msg_tx(self, category: str, messages: int, bits: float) -> None:
-        fields = {
-            "sim": self.sim_id,
-            "category": category,
-            "messages": int(messages),
-            "bits": float(bits),
-        }
-        # Attribute the transmission to the innermost materialized span
-        # (the handler that sent it, or the phase/run otherwise).
-        span = self.spans.current
-        if span is not None:
-            fields["span"] = span
-        self.tracer.emit("msg_tx", self.time, **fields)
-
     def _sync_phase_span(self) -> None:
         """Keep the open ``phase`` span aligned with ``stats.measuring``.
 
@@ -569,6 +581,10 @@ class Simulation:
     # ------------------------------------------------------------------
     def step(self) -> LinkEvents:
         """Advance one step and deliver link events; returns the events."""
+        if self.attribution is not None:
+            # Rows the ledger buffered since its last fold were recorded
+            # at the current positions: fold them before the nodes move.
+            self.attribution.fold()
         timer = self.timer
         t0 = perf_counter()
         positions = self.mobility.advance(self.dt)
