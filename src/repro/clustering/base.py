@@ -59,12 +59,16 @@ class ClusterState:
     to themselves; unassigned nodes carry ``-1``.  ``sizes[h]`` counts
     the nodes whose ``head_of`` is ``h`` (the head included), kept up to
     date by :meth:`make_head` / :meth:`make_member` so a cluster's size
-    is an ``O(1)`` read.
+    is an ``O(1)`` read.  ``version`` counts those two mutations, so a
+    view derived from the state (the backbone flood graph) is current
+    while ``(state, version)`` is unchanged; writing ``roles`` or
+    ``head_of`` directly bypasses it.
     """
 
     roles: np.ndarray
     head_of: np.ndarray
     sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    version: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.roles = np.asarray(self.roles, dtype=np.int8)
@@ -99,6 +103,7 @@ class ClusterState:
             self.sizes[old] -= 1
         self.sizes[head] += 1
         self.head_of[node] = head
+        self.version += 1
 
     def make_head(self, node: int) -> None:
         """Declare ``node`` a cluster-head of its own cluster."""

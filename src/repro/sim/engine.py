@@ -8,11 +8,13 @@ pair array — ``O(E)`` state instead of an ``O(N^2)`` matrix), diffs
 consecutive edge sets into link generation/break events in
 ``O(E log E)``, and delivers those events — in deterministic order — to
 attached protocols (HELLO beaconing, clustering maintenance, routing).
-Two neighbor views are derived from the edge set lazily and cached
-until the next step: a dense boolean :attr:`Simulation.adjacency`
-matrix for consumers that index into one (formation, audits, point
-queries), and :attr:`Simulation.adjacency_lists`, one ascending Python
-list per node, for the routing layer's ``O(degree)`` BFS walks.
+Neighbor views are derived from the edge set lazily and cached until
+the next step: a dense boolean :attr:`Simulation.adjacency` matrix for
+consumers that index into one (formation, audits, point queries), the
+:attr:`Simulation.neighbor_csr` ``(indptr, indices)`` pair of ascending
+neighbor rows (the flood graph of backbone route discovery is built
+from it), and :attr:`Simulation.adjacency_lists`, the same rows as one
+Python list per node, for the routing layer's ``O(degree)`` walks.
 Message accounting flows into a shared
 :class:`~repro.sim.stats.MessageStats`.
 
@@ -49,12 +51,13 @@ from ..spatial import (
     SquareRegion,
     UniformGridIndex,
     compute_edges,
+    csr_to_lists,
     degree_counts_from_edges,
     diff_edge_sets,
     edge_key,
     edge_keys,
     edges_to_adjacency,
-    edges_to_lists,
+    edges_to_csr,
     select_connectivity_method,
 )
 from .stats import MessageStats
@@ -310,6 +313,7 @@ class Simulation:
             )
         self.edges = self._mask_failed(initial)
         self._adjacency_cache: np.ndarray | None = None
+        self._neighbor_csr: tuple[np.ndarray, np.ndarray] | None = None
         self._adjacency_lists: list[list[int]] | None = None
         #: :func:`~repro.spatial.edge_keys` of the live edge set (sorted),
         #: built lazily for :meth:`has_link` and cached until the next step.
@@ -439,19 +443,31 @@ class Simulation:
         return self._adjacency_cache
 
     @property
+    def neighbor_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` CSR pair of the live edge set.
+
+        Row ``i``, ``indices[indptr[i]:indptr[i + 1]]``, holds the
+        neighbors of ``i`` in ascending order, equal to
+        ``np.flatnonzero(adjacency[i])``.  Built in ``O(N + E)`` plus one
+        stable sort of the sorted edge set
+        (:func:`~repro.spatial.edges_to_csr`) and cached until the next
+        step; :attr:`adjacency_lists` is sliced from it.
+        """
+        if self._neighbor_csr is None:
+            self._neighbor_csr = edges_to_csr(self.edges, self.params.n_nodes)
+        return self._neighbor_csr
+
+    @property
     def adjacency_lists(self) -> list[list[int]]:
         """Per-node ascending neighbor lists of the live edge set.
 
         ``adjacency_lists[i]`` equals ``np.flatnonzero(adjacency[i])``
         as Python ints, so BFS walks over it visit neighbors in the same
-        order as over the dense view.  Built in ``O(N + E)`` from the
-        sorted edge set (:func:`~repro.spatial.edges_to_lists`) and
+        order as over the dense view.  The rows of :attr:`neighbor_csr`,
         cached until the next step.
         """
         if self._adjacency_lists is None:
-            self._adjacency_lists = edges_to_lists(
-                self.edges, self.params.n_nodes
-            )
+            self._adjacency_lists = csr_to_lists(*self.neighbor_csr)
         return self._adjacency_lists
 
     @property
@@ -643,6 +659,7 @@ class Simulation:
         self._prev_all_active = all_active
         self.edges = new_edges
         self._adjacency_cache = None
+        self._neighbor_csr = None
         self._adjacency_lists = None
         self._edge_keys = None
         self.time += self.dt

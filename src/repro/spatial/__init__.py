@@ -11,6 +11,7 @@ from .neighbors import (
     adjacency_to_edges,
     compute_adjacency,
     compute_edges,
+    csr_to_lists,
     degree_counts,
     degree_counts_from_edges,
     diff_adjacency,
@@ -18,6 +19,7 @@ from .neighbors import (
     edge_key,
     edge_keys,
     edges_to_adjacency,
+    edges_to_csr,
     edges_to_lists,
     select_connectivity_method,
 )
@@ -35,6 +37,7 @@ __all__ = [
     "adjacency_to_edges",
     "compute_adjacency",
     "compute_edges",
+    "csr_to_lists",
     "degree_counts",
     "degree_counts_from_edges",
     "diff_adjacency",
@@ -42,6 +45,7 @@ __all__ = [
     "edge_key",
     "edge_keys",
     "edges_to_adjacency",
+    "edges_to_csr",
     "edges_to_lists",
     "select_connectivity_method",
 ]
