@@ -16,16 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..clustering import ClusterMaintenanceProtocol, LowestIdClustering
+from ..clustering import LowestIdClustering
 from ..clustering.base import ClusteringAlgorithm
-from ..clustering.stability import attach_cluster_dynamics
 from ..core import overhead as overhead_model
 from ..core.params import MessageSizes, NetworkParameters
-from ..mobility import EpochRandomWaypointModel
-from ..obs.attribution import attach_attribution
-from ..obs.health import attach_run_health
-from ..routing import IntraClusterRoutingProtocol
-from ..sim import HelloProtocol, Simulation
+from ..run_spec import RunSpec, build_stack
+from ..sim.engine import strided_sampler
 from .parallel import run_tasks
 from .series import summarize
 
@@ -116,109 +112,23 @@ class SweepResult:
         )
 
 
-def _run_once(
-    params: NetworkParameters,
-    seed: int,
-    duration: float,
-    warmup: float,
-    epoch: float,
-    algorithm: ClusteringAlgorithm,
-    beacon: dict | None = None,
-    faults: dict | None = None,
-) -> tuple[dict[str, float], float]:
-    """One simulation run; returns (frequencies, measured head ratio)."""
-    sim = Simulation(
-        params,
-        EpochRandomWaypointModel(params.velocity, epoch=epoch),
-        seed=seed,
-    )
-    miss_limit = None
-    if faults is not None:
-        from ..faults import attach_faults, build_plan, fault_config_from_dict
-
-        fault_config = fault_config_from_dict(faults)
-        # Compiled inside the worker, from plain-data task elements, so
-        # the task tuple (and its store fingerprint) stays declarative.
-        attach_faults(
-            sim,
-            build_plan(
-                fault_config,
-                params.n_nodes,
-                horizon=warmup + duration,
-                seed=seed,
-            ),
-        )
-        miss_limit = fault_config.hello_miss_limit
-    if beacon is not None:
-        from ..sim.beacon import hello_from_config
-
-        beacon_spec = dict(beacon)
-        if (
-            miss_limit is not None
-            and beacon_spec.get("mode", "event") != "event"
-            and "miss_limit" not in beacon_spec
-        ):
-            beacon_spec["miss_limit"] = miss_limit
-        sim.attach(hello_from_config(beacon_spec))
-    else:
-        sim.attach(HelloProtocol(mode="event"))
-    maintenance = ClusterMaintenanceProtocol(algorithm)
-    intra = IntraClusterRoutingProtocol(maintenance)
-    sim.attach(intra)  # before maintenance: pre-repair membership view
-    sim.attach(maintenance)
-    # Run-health protocols (invariant auditor + residual monitor) when
-    # the ambient context carries a RunHealthConfig; no-op otherwise.
-    attach_run_health(sim, maintenance)
-    # Cluster-dynamics time series when the run is traced; no-op
-    # otherwise.  Attached before stepping so its window sums reconcile
-    # with trace event counts.
-    attach_cluster_dynamics(sim, maintenance)
-    # Overhead attribution when traced or exporting metrics; no-op
-    # otherwise.  Attached last so every message-producing protocol is
-    # already in place when the ledger hooks the stats stream.
-    attach_attribution(sim, maintenance)
-
-    # Sample the head ratio across the measurement window, like the
-    # paper's real-time P measurement.
-    ratios: list[float] = []
-    warmup_steps = int(round(warmup / sim.dt))
-    measured_steps = max(1, int(round(duration / sim.dt)))
-    sim.trace_run_begin(duration, warmup)
-    sim.stats.stop_measuring()
-    for _ in range(warmup_steps):
-        sim.step()
-    sim.stats.start_measuring()
-    sample_every = max(1, measured_steps // 50)
-    for step_index in range(measured_steps):
-        sim.step()
-        if step_index % sample_every == 0:
-            ratios.append(maintenance.head_ratio())
-    sim.stats.stop_measuring()
-    sim.notify_run_end()
-    sim.trace_run_end()
-
-    frequencies = {
-        "f_hello": sim.stats.per_node_frequency("hello"),
-        "f_cluster": sim.stats.per_node_frequency("cluster"),
-        "f_route": sim.stats.per_node_frequency("route"),
-    }
-    return frequencies, float(np.mean(ratios))
-
-
-def _run_once_task(task) -> tuple[dict[str, float], float]:
+def _run_once_task(spec: RunSpec) -> tuple[dict[str, float], float]:
     """Picklable per-seed worker for :func:`measure_point`.
 
-    Tasks are 6-tuples historically; a beacon/control spec rides as an
-    optional 7th element and a faults block as an optional 8th, so
-    classic tasks keep their pre-existing store fingerprints while
-    beacon- or fault-configured runs get distinct ones.
+    Returns (frequencies, head ratio), the ratio sampled across the
+    measurement window like the paper's real-time P measurement.  This
+    function's import path is part of every stored sweep task's
+    identity, so it keeps its module and name.
     """
-    params, seed, duration, warmup, epoch, algorithm = task[:6]
-    beacon = task[6] if len(task) > 6 else None
-    faults = task[7] if len(task) > 7 else None
-    return _run_once(
-        params, seed, duration, warmup, epoch, algorithm, beacon, faults
-    )
+    stack = build_stack(spec)
+    ratios, sample = strided_sampler(stack.maintenance.head_ratio)
+    stats = stack.sim.run(spec.duration, spec.warmup, on_measured_step=sample)
+    frequencies = {
+        "f_hello": stats.per_node_frequency("hello"),
+        "f_cluster": stats.per_node_frequency("cluster"),
+        "f_route": stats.per_node_frequency("route"),
+    }
+    return frequencies, float(np.mean(ratios))
 
 
 def measure_point(
@@ -256,15 +166,11 @@ def measure_point(
     if seeds < 1:
         raise ValueError(f"seeds must be positive, got {seeds}")
     algorithm = algorithm or LowestIdClustering()
-    if beacon is not None:
-        # Validate the block once, up front, instead of once per worker.
-        from ..sim.beacon import hello_from_config
-
-        hello_from_config(beacon)
-    if faults is not None:
-        from ..faults import fault_config_from_dict
-
-        fault_config_from_dict(faults)
+    # Built (and validated) here, before any worker starts.
+    specs = [
+        RunSpec(params, seed, duration, warmup, epoch, algorithm, beacon, faults)
+        for seed in range(seeds)
+    ]
     logger.debug(
         "measuring point value=%g over %d seeds (N=%d, jobs=%s)",
         parameter_value,
@@ -272,24 +178,7 @@ def measure_point(
         params.n_nodes,
         jobs,
     )
-
-    def _task(seed: int) -> tuple:
-        # Back-compatible task identity: classic 6-tuples, beacon as the
-        # 7th element, faults as the 8th (with an explicit None beacon
-        # placeholder so element positions stay fixed).
-        task = (params, seed, duration, warmup, epoch, algorithm)
-        if faults is not None:
-            return task + (beacon, faults)
-        if beacon is not None:
-            return task + (beacon,)
-        return task
-
-    runs = run_tasks(
-        _run_once_task,
-        [_task(seed) for seed in range(seeds)],
-        jobs=jobs,
-        store=store,
-    )
+    runs = run_tasks(_run_once_task, specs, jobs=jobs, store=store)
     measured = {
         key: summarize([freqs[key] for freqs, _ in runs]).mean
         for key in ("f_hello", "f_cluster", "f_route")

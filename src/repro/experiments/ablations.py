@@ -16,13 +16,10 @@
 from __future__ import annotations
 
 from ..analysis import Table, relative_error
-from ..clustering import ClusterMaintenanceProtocol, LowestIdClustering
 from ..core import overhead as overhead_model
 from ..core.lid_analysis import lid_head_probability
 from ..core.params import NetworkParameters
-from ..mobility import EpochRandomWaypointModel
-from ..routing import IntraClusterRoutingProtocol
-from ..sim import HelloProtocol, Simulation
+from ..run_spec import RunSpec, build_stack
 from ..spatial import Boundary
 from .config import scale_for
 
@@ -43,20 +40,19 @@ def _measure_stack(
     hello_mode: str = "event",
     hello_interval: float = 1.0,
 ):
-    """Run the standard stack; returns (stats, maintenance, hello)."""
-    sim = Simulation(
-        params,
-        EpochRandomWaypointModel(params.velocity, epoch=1.0),
-        boundary=boundary,
-        seed=seed,
+    """Run the standard stack; returns (sim, stats, maintenance, hello)."""
+    stack = build_stack(
+        RunSpec(
+            params,
+            seed,
+            duration,
+            warmup,
+            beacon={"mode": hello_mode, "interval": hello_interval},
+            boundary=boundary.value,
+        )
     )
-    hello = sim.attach(HelloProtocol(hello_mode, interval=hello_interval))
-    maintenance = ClusterMaintenanceProtocol(LowestIdClustering())
-    intra = IntraClusterRoutingProtocol(maintenance)
-    sim.attach(intra)
-    sim.attach(maintenance)
-    stats = sim.run(duration=duration, warmup=warmup)
-    return sim, stats, maintenance, hello
+    stats = stack.sim.run(duration=duration, warmup=warmup)
+    return stack.sim, stats, stack.maintenance, stack.hello
 
 
 def run_ablation_conventions(quick: bool = False) -> Table:

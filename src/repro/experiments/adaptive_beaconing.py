@@ -34,6 +34,7 @@ from ..core.params import NetworkParameters
 from ..mobility import EpochRandomWaypointModel
 from ..sim import Simulation
 from ..sim.beacon import hello_from_config
+from ..sim.engine import strided_sampler
 from .config import ExperimentScale, scale_for
 
 __all__ = ["run_adaptive_beaconing", "POLICY_ROSTER", "frontier_table"]
@@ -41,7 +42,7 @@ __all__ = ["run_adaptive_beaconing", "POLICY_ROSTER", "frontier_table"]
 #: The contenders: the fixed-period baseline first, then every adaptive
 #: policy.  Specs are beacon blocks (see
 #: :func:`repro.sim.beacon.hello_from_config`); they ride inside each
-#: task tuple, so the result store fingerprints each policy's runs
+#: task, so the result store fingerprints each policy's runs
 #: separately.
 POLICY_ROSTER: tuple[tuple[str, dict], ...] = (
     ("fixed", {"mode": "periodic", "interval": 1.0}),
@@ -75,26 +76,12 @@ def _run_beacon_task(task) -> dict[str, float]:
         seed=seed,
     )
     hello = sim.attach(hello_from_config(beacon))
-
-    warmup_steps = int(round(warmup / sim.dt))
-    measured_steps = max(1, int(round(duration / sim.dt)))
-    sim.trace_run_begin(duration, warmup)
-    sim.stats.stop_measuring()
-    for _ in range(warmup_steps):
-        sim.step()
-    sim.stats.start_measuring()
-    sample_every = max(1, measured_steps // 50)
-    errors: list[float] = []
-    for step_index in range(measured_steps):
-        sim.step()
-        if step_index % sample_every == 0:
-            errors.append(hello.detection_errors(sim) / params.n_nodes)
-    sim.stats.stop_measuring()
-    sim.notify_run_end()
-    sim.trace_run_end()
-
+    errors, sample = strided_sampler(
+        lambda: hello.detection_errors(sim) / params.n_nodes
+    )
+    stats = sim.run(duration, warmup, on_measured_step=sample)
     return {
-        "f_hello": sim.stats.per_node_frequency("hello"),
+        "f_hello": stats.per_node_frequency("hello"),
         "staleness": float(np.mean(errors)),
     }
 

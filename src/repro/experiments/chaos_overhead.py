@@ -10,9 +10,9 @@ the same velocity axis as Figure 2.
 Each fault level reuses the sweep worker
 (:func:`repro.analysis.sweep._run_once_task`), so faulted runs flow
 through the identical measurement path as the paper reproduction —
-the fault block simply rides as the task tuple's 8th element, which
-also gives every (velocity, fault level, seed) run its own store
-fingerprint.  The graceful-degradation knobs (HELLO miss tolerance)
+the fault block is one field of the run's
+:class:`~repro.run_spec.RunSpec`, which also gives every (velocity,
+fault level, seed) run its own store fingerprint.  The graceful-degradation knobs (HELLO miss tolerance)
 are part of the faulted levels, so the table shows the *hardened*
 stack's overhead, not a stack collapsing under loss.
 """
@@ -25,8 +25,8 @@ from ..analysis import Table
 from ..analysis.parallel import run_tasks
 from ..analysis.series import summarize
 from ..analysis.sweep import _run_once_task
-from ..clustering import LowestIdClustering
 from ..core.params import NetworkParameters
+from ..run_spec import RunSpec
 from .config import ExperimentScale, scale_for
 
 __all__ = ["run_chaos_overhead", "FAULT_ROSTER", "chaos_table"]
@@ -72,25 +72,16 @@ def _measure_roster(
     name).  One flat :func:`run_tasks` call keeps results
     order-deterministic for any ``jobs`` value.
     """
-    algorithm = LowestIdClustering()
     tasks = []
     keys: list[tuple[int, str]] = []
     for index, params in enumerate(params_by_velocity):
         for name, faults in roster:
             for seed in range(scale.seeds):
-                task = (
-                    params,
-                    seed,
-                    scale.duration,
-                    scale.warmup,
-                    1.0,
-                    algorithm,
+                tasks.append(
+                    RunSpec(
+                        params, seed, scale.duration, scale.warmup, faults=faults
+                    )
                 )
-                if faults is not None:
-                    # Beacon placeholder keeps element positions fixed
-                    # (beacon is the optional 7th, faults the 8th).
-                    task = task + (None, faults)
-                tasks.append(task)
                 keys.append((index, name))
     runs = run_tasks(_run_once_task, tasks, jobs=jobs)
     grouped: dict[tuple[int, str], list[dict[str, float]]] = {}

@@ -35,37 +35,13 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .clustering import (
-    ClusterMaintenanceProtocol,
     DmacClustering,
     HighestConnectivityClustering,
     LowestIdClustering,
 )
 from .core.params import MessageSizes, NetworkParameters
-from .mobility import (
-    ConstantVelocityModel,
-    EpochRandomWaypointModel,
-    GaussMarkovModel,
-    ManhattanModel,
-    RandomDirectionModel,
-    RandomWalkModel,
-    RandomWaypointModel,
-)
-from .routing import (
-    AodvProtocol,
-    DsdvProtocol,
-    HybridRoutingProtocol,
-    IntraClusterRoutingProtocol,
-)
-from .sim import (
-    AodvRouterAdapter,
-    CbrFlow,
-    DsdvRouterAdapter,
-    HelloProtocol,
-    HybridRouterAdapter,
-    Simulation,
-    TrafficProtocol,
-)
-from .spatial import Boundary
+from .run_spec import RunSpec, build_stack
+from .sim.beacon import hello_from_config
 
 __all__ = ["ScenarioConfig", "ScenarioReport", "run_scenario", "load_scenario"]
 
@@ -80,40 +56,6 @@ _CLUSTERING_ALGORITHMS = {
 _ROUTING_STACKS = ("hybrid", "dsdv", "aodv", "none")
 
 
-def _build_mobility(spec: dict, velocity: float):
-    """Instantiate a mobility model from its scenario spec."""
-    spec = dict(spec)
-    model = spec.pop("model", "epoch-rwp")
-    half, x1_5 = 0.5 * velocity, 1.5 * velocity
-    if model == "cv":
-        return ConstantVelocityModel(velocity)
-    if model == "epoch-rwp":
-        return EpochRandomWaypointModel(velocity, epoch=spec.get("epoch", 1.0))
-    if model == "rwp":
-        return RandomWaypointModel(
-            (spec.get("v_min", half), spec.get("v_max", x1_5)),
-            (spec.get("pause_min", 0.0), spec.get("pause_max", 0.0)),
-        )
-    if model == "walk":
-        return RandomWalkModel(
-            (spec.get("v_min", half), spec.get("v_max", x1_5)),
-            interval=spec.get("interval", 1.0),
-        )
-    if model == "direction":
-        return RandomDirectionModel(
-            (spec.get("v_min", half), spec.get("v_max", x1_5)),
-            pause=spec.get("pause", 0.0),
-        )
-    if model == "gauss-markov":
-        return GaussMarkovModel(velocity, alpha=spec.get("alpha", 0.75))
-    if model == "manhattan":
-        return ManhattanModel(
-            (spec.get("v_min", half), spec.get("v_max", x1_5)),
-            blocks=spec.get("blocks", 5),
-        )
-    raise ValueError(f"unknown mobility model {model!r}")
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Validated scenario description."""
@@ -125,6 +67,8 @@ class ScenarioConfig:
     mobility: dict = field(default_factory=lambda: {"model": "epoch-rwp"})
     clustering: dict = field(default_factory=lambda: {"algorithm": "lid"})
     routing: str = "hybrid"
+    #: HELLO block: ``event`` or ``periodic`` mode, read by
+    #: :func:`repro.sim.beacon.hello_from_config` like ``beacon``.
     hello: dict = field(default_factory=lambda: {"mode": "event"})
     #: Optional beacon/control block (see
     #: :func:`repro.sim.beacon.hello_from_config`); when present it
@@ -155,19 +99,16 @@ class ScenarioConfig:
                 f"clustering.algorithm must be one of "
                 f"{tuple(_CLUSTERING_ALGORITHMS)}, got {algorithm!r}"
             )
-        if self.duration <= 0.0 or self.warmup < 0.0:
-            raise ValueError("duration must be positive, warmup non-negative")
-        if self.beacon is not None:
-            # Build-and-discard: surfaces unknown keys, unknown policy
-            # names and invalid parameters at load time, with the same
-            # errors the runner would hit.
-            from .sim.beacon import hello_from_config
-
-            hello_from_config(self.beacon)
-        if self.faults is not None:
-            from .faults import fault_config_from_dict
-
-            fault_config_from_dict(self.faults)
+        try:
+            hello_from_config(self.hello)
+        except ValueError as error:
+            raise ValueError(f"scenario 'hello' block: {error}") from None
+        if self.hello.get("mode") == "adaptive":
+            raise ValueError("hello mode 'adaptive' needs the 'beacon' block")
+        # Build-and-discard: surfaces bad run lengths and bad beacon or
+        # faults blocks at load time, with the errors the runner would
+        # hit.
+        self.run_spec()
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -198,6 +139,24 @@ class ScenarioConfig:
             range_fraction=self.range_fraction,
             velocity_fraction=self.velocity_fraction,
             messages=messages,
+        )
+
+    def run_spec(self) -> RunSpec:
+        """The :class:`~repro.run_spec.RunSpec` this scenario describes."""
+        algorithm_spec = dict(self.clustering)
+        algorithm_name = algorithm_spec.pop("algorithm", "lid")
+        return RunSpec(
+            params=self.network_parameters(),
+            seed=self.seed,
+            duration=self.duration,
+            warmup=self.warmup,
+            algorithm=_CLUSTERING_ALGORITHMS[algorithm_name](**algorithm_spec),
+            beacon=self.beacon if self.beacon is not None else self.hello,
+            faults=self.faults,
+            routing=self.routing,
+            mobility=self.mobility,
+            boundary=self.boundary,
+            flows=tuple(self.flows),
         )
 
 
@@ -256,130 +215,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         config.duration,
         config.warmup,
     )
-    params = config.network_parameters()
-    mobility = _build_mobility(config.mobility, params.velocity)
-    sim = Simulation(
-        params, mobility, boundary=Boundary(config.boundary), seed=config.seed
-    )
-
-    fault_config = None
-    if config.faults is not None:
-        from .faults import attach_faults, build_plan, fault_config_from_dict
-
-        fault_config = fault_config_from_dict(config.faults)
-        plan = build_plan(
-            fault_config,
-            config.n_nodes,
-            horizon=config.warmup + config.duration,
-            seed=config.seed,
-        )
-        attach_faults(sim, plan)
-
-    miss_limit = (
-        fault_config.hello_miss_limit if fault_config is not None else None
-    )
-    maintenance = None
-    router_adapter = None
-    needs_clustering = config.routing == "hybrid"
-    hello_mode = config.hello.get("mode", "event")
-    if config.routing in ("hybrid", "aodv") or config.routing == "none":
-        if config.beacon is not None:
-            from .sim.beacon import hello_from_config
-
-            beacon_spec = dict(config.beacon)
-            if (
-                miss_limit is not None
-                and beacon_spec.get("mode", "event") != "event"
-                and "miss_limit" not in beacon_spec
-            ):
-                # The fault block's degradation knob, unless the beacon
-                # block pins its own.
-                beacon_spec["miss_limit"] = miss_limit
-            sim.attach(hello_from_config(beacon_spec))
-        else:
-            sim.attach(
-                HelloProtocol(
-                    hello_mode,
-                    interval=config.hello.get("interval", 1.0),
-                    miss_limit=(
-                        miss_limit if hello_mode != "event" else None
-                    ),
-                )
-            )
-    if needs_clustering or config.routing == "none":
-        algorithm_spec = dict(config.clustering)
-        algorithm_name = algorithm_spec.pop("algorithm", "lid")
-        algorithm = _CLUSTERING_ALGORITHMS[algorithm_name](**algorithm_spec)
-        maintenance = ClusterMaintenanceProtocol(algorithm)
-    if config.routing == "hybrid":
-        intra = IntraClusterRoutingProtocol(maintenance)
-        sim.attach(intra)
-        sim.attach(maintenance)
-        hybrid = sim.attach(HybridRoutingProtocol(maintenance, intra))
-        router_adapter = HybridRouterAdapter(hybrid)
-    elif config.routing == "dsdv":
-        dsdv = sim.attach(DsdvProtocol())
-        router_adapter = DsdvRouterAdapter(dsdv)
-    elif config.routing == "aodv":
-        if fault_config is not None:
-            aodv = sim.attach(
-                AodvProtocol(
-                    max_retries=fault_config.route_retries,
-                    retry_backoff=fault_config.route_retry_backoff,
-                    retry_backoff_cap=fault_config.route_retry_cap,
-                )
-            )
-        else:
-            aodv = sim.attach(AodvProtocol())
-        router_adapter = AodvRouterAdapter(aodv)
-    else:  # "none": clustering only
-        sim.attach(maintenance)
-
-    # Run-health protocols (invariant auditor + residual monitor) when
-    # the ambient context carries a RunHealthConfig.  Only categories
-    # the assembled stack actually produces are bound-checked: HELLO
-    # needs the beacon protocol, CLUSTER the maintenance protocol, and
-    # ROUTE the hybrid (proactive intra-cluster) stack.
-    from .obs.health import attach_run_health
-
-    health_categories = []
-    if any(p.name == "hello" for p in sim.protocols):
-        health_categories.append("hello")
-    if maintenance is not None:
-        health_categories.append("cluster")
-    if config.routing == "hybrid":
-        health_categories.append("route")
-    attach_run_health(
-        sim, maintenance, categories=tuple(health_categories)
-    )
-    # Cluster-dynamics time series when the run is traced (no-op
-    # otherwise) — must attach before the run starts so window sums
-    # reconcile with trace event counts.
-    from .clustering.stability import attach_cluster_dynamics
-
-    attach_cluster_dynamics(sim, maintenance)
-    # Overhead attribution (per-cause / per-node / per-cluster ledger)
-    # when the run is traced or exporting metrics; no-op otherwise.
-    from .obs.attribution import attach_attribution
-
-    attach_attribution(sim, maintenance)
-
-    traffic_protocol = None
-    if config.flows:
-        if router_adapter is None:
-            raise ValueError(
-                "scenario declares flows but routing is 'none'"
-            )
-        flows = [CbrFlow(**flow) for flow in config.flows]
-        traffic_protocol = sim.attach(
-            TrafficProtocol(flows, router_adapter)
-        )
-
-    stats = sim.run(duration=config.duration, warmup=config.warmup)
+    stack = build_stack(config.run_spec())
+    stats = stack.sim.run(duration=config.duration, warmup=config.warmup)
 
     traffic_summary = None
-    if traffic_protocol is not None:
-        outcome = traffic_protocol.traffic
+    if stack.traffic is not None:
+        outcome = stack.traffic.traffic
         traffic_summary = {
             "generated": outcome.generated,
             "delivered": outcome.delivered,
@@ -389,6 +230,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             "hops": outcome.mean_hops(),
         }
 
+    maintenance = stack.maintenance
     return ScenarioReport(
         name=config.name,
         frequencies=stats.frequencies(),

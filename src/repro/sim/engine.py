@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import logging
 import weakref
+from collections.abc import Callable
 from time import perf_counter
 
 import numpy as np
@@ -67,6 +68,7 @@ __all__ = [
     "Protocol",
     "Simulation",
     "recommended_step",
+    "strided_sampler",
 ]
 
 logger = logging.getLogger(__name__)
@@ -80,6 +82,20 @@ logger = logging.getLogger(__name__)
 #: provably preserve outputs must NOT bump it, or the cache loses its
 #: point.
 ENGINE_SCHEMA_VERSION = 1
+
+
+def strided_sampler(probe: Callable[[], float], samples: int = 50):
+    """``(values, callback)``: ``callback`` is an ``on_measured_step``
+    that appends ``probe()`` about ``samples`` times, evenly across the
+    measurement window (every ``max(1, steps // samples)`` steps).
+    """
+    values: list[float] = []
+
+    def callback(index: int, steps: int) -> None:
+        if index % max(1, steps // samples) == 0:
+            values.append(probe())
+
+    return values, callback
 
 
 def recommended_step(tx_range: float, velocity: float, fraction: float = 0.05) -> float:
@@ -354,9 +370,8 @@ class Simulation:
         """Emit the ``run_begin`` boundary event (no-op when untraced).
 
         :meth:`run` calls this automatically; drivers that step the
-        simulation manually (e.g. sweeps sampling mid-run state) should
-        call it when opening their measurement window so traces stay
-        reconcilable.
+        simulation manually should call it when opening their
+        measurement window so traces stay reconcilable.
         """
         if self.tracer.enabled:
             self.tracer.emit(
@@ -737,12 +752,19 @@ class Simulation:
             )
         return events
 
-    def run(self, duration: float, warmup: float = 0.0) -> MessageStats:
+    def run(
+        self,
+        duration: float,
+        warmup: float = 0.0,
+        on_measured_step: Callable[[int, int], None] | None = None,
+    ) -> MessageStats:
         """Run ``warmup`` unmeasured time then ``duration`` measured time.
 
         Warm-up lets the cluster structure reach steady state so that —
         as in the paper — only the *maintenance* stage is measured.
-        Returns the statistics object.
+        ``on_measured_step(index, steps)`` is called after each of the
+        ``steps`` measured steps, for drivers sampling mid-run state
+        (see :func:`strided_sampler`).  Returns the statistics object.
         """
         if duration <= 0.0:
             raise ValueError(f"duration must be positive, got {duration}")
@@ -763,8 +785,10 @@ class Simulation:
         for _ in range(warmup_steps):
             self.step()
         self.stats.start_measuring()
-        for _ in range(measured_steps):
+        for index in range(measured_steps):
             self.step()
+            if on_measured_step is not None:
+                on_measured_step(index, measured_steps)
         self.stats.stop_measuring()
         self.notify_run_end()
         logger.info(

@@ -61,9 +61,11 @@ def canonicalize(value: Any) -> Any:
 
     Supported: JSON scalars, lists/tuples (both become lists — a task
     built from a list is the same task built from a tuple), dicts with
-    string keys, dataclasses, NumPy scalars and arrays, module-level
-    functions/classes (by import path), and plain objects via their
-    ``__dict__`` tagged with their import path.
+    string keys, objects that define ``canonical_form()`` (reduced
+    through it, as :class:`~repro.run_spec.RunSpec` is), dataclasses,
+    NumPy scalars and arrays, module-level functions/classes (by import
+    path), and plain objects via their ``__dict__`` tagged with their
+    import path.
     """
     if value is None or isinstance(value, (bool, int, str)):
         return value
@@ -80,6 +82,9 @@ def canonicalize(value: Any) -> Any:
                 )
             out[key] = canonicalize(value[key])
         return out
+    canonical_form = getattr(type(value), "canonical_form", None)
+    if canonical_form is not None:
+        return canonicalize(canonical_form(value))
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         fields = {
             f.name: canonicalize(getattr(value, f.name))

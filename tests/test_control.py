@@ -560,13 +560,13 @@ class TestSweepBeaconPlumbing:
     def test_beacon_spec_changes_store_identity(self):
         from repro.analysis.parallel import task_identity
         from repro.analysis.sweep import _run_once_task
-        from repro.clustering import LowestIdClustering
+        from repro.run_spec import RunSpec
         from repro.store import fingerprint
 
         params = _params(n=30)
-        classic = (params, 0, 2.0, 0.5, 1.0, LowestIdClustering())
-        beacon = classic + (
-            {"mode": "adaptive", "policy": "churn-feedback"},
+        classic = RunSpec(params, 0, 2.0, 0.5)
+        beacon = RunSpec(
+            params, 0, 2.0, 0.5, beacon={"mode": "adaptive", "policy": "churn-feedback"}
         )
         key_classic = fingerprint(task_identity(_run_once_task, classic))
         key_beacon = fingerprint(task_identity(_run_once_task, beacon))

@@ -434,13 +434,31 @@ class TestSweepIntegration:
     def test_faults_change_task_identity_but_not_classic_tasks(self):
         from repro.store import fingerprint, task_identity
         from repro.analysis.sweep import _run_once_task
+        from repro.run_spec import RunSpec
 
         params = _params(n=40)
-        classic = (params, 0, 2.0, 0.5, 1.0, LowestIdClustering())
-        faulted = classic + (None, self.FAULTS)
+        classic = RunSpec(params, 0, 2.0, 0.5)
+        faulted = RunSpec(params, 0, 2.0, 0.5, faults=self.FAULTS)
         key_classic = fingerprint(task_identity(_run_once_task, classic))
         key_faulted = fingerprint(task_identity(_run_once_task, faulted))
         assert key_classic != key_faulted
+        legacy = (params, 0, 2.0, 0.5, 1.0, LowestIdClustering())
+        assert key_classic == fingerprint(task_identity(_run_once_task, legacy))
+
+    @pytest.mark.parametrize(
+        "field", [{"routing": "none"}, {"boundary": "reflect"}]
+    )
+    def test_non_sweep_fields_change_task_identity(self, field):
+        from repro.store import fingerprint, task_identity
+        from repro.analysis.sweep import _run_once_task
+        from repro.run_spec import RunSpec
+
+        params = _params(n=40)
+        sweep = RunSpec(params, 0, 2.0, 0.5, faults=self.FAULTS)
+        other = RunSpec(params, 0, 2.0, 0.5, faults=self.FAULTS, **field)
+        key_sweep = fingerprint(task_identity(_run_once_task, sweep))
+        key_other = fingerprint(task_identity(_run_once_task, other))
+        assert key_sweep != key_other
 
     def test_scenario_faults_block(self):
         from repro.scenario import ScenarioConfig, run_scenario

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.run_spec import build_stack
 from repro.scenario import (
     ScenarioConfig,
     ScenarioReport,
@@ -53,6 +54,32 @@ class TestConfigValidation:
     def test_bad_duration_rejected(self):
         with pytest.raises(ValueError, match="duration"):
             _base_config(duration=0.0)
+
+    @pytest.mark.parametrize(
+        "hello, message",
+        [
+            (
+                {"mode": "periodic", "intervall": 0.25, "timeout": 9},
+                "unknown beacon keys",
+            ),
+            ({"mode": "bogus"}, "mode must be"),
+            ({"mode": "event", "policy": "churn-feedback"}, "policy"),
+            (
+                {"mode": "adaptive", "policy": "churn-feedback"},
+                "'beacon' block",
+            ),
+        ],
+    )
+    def test_bad_hello_block_rejected_at_load(self, hello, message):
+        with pytest.raises(ValueError, match=message):
+            _base_config(hello=hello)
+
+    def test_hello_block_timeout_is_honoured(self):
+        hello = {"mode": "periodic", "interval": 0.25, "timeout": 9.0}
+        stack = build_stack(_base_config(hello=hello).run_spec())
+        assert stack.hello.mode == "periodic"
+        assert stack.hello.interval == 0.25
+        assert stack.hello.timeout == 9.0
 
     def test_network_parameters_derived(self):
         config = _base_config()

@@ -55,6 +55,31 @@ class TestMeasurePoint:
         with pytest.raises(ValueError):
             measure_point(params, 0.2, seeds=0)
 
+    @pytest.mark.parametrize(
+        "lengths, message",
+        [
+            ({"duration": 0.0}, "duration must be positive, got 0.0"),
+            ({"duration": -1.0}, "duration must be positive, got -1.0"),
+            ({"warmup": -5.0}, "warmup must be non-negative, got -5.0"),
+        ],
+    )
+    def test_rejects_bad_run_lengths_before_running(
+        self, monkeypatch, lengths, message
+    ):
+        import repro.analysis.sweep as sweep_module
+
+        def no_workers(*args, **kwargs):
+            raise AssertionError("a worker ran")
+
+        monkeypatch.setattr(sweep_module, "run_tasks", no_workers)
+        params = NetworkParameters.from_fractions(
+            n_nodes=20, range_fraction=0.2, velocity_fraction=0.05
+        )
+        with pytest.raises(ValueError, match=message):
+            measure_point(params, 0.2, seeds=1, **lengths)
+        with pytest.raises(ValueError, match=message):
+            run_sweep("velocity", params, [0.01], seeds=1, **lengths)
+
 
 class TestRunSweep:
     def test_velocity_sweep_structure(self):
