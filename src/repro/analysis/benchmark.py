@@ -1,19 +1,17 @@
-"""Engine performance benchmark: edge-set core vs the dense baseline.
+"""Engine performance benchmark: incremental vs batch edge-set kernels.
 
 ``repro-manet bench`` drives this module and writes ``BENCH_engine.json``.
 It answers three questions about the simulation substrate:
 
-* **How much faster is each connectivity kernel?**  The dense baseline
-  re-implements the pre-edge-set kernel inline — per-step dense
-  ``O(N^2)`` adjacency recomputation plus matrix diffing, exactly the
-  work the seed engine did.  The edge engine runs the batch edge-set
-  core, and the incremental engine runs the temporal-coherence kernel
-  (:mod:`repro.spatial.incremental`).  All paths run the same mobility
-  model with the same seeds, so the steps/sec ratios isolate the
-  connectivity representation.  Each incremental row is preceded by an
-  **equivalence check** — a short dual-engine run asserting identical
-  per-step edge sets and link events — so a speedup number is never
-  reported for a kernel that silently diverged.
+* **How much faster is the incremental kernel?**  The edge engine runs
+  the batch edge-set core, and the incremental engine runs the
+  temporal-coherence kernel (:mod:`repro.spatial.incremental`).  Both
+  run the same mobility model with the same seeds, so the steps/sec
+  ratio isolates the connectivity kernel.  Each incremental row is
+  preceded by an **equivalence check** — a short dual-engine run
+  asserting identical per-step edge sets and link events — so a
+  speedup number is never reported for a kernel that silently
+  diverged.
 * **Where is the dense/grid crossover?**  ``--crossover`` times
   :func:`~repro.spatial.neighbors.compute_edges` under both methods
   across sizes; the measured ratio table is the evidence behind
@@ -57,8 +55,8 @@ from ..core.params import NetworkParameters
 from ..mobility import EpochRandomWaypointModel
 from ..obs.resources import ResourceSampler
 from ..obs.timing import PhaseTimer
-from ..sim import Simulation, recommended_step
-from ..spatial import Boundary, SquareRegion, compute_edges, diff_adjacency
+from ..sim import Simulation
+from ..spatial import Boundary, SquareRegion, compute_edges
 
 __all__ = [
     "DEFAULT_SIZES",
@@ -83,24 +81,15 @@ DEFAULT_REGRESSION_THRESHOLD = 0.20
 #: Network sizes the step benchmark reports on.
 DEFAULT_SIZES = (100, 500, 2000, 5000)
 
-#: Dense baseline is skipped above this size by default: the O(N^2)
-#: kernel needs ~minutes per point there, and the trend is long clear.
-DEFAULT_DENSE_LIMIT = 2000
-
 #: Kernel modes the step benchmark runs, in reporting order.  Tokens
 #: are the ``--modes`` CLI vocabulary; labels are the ``mode`` field in
 #: result rows and history points.
-DEFAULT_MODES = ("edge", "incremental", "dense")
+DEFAULT_MODES = ("edge", "incremental")
 
 _MODE_LABELS = {
     "edge": "edge-engine",
     "incremental": "incremental-engine",
-    "dense": "dense-baseline",
 }
-
-#: speedup-table marker: the point was skipped on purpose, not lost.
-SKIPPED_DENSE_LIMIT = "skipped (dense_limit)"
-SKIPPED_MODE = "skipped (mode not run)"
 
 
 def _peak_rss_kb() -> int:
@@ -116,41 +105,6 @@ def _params_for(n_nodes: int) -> NetworkParameters:
 
 def _phase_dict(timer: PhaseTimer) -> dict[str, float]:
     return {p.phase: p.seconds for p in timer.report().phases}
-
-
-def _bench_dense_baseline(
-    params: NetworkParameters, steps: int, seed: int = 0
-) -> dict:
-    """Per-step dense adjacency + matrix diff — the pre-edge-set kernel."""
-    region = SquareRegion(params.side, Boundary.TORUS)
-    mobility = EpochRandomWaypointModel(params.velocity, epoch=1.0)
-    mobility.reset(params.n_nodes, region, seed)
-    dt = recommended_step(params.tx_range, params.velocity)
-    adjacency = region.adjacency(mobility.positions, params.tx_range)
-    timer = PhaseTimer()
-    start = perf_counter()
-    for _ in range(steps):
-        t0 = perf_counter()
-        positions = mobility.advance(dt)
-        t1 = perf_counter()
-        new_adjacency = region.adjacency(positions, params.tx_range)
-        t2 = perf_counter()
-        diff_adjacency(adjacency, new_adjacency)
-        t3 = perf_counter()
-        timer.add("mobility", t1 - t0)
-        timer.add("adjacency", t2 - t1)
-        timer.add("link_diff", t3 - t2)
-        adjacency = new_adjacency
-    elapsed = perf_counter() - start
-    return {
-        "mode": "dense-baseline",
-        "n_nodes": params.n_nodes,
-        "steps": steps,
-        "elapsed_s": elapsed,
-        "steps_per_sec": steps / elapsed,
-        "phases_s": _phase_dict(timer),
-        "peak_rss_kb": _peak_rss_kb(),
-    }
 
 
 def _bench_edge_engine(
@@ -278,22 +232,15 @@ def check_equivalence(
 def bench_step_modes(
     sizes=DEFAULT_SIZES,
     steps: int = 30,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
     modes=DEFAULT_MODES,
 ) -> tuple[list[dict], dict[str, dict]]:
     """Benchmark the requested kernels across ``sizes``.
 
-    Returns ``(results, tables)``.  ``tables`` holds three per-size
-    maps keyed by ``str(N)``:
+    Returns ``(results, tables)``.  ``tables`` holds two per-size maps
+    keyed by ``str(N)``:
 
-    * ``"speedup_vs_dense"`` — mode steps/sec over the dense
-      baseline's, per mode label; skipped points carry an explicit
-      string marker (:data:`SKIPPED_DENSE_LIMIT` above ``dense_limit``,
-      :data:`SKIPPED_MODE` when the mode wasn't requested) so no row is
-      ever silently ``null``.
-    * ``"speedup_vs_edge"`` — same shape relative to the edge engine;
-      defined at every size the edge engine ran, which is how large-N
-      rows keep a numeric speedup even where dense is skipped.
+    * ``"speedup_vs_edge"`` — mode steps/sec over the edge engine's,
+      per mode label, at every size the edge engine ran.
     * ``"equivalence"`` — the :func:`check_equivalence` verdict for the
       incremental engine at that size (``"ok"`` or a mismatch string).
     """
@@ -304,8 +251,7 @@ def bench_step_modes(
             f"choose from {sorted(_MODE_LABELS)}"
         )
     results: list[dict] = []
-    speedup_vs_dense: dict[str, dict[str, float | str]] = {}
-    speedup_vs_edge: dict[str, dict[str, float | str]] = {}
+    speedup_vs_edge: dict[str, dict[str, float]] = {}
     equivalence: dict[str, str] = {}
     for n_nodes in sorted(sizes):
         params = _params_for(n_nodes)
@@ -317,39 +263,17 @@ def bench_step_modes(
             per_size["incremental"] = _bench_incremental_engine(
                 params, steps
             )
-        dense_skipped = n_nodes > dense_limit
-        if "dense" in modes and not dense_skipped:
-            per_size["dense"] = _bench_dense_baseline(params, steps)
         results.extend(
             per_size[m] for m in DEFAULT_MODES if m in per_size
         )
-
-        def _ratios(baseline_token: str, skip_marker: str) -> dict:
-            baseline = per_size.get(baseline_token)
-            table: dict[str, float | str] = {}
-            for token in modes:
-                if token == baseline_token:
-                    continue
-                label = _MODE_LABELS[token]
-                row = per_size.get(token)
-                if row is None:
-                    table[label] = SKIPPED_MODE
-                elif baseline is None:
-                    table[label] = skip_marker
-                else:
-                    table[label] = (
-                        row["steps_per_sec"] / baseline["steps_per_sec"]
-                    )
-            return table
-
-        if "dense" in modes:
-            speedup_vs_dense[str(n_nodes)] = _ratios(
-                "dense", SKIPPED_DENSE_LIMIT
-            )
-        if "edge" in modes:
-            speedup_vs_edge[str(n_nodes)] = _ratios("edge", SKIPPED_MODE)
+        if "edge" in per_size:
+            edge_rate = per_size["edge"]["steps_per_sec"]
+            speedup_vs_edge[str(n_nodes)] = {
+                _MODE_LABELS[token]: row["steps_per_sec"] / edge_rate
+                for token, row in per_size.items()
+                if token != "edge"
+            }
     tables = {
-        "speedup_vs_dense": speedup_vs_dense,
         "speedup_vs_edge": speedup_vs_edge,
         "equivalence": equivalence,
     }
@@ -439,7 +363,6 @@ def bench_parallel_sweep(
 def run_bench(
     sizes=DEFAULT_SIZES,
     steps: int = 30,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
     crossover: bool = False,
     sweep_jobs=None,
     modes=DEFAULT_MODES,
@@ -450,7 +373,7 @@ def run_bench(
     from ..sim.engine import ENGINE_SCHEMA_VERSION
 
     payload: dict = {
-        "schema_version": 2,
+        "schema_version": 3,
         "engine_schema_version": ENGINE_SCHEMA_VERSION,
         "machine": {
             "platform": platform.platform(),
@@ -461,12 +384,9 @@ def run_bench(
         "config": {
             "sizes": list(sizes),
             "steps": steps,
-            "dense_limit": dense_limit,
             "modes": list(modes),
         },
         "notes": [
-            "dense-baseline re-implements the pre-edge-set kernel "
-            "(per-step O(N^2) adjacency + matrix diff) inline",
             "incremental-engine rows are preceded by a dual-engine "
             "equivalence check (see the equivalence table)",
             "peak_rss_kb is process-monotone (getrusage); modes run "
@@ -475,9 +395,7 @@ def run_bench(
     }
     sampler = ResourceSampler(interval=0.2)
     with sampler:
-        results, tables = bench_step_modes(
-            sizes, steps, dense_limit, modes
-        )
+        results, tables = bench_step_modes(sizes, steps, modes)
         payload["step_benchmarks"] = results
         payload.update(tables)
         if crossover:

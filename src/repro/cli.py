@@ -549,18 +549,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--modes",
-        default="edge,incremental,dense",
+        default="edge,incremental",
         metavar="M1,M2",
         help=(
-            "comma-separated kernels to benchmark: edge, incremental, "
-            "dense (default: all three)"
+            "comma-separated kernels to benchmark: edge, incremental "
+            "(default: both)"
         ),
-    )
-    bench.add_argument(
-        "--dense-limit",
-        type=int,
-        default=2000,
-        help="skip the O(N^2) dense baseline above this size (default 2000)",
     )
     bench.add_argument(
         "--crossover",
@@ -799,7 +793,6 @@ def _run_bench(args) -> int:
     payload = run_bench(
         sizes=sizes,
         steps=args.steps,
-        dense_limit=args.dense_limit,
         crossover=args.crossover,
         sweep_jobs=sweep_jobs,
         modes=modes,
@@ -812,18 +805,9 @@ def _run_bench(args) -> int:
             f"{row['steps_per_sec']:>10.1f} steps/s  "
             f"peak RSS {row['peak_rss_kb'] / 1024:.0f} MiB"
         )
-    for baseline, table in (
-        ("dense", payload.get("speedup_vs_dense", {})),
-        ("edge", payload.get("speedup_vs_edge", {})),
-    ):
-        for size, per_mode in table.items():
-            for mode, speedup in per_mode.items():
-                text = (
-                    f"{speedup:.1f}x"
-                    if isinstance(speedup, float)
-                    else speedup
-                )
-                print(f"  N={size:>5s}  {mode} vs {baseline}: {text}")
+    for size, per_mode in payload.get("speedup_vs_edge", {}).items():
+        for mode, speedup in per_mode.items():
+            print(f"  N={size:>5s}  {mode} vs edge: {speedup:.1f}x")
     violations = [
         f"  N={size:>5s}  incremental-engine equivalence: {verdict}"
         for size, verdict in payload.get("equivalence", {}).items()

@@ -12,7 +12,7 @@ simulation, shared by every policy, so no policy re-derives churn).
 
 Policies::
 
-    fixed               constant interval (bit-identical to `periodic`)
+    fixed               constant interval (the `periodic` mode's code)
     analytic-rate       interval = 1 / Eqn-4 rate at the local degree
     churn-feedback      Gavalas-style multiplicative increase/decrease
     staleness-bounded   largest interval keeping expected neighbor-table

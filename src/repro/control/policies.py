@@ -10,9 +10,9 @@ them trivially unit-testable against synthetic signals.
 Four concrete policies span the design space:
 
 ``fixed``
-    A constant interval.  Declared non-adaptive; with it the adaptive
-    HELLO path reproduces the classic ``periodic`` mode *bit for bit*
-    (same RNG draws, same float arithmetic, same attribution cause).
+    A constant interval.  Declared non-adaptive; the classic
+    ``periodic`` HELLO mode *is* this policy on the one beacon timer
+    path, under the same attribution cause.
 ``analytic-rate``
     Open-loop: beacon at the inverse of the paper's Eqn-4 rate
     evaluated at the node's *measured* degree — the rate the analysis
@@ -81,8 +81,8 @@ class BeaconPolicy:
         split adaptive beacons out of the ``periodic-hello`` bucket.
     adaptive:
         ``False`` only for :class:`FixedPeriodPolicy`; the HELLO
-        protocol uses it to skip control telemetry (and any float
-        arithmetic that could perturb bit-identity) on the fixed path.
+        protocol uses it to skip control telemetry and per-node
+        timeout updates on the fixed path.
     """
 
     policy_name = "policy"
@@ -131,9 +131,8 @@ class FixedPeriodPolicy(BeaconPolicy):
         return self.interval
 
     def next_interval(self, node: int, signals) -> float:
-        # Returned verbatim (no clamp arithmetic): the adaptive HELLO
-        # path must accumulate exactly the same float the periodic
-        # path adds.
+        # Returned verbatim (no clamp arithmetic): periodic timers
+        # advance by exactly the configured interval.
         return self.interval
 
     def spec(self) -> dict:

@@ -11,17 +11,17 @@ Three operating modes, matching the paper's HELLO analysis (Section
   ``interval`` (with per-node random phase) and removes a neighbor it
   has not heard for ``timeout``.  Used by the detection-latency
   ablation (DESIGN.md item 4) to quantify the gap between the lower
-  bound and a deployable beacon.
+  bound and a deployable beacon.  It is the
+  :class:`~repro.control.policies.FixedPeriodPolicy` run on the one
+  beacon timer path below, under the ``periodic-hello`` cause.
 * ``adaptive`` — the closed-loop mode: a
   :class:`~repro.control.policies.BeaconPolicy` picks each node's next
   interval from measured link dynamics
   (:class:`~repro.control.signals.ControlSignals`, fed by an engine
   signal tap), timers run heterogeneously per node, and each node
   advertises an expiry of ``timeout_multiple x`` its *own* current
-  interval.  Under the non-adaptive ``fixed`` policy this path
-  reproduces ``periodic`` bit for bit — same RNG draws, same float
-  arithmetic, same attribution cause — which is exactly what the
-  compare-gated regression test pins.
+  interval.  ``{"mode": "adaptive", "policy": "fixed"}`` is the same
+  code as ``periodic``.
 
 In every mode the protocol maintains per-node neighbor lists, which
 downstream protocols may consume instead of the oracle adjacency.
@@ -31,7 +31,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..control.policies import POLICIES, BeaconPolicy, build_policy
+from ..control.policies import (
+    POLICIES,
+    BeaconPolicy,
+    FixedPeriodPolicy,
+    build_policy,
+)
 from ..control.signals import ControlSignals
 from ..obs import context as obs_context
 from ..obs.attribution import (
@@ -53,6 +58,10 @@ LATENCY_BUCKETS = (0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0)
 class HelloProtocol(Protocol):
     """Neighbor discovery via HELLO beacons.
 
+    The two beacon modes share one timer path: ``periodic`` runs it
+    under ``FixedPeriodPolicy(interval)``, ``adaptive`` under the given
+    policy.  ``policy`` is ``None`` only in event mode.
+
     Parameters
     ----------
     mode:
@@ -61,6 +70,9 @@ class HelloProtocol(Protocol):
     interval:
         Beacon period for periodic mode.  Ignored in adaptive mode,
         where the policy's ``initial_interval()`` seeds the timers.
+        A schedule the step cannot honour (a policy whose
+        ``max_interval`` is below the simulation step) is rejected at
+        attach: a due node beacons at most once per step.
     timeout:
         Neighbor expiry for periodic mode; defaults to ``2.5 *
         interval`` (a common soft-timer multiple) and must exceed the
@@ -115,6 +127,9 @@ class HelloProtocol(Protocol):
             if policy is None:
                 raise ValueError("mode 'adaptive' requires a beacon policy")
             self.policy = build_policy(policy)
+        elif mode == "periodic":
+            self.policy = FixedPeriodPolicy(interval)
+        if self.policy is not None:
             self._beacon_cause = self.policy.cause
             interval = self.policy.initial_interval()
         if interval <= 0.0:
@@ -155,7 +170,7 @@ class HelloProtocol(Protocol):
         # ``(sender, learner, attempts)`` entries.
         self._miss_counts: list[dict[int, int]] = []
         self._pending_retx: list[tuple[int, int, int]] = []
-        # Adaptive-mode state (see on_attach).
+        # Beacon-mode state (see on_attach).
         self.signals: ControlSignals | None = None
         self._advertised_timeout: np.ndarray | None = None
         self._interval_hist = None
@@ -178,17 +193,20 @@ class HelloProtocol(Protocol):
         ]
         if self.miss_limit is not None:
             self._miss_counts = [{} for _ in range(n)]
-        if self.mode in ("periodic", "adaptive"):
-            phases = sim.rng.uniform(0.0, self.interval, size=n)
-            self._next_beacon = phases
-        if self.mode == "adaptive":
+        if self.policy is not None:
+            if self.policy.max_interval < sim.dt:
+                raise ValueError(
+                    f"beacon policy max_interval ({self.policy.max_interval}) "
+                    f"is below the simulation step ({sim.dt}); a node "
+                    "beacons at most once per step, so its timer would "
+                    "fall further behind every step"
+                )
+            self._next_beacon = sim.rng.uniform(0.0, self.interval, size=n)
             self._advertised_timeout = np.full(n, self.timeout, dtype=float)
             if self.policy.adaptive:
                 # The signal tap, histograms and control_window events
                 # exist only for genuinely adaptive policies: the fixed
-                # policy takes the byte-identical periodic arithmetic
-                # path and must add no telemetry the periodic mode
-                # would not.
+                # policy (periodic mode) adds no telemetry.
                 self.signals = ControlSignals(
                     sim, window=self.signal_window, alpha=self.signal_alpha
                 )
@@ -321,36 +339,12 @@ class HelloProtocol(Protocol):
             ]
 
     # ------------------------------------------------------------------
-    # Periodic and adaptive modes
+    # Beacon modes (periodic and adaptive)
     # ------------------------------------------------------------------
     def on_step_end(self, sim: Simulation, time: float) -> None:
-        if self.mode == "periodic":
-            silenced = sim.faults is not None
-            due = np.flatnonzero(self._next_beacon <= time)
-            for node in due:
-                node = int(node)
-                if silenced and not sim.active[node]:
-                    # A crashed/outaged radio keeps its beacon cadence
-                    # but transmits nothing while silenced.
-                    self._next_beacon[node] += self.interval
-                    continue
-                self._send_hello(sim, node, time)
-                self._next_beacon[node] += self.interval
-            # Soft-timer expiry.
-            for node in range(sim.n_nodes):
-                neighbor_list = self.neighbor_lists[node]
-                expired = [
-                    other
-                    for other, heard in neighbor_list.items()
-                    if time - heard > self.timeout
-                ]
-                for other in expired:
-                    del neighbor_list[other]
-        elif self.mode == "adaptive":
-            self._adaptive_step_end(sim, time)
-
-    def _adaptive_step_end(self, sim: Simulation, time: float) -> None:
         policy = self.policy
+        if policy is None:
+            return
         signals = self.signals
         adaptive = policy.adaptive
         silenced = sim.faults is not None
@@ -358,6 +352,8 @@ class HelloProtocol(Protocol):
         for node in due:
             node = int(node)
             if silenced and not sim.active[node]:
+                # A crashed/outaged radio keeps its beacon cadence but
+                # transmits nothing while silenced.
                 self._next_beacon[node] += float(
                     policy.next_interval(node, signals)
                 )
@@ -378,10 +374,10 @@ class HelloProtocol(Protocol):
                 if self._interval_hist is not None:
                     self._interval_hist.observe(interval)
         # Soft-timer expiry against each neighbor's *advertised*
-        # timeout.  Under the fixed policy the array never changes from
-        # its `timeout` fill, so the comparison is value-identical to
-        # the periodic path's.
-        advertised = self._advertised_timeout
+        # timeout.  Under the fixed policy every entry stays at its
+        # `timeout` fill.  One list read per step: indexing the numpy
+        # array per entry costs ~3x the scan.
+        advertised = self._advertised_timeout.tolist()
         for node in range(sim.n_nodes):
             neighbor_list = self.neighbor_lists[node]
             expired = [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.control.policies import FixedPeriodPolicy
 from repro.core.params import NetworkParameters
 from repro.mobility import EpochRandomWaypointModel
 from repro.sim import HelloProtocol, Simulation
@@ -146,3 +147,62 @@ class TestPeriodicMode:
             for other, heard in hello.neighbor_lists[node].items():
                 if other not in actual:
                     assert sim.time - heard <= hello.timeout + sim.dt
+
+
+class TestOneTimerPath:
+    """Periodic mode is the fixed policy on the one beacon/expiry loop."""
+
+    def test_periodic_mode_runs_the_fixed_policy(self):
+        hello = HelloProtocol("periodic", interval=0.7)
+        assert isinstance(hello.policy, FixedPeriodPolicy)
+        assert hello.policy.interval == 0.7
+        assert HelloProtocol("event").policy is None
+
+    def test_expiry_reads_each_senders_advertised_timeout(self, mobile_sim):
+        hello = mobile_sim.attach(HelloProtocol("periodic", interval=1.0))
+        hello._next_beacon[:] = np.inf  # no beacon refreshes an entry
+        time = 10.0
+        hello.neighbor_lists[0] = {1: 8.0, 2: 8.0, 3: 9.0}
+        # The receiver's own advertised timeout plays no part.
+        hello._advertised_timeout[0] = 0.5
+        hello._advertised_timeout[1] = 2.0  # age == timeout: stays
+        hello._advertised_timeout[2] = 1.5  # age > timeout: evicted
+        hello._advertised_timeout[3] = 1.0  # age == timeout: stays
+        hello.on_step_end(mobile_sim, time)
+        assert hello.neighbor_lists[0] == {1: 8.0, 3: 9.0}
+
+
+class TestScheduleBounds:
+    """A due node beacons at most once per step."""
+
+    def _sim(self, params, dt):
+        return Simulation(
+            params,
+            EpochRandomWaypointModel(params.velocity, 1.0),
+            dt=dt,
+            seed=1,
+        )
+
+    def test_rejects_interval_below_step(self, params):
+        sim = self._sim(params, dt=0.05)
+        with pytest.raises(ValueError, match="simulation step"):
+            sim.attach(HelloProtocol("periodic", interval=0.02))
+
+    def test_rejects_adaptive_ceiling_below_step(self, params):
+        sim = self._sim(params, dt=0.05)
+        policy = {
+            "policy": "churn-feedback",
+            "interval": 0.02,
+            "min_interval": 0.01,
+            "max_interval": 0.04,
+        }
+        with pytest.raises(ValueError, match="simulation step"):
+            sim.attach(HelloProtocol("adaptive", policy=policy))
+
+    def test_interval_equal_to_step_keeps_its_rate(self, params):
+        sim = self._sim(params, dt=0.05)
+        sim.attach(HelloProtocol("periodic", interval=0.05))
+        sim.stats.start_measuring()
+        for _ in range(40):
+            sim.step()
+        assert sim.stats.per_node_frequency("hello") == pytest.approx(20.0)

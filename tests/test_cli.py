@@ -175,11 +175,7 @@ class TestMain:
         assert code == 0
         payload = json.loads(out.read_text())
         modes = {row["mode"] for row in payload["step_benchmarks"]}
-        assert modes == {
-            "edge-engine",
-            "incremental-engine",
-            "dense-baseline",
-        }
+        assert modes == {"edge-engine", "incremental-engine"}
         for row in payload["step_benchmarks"]:
             assert row["steps_per_sec"] > 0
             assert row["peak_rss_kb"] > 0
@@ -188,12 +184,9 @@ class TestMain:
                 "adjacency",
                 "link_diff",
             }
-        assert payload["schema_version"] == 2
-        vs_dense = payload["speedup_vs_dense"]["60"]
-        assert vs_dense["edge-engine"] > 0
-        assert vs_dense["incremental-engine"] > 0
-        vs_edge = payload["speedup_vs_edge"]["60"]
-        assert vs_edge["incremental-engine"] > 0
+        assert payload["schema_version"] == 3
+        assert "speedup_vs_dense" not in payload
+        assert payload["speedup_vs_edge"]["60"]["incremental-engine"] > 0
         assert payload["equivalence"] == {"60": "ok"}
         stats = next(
             row["engine_stats"]
@@ -201,31 +194,6 @@ class TestMain:
             if row["mode"] == "incremental-engine"
         )
         assert stats["full_rebuilds"] >= 1
-
-    def test_bench_dense_limit_marker(self, capsys, tmp_path):
-        import json
-
-        out = tmp_path / "bench.json"
-        code = main(
-            [
-                "bench",
-                "--sizes",
-                "60",
-                "--steps",
-                "3",
-                "--dense-limit",
-                "50",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        vs_dense = payload["speedup_vs_dense"]["60"]
-        assert vs_dense["edge-engine"] == "skipped (dense_limit)"
-        assert vs_dense["incremental-engine"] == "skipped (dense_limit)"
-        # The edge-relative table keeps the large-N rows numeric.
-        assert payload["speedup_vs_edge"]["60"]["incremental-engine"] > 0
 
     def test_bench_modes_subset(self, capsys, tmp_path):
         import json
@@ -239,7 +207,7 @@ class TestMain:
                 "--steps",
                 "3",
                 "--modes",
-                "edge,incremental",
+                "edge",
                 "--out",
                 str(out),
             ]
@@ -247,16 +215,16 @@ class TestMain:
         assert code == 0
         payload = json.loads(out.read_text())
         modes = {row["mode"] for row in payload["step_benchmarks"]}
-        assert modes == {"edge-engine", "incremental-engine"}
-        assert payload["speedup_vs_dense"] == {}
-        assert payload["speedup_vs_edge"]["60"]["incremental-engine"] > 0
-        assert payload["equivalence"] == {"60": "ok"}
+        assert modes == {"edge-engine"}
+        assert payload["speedup_vs_edge"] == {"60": {}}
+        assert payload["equivalence"] == {}
 
     def test_bench_bad_sizes(self, capsys):
         assert main(["bench", "--sizes", "abc"]) == 2
 
     def test_bench_bad_modes(self, capsys):
         assert main(["bench", "--modes", "edge,warp"]) == 2
+        assert main(["bench", "--modes", "dense"]) == 2
 
     def test_bench_sweep_jobs_empty_entry(self, capsys):
         assert main(["bench", "--sweep-jobs", "1,,0"]) == 2
