@@ -11,7 +11,7 @@ import pytest
 
 from repro.analysis import Table
 from repro.experiments import EXPERIMENTS, experiment_ids, run_experiment
-from repro.experiments.claims import measure_window_degree
+from repro.experiments.claims import measure_cv_rates, measure_window_degree
 from repro.experiments.config import FULL, QUICK, ExperimentScale, scale_for
 from repro.experiments.figures45 import (
     measure_lid_head_ratio,
@@ -135,6 +135,24 @@ class TestClaims:
         table = run_experiment("claim2", quick=True)
         for _r, model, _analysis, _measured, rel_err in table.rows:
             assert rel_err < 0.25, model
+
+    @pytest.mark.parametrize(
+        "kwargs, rate",
+        [
+            # N <= 100: the dense metric.
+            (dict(n_nodes=60, tx_range=0.2, seed=3), 3.055555555555552),
+            # Sparse N > 100: the grid index.
+            (dict(n_nodes=300, tx_range=0.1, seed=1), 7.488888888888889),
+            # BCV: the central window of a 2x2 torus.
+            (
+                dict(n_nodes=800, tx_range=0.1, seed=2, window=True, margin=2.0),
+                4.0553862699408505,
+            ),
+        ],
+    )
+    def test_cv_rates_are_pinned(self, kwargs, rate):
+        """Measured link change rates do not move, bit for bit."""
+        assert measure_cv_rates(velocity=0.05, steps=60, **kwargs) == rate
 
 
 class TestAblations:

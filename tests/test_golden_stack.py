@@ -16,13 +16,20 @@ adaptive (staleness-bounded) HELLO x faults off / on x 2 seeds, plus one
 run with non-integer message sizes and a full-table, star-topology
 intra-cluster router.
 
+One d-hop row runs MobDHop (d=2) under
+:class:`~repro.clustering.DHopClusterMaintenanceProtocol` with event
+HELLO and no intra-cluster router; its digest drops the one-hop
+maintenance counters.
+
 Data-plane rows add CBR traffic on top of LID with event HELLO: the
-hybrid router (faults off / on x 2 seeds) and one faulted AODV run.
-They gate the route reads, so their digests also carry the traffic
-books (generated / delivered / dropped / hop-count sum), the router's
-discovery and cache-hit counters, the ``sha256`` of its route table in
-insertion order, and the intra-cluster ``path`` answers for a fixed
-grid of same-cluster pairs at the end of the run.
+hybrid router (faults off / on x 2 seeds), one faulted AODV run and
+one faulted DSDV run.  They gate the route reads, so their digests
+also carry the traffic books (generated / delivered / dropped /
+hop-count sum), the ``sha256`` of the router's route table in
+insertion order (DSDV: every entry with its metric and sequence
+number), the discovery and cache-hit counters of the on-demand
+routers, and the intra-cluster ``path`` answers for a fixed grid of
+same-cluster pairs at the end of the run.
 
 Traced rows gate the telemetry path: the hybrid + CBR stack at N=300
 (faults off / on, seed 0) runs under ``observe`` with a
@@ -58,9 +65,11 @@ import pytest
 
 from repro.clustering import (
     ClusterMaintenanceProtocol,
+    DHopClusterMaintenanceProtocol,
     DmacClustering,
     HighestConnectivityClustering,
     LowestIdClustering,
+    MobDHopClustering,
 )
 from repro.control import build_policy
 from repro.core.params import MessageSizes, NetworkParameters
@@ -77,12 +86,14 @@ from repro.obs import spans as obs_spans
 from repro.obs.attribution import OverheadLedger, attach_attribution
 from repro.routing import (
     AodvProtocol,
+    DsdvProtocol,
     HybridRoutingProtocol,
     IntraClusterRoutingProtocol,
 )
 from repro.sim import (
     AodvRouterAdapter,
     CbrFlow,
+    DsdvRouterAdapter,
     HelloProtocol,
     HybridRouterAdapter,
     Simulation,
@@ -144,6 +155,12 @@ def _cases() -> dict[str, dict]:
     cases["lid-event-faults-s0-aodv-cbr"] = dict(
         algorithm="lid", hello="event", faults=True, seed=0, routing="aodv"
     )
+    cases["lid-event-faults-s0-dsdv-cbr"] = dict(
+        algorithm="lid", hello="event", faults=True, seed=0, routing="dsdv"
+    )
+    cases["mobdhop-d2-event-clean-s0"] = dict(
+        algorithm="mobdhop", hello="event", faults=False, seed=0
+    )
     return cases
 
 
@@ -175,6 +192,12 @@ def _route_table(router) -> list:
     """The router's route state in insertion order."""
     if isinstance(router, HybridRoutingProtocol):
         return [[list(key), path] for key, path in router._cache.items()]
+    if isinstance(router, DsdvProtocol):
+        return [
+            [node, entry.destination, entry.next_hop, entry.metric, entry.sequence]
+            for node, table in enumerate(router.tables)
+            for entry in table.values()
+        ]
     return [
         [node, destination, entry.next_hop, entry.hops]
         for node, table in enumerate(router.routes)
@@ -194,8 +217,10 @@ def run_case(
 ) -> dict:
     """Run one case of the matrix and return its digest.
 
-    ``routing`` (``"hybrid"`` or ``"aodv"``) adds that router and a
-    CBR traffic protocol, and the data-plane fields to the digest.
+    ``routing`` (``"hybrid"``, ``"aodv"`` or ``"dsdv"``) adds that
+    router and a CBR traffic protocol, and the data-plane fields to the
+    digest.  ``algorithm="mobdhop"`` runs d-hop maintenance (d=2)
+    without an intra-cluster router.
     """
     params = NetworkParameters.from_fractions(
         n_nodes=N_NODES,
@@ -224,20 +249,26 @@ def run_case(
         )
     else:
         sim.attach(HelloProtocol(mode="periodic", interval=0.5, miss_limit=miss_limit))
-    clustering = {
-        "lid": LowestIdClustering,
-        "hcc": HighestConnectivityClustering,
-        "dmac": DmacClustering,
-    }[algorithm]()
-    maintenance = ClusterMaintenanceProtocol(
-        clustering, dynamic_priority=algorithm == "hcc"
-    )
-    intra = sim.attach(
-        IntraClusterRoutingProtocol(
-            maintenance, full_table=full_table, topology=topology
+    intra = None
+    if algorithm == "mobdhop":
+        maintenance = sim.attach(
+            DHopClusterMaintenanceProtocol(MobDHopClustering(d=2), d=2)
         )
-    )
-    sim.attach(maintenance)
+    else:
+        clustering = {
+            "lid": LowestIdClustering,
+            "hcc": HighestConnectivityClustering,
+            "dmac": DmacClustering,
+        }[algorithm]()
+        maintenance = ClusterMaintenanceProtocol(
+            clustering, dynamic_priority=algorithm == "hcc"
+        )
+        intra = sim.attach(
+            IntraClusterRoutingProtocol(
+                maintenance, full_table=full_table, topology=topology
+            )
+        )
+        sim.attach(maintenance)
     router = traffic = None
     if routing == "hybrid":
         router = sim.attach(HybridRoutingProtocol(maintenance, intra))
@@ -245,6 +276,9 @@ def run_case(
     elif routing == "aodv":
         router = sim.attach(AodvProtocol(max_retries=2))
         adapter = AodvRouterAdapter(router)
+    elif routing == "dsdv":
+        router = sim.attach(DsdvProtocol())
+        adapter = DsdvRouterAdapter(router)
     if router is not None:
         traffic = sim.attach(TrafficProtocol(_flows(seed), adapter))
     ledger = sim.attach(OverheadLedger(maintenance))
@@ -259,11 +293,14 @@ def run_case(
         },
         "roles_sha256": _sha256(state.roles),
         "head_of_sha256": _sha256(state.head_of),
-        "head_changes_total": maintenance.head_changes_total,
-        "reaffiliations_total": maintenance.reaffiliations_total,
         "causes": snapshot["causes"],
         "ledger_sha256": _sha256_json(snapshot),
     }
+    if isinstance(maintenance, ClusterMaintenanceProtocol):
+        digest.update(
+            head_changes_total=maintenance.head_changes_total,
+            reaffiliations_total=maintenance.reaffiliations_total,
+        )
     if router is not None:
         books = traffic.traffic
         paths = [
@@ -279,12 +316,14 @@ def run_case(
                 books.dropped,
                 sum(books.hop_counts),
             ],
-            discoveries=router.discoveries,
-            cache_hits=router.cache_hits,
             route_table_sha256=_sha256_json(_route_table(router)),
             intra_paths=len(paths),
             intra_paths_sha256=_sha256_json(paths),
         )
+        if not isinstance(router, DsdvProtocol):
+            digest.update(
+                discoveries=router.discoveries, cache_hits=router.cache_hits
+            )
     return digest
 
 
@@ -439,4 +478,6 @@ def test_matrix_exercises_every_repair_path(fixture):
         "event-hello",
         "periodic-hello",
         "adaptive-hello-staleness",
+        "dsdv-periodic",
+        "dsdv-triggered",
     } <= causes

@@ -70,3 +70,33 @@ class TestRunTrafficEpoch:
             "hybrid", params, trace, dt, [(0, 20)], warmup=0.5
         )
         assert dsdv["overhead"] > hybrid["overhead"]
+
+
+#: Outputs of the shared trace with ``_traffic_pairs(40, 12, seed=2)``
+#: and 0.5 warm-up, pinned bit for bit: the warm-up / measure loop and
+#: the per-stack route queries must not move them.
+PINNED_EPOCHS = {
+    "hybrid": {
+        "overhead": 578.2588235294118,
+        "messages": 4.870588235294117,
+        "delivery": 1.0,
+    },
+    "dsdv": {
+        "overhead": 18431.999999999996,
+        "messages": 4.799999999999999,
+        "delivery": 0.6666666666666666,
+    },
+    "aodv": {
+        "overhead": 515.6894117647058,
+        "messages": 4.24235294117647,
+        "delivery": 1.0,
+    },
+}
+
+
+@pytest.mark.parametrize("stack", sorted(PINNED_EPOCHS))
+def test_traffic_epoch_is_pinned(shared_trace, stack):
+    params, trace, dt = shared_trace
+    pairs = _traffic_pairs(params.n_nodes, 12, seed=2)
+    metrics = run_traffic_epoch(stack, params, trace, dt, pairs, warmup=0.5)
+    assert metrics == PINNED_EPOCHS[stack]
