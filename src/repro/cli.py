@@ -769,6 +769,11 @@ def _run_bench(args) -> int:
         ) from None
     if not sizes:
         raise _CliError("no benchmark sizes given")
+    too_small = [size for size in sizes if size < 2]
+    if too_small:
+        raise _CliError(
+            f"bad --sizes {args.sizes!r}: sizes must be >= 2, got {too_small}"
+        )
     sweep_jobs = None
     if args.sweep_jobs is not None:
         tokens = [token.strip() for token in args.sweep_jobs.split(",")]

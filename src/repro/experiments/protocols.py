@@ -71,53 +71,41 @@ def run_traffic_epoch(
     usable route.
     """
     sim = Simulation(params, TraceReplayModel(trace), dt=dt, seed=0)
-    router = None
     if stack == "hybrid":
         sim.attach(HelloProtocol("event"))
         maintenance = ClusterMaintenanceProtocol(LowestIdClustering())
         intra = IntraClusterRoutingProtocol(maintenance)
         sim.attach(intra)
         sim.attach(maintenance)
-        router = sim.attach(HybridRoutingProtocol(maintenance, intra))
+        find_path = sim.attach(HybridRoutingProtocol(maintenance, intra)).route
     elif stack == "dsdv":
-        router = sim.attach(DsdvProtocol(periodic_interval=1.0))
+        find_path = sim.attach(DsdvProtocol(periodic_interval=1.0)).path
     elif stack == "aodv":
         sim.attach(HelloProtocol("event"))  # AODV needs neighborhood sensing
-        router = sim.attach(AodvProtocol())
+        find_path = sim.attach(AodvProtocol()).route
     else:
         raise ValueError(f"unknown stack {stack!r}")
 
-    total_steps = len(trace) - 1
     warmup_steps = int(round(warmup / dt))
-    measured_steps = total_steps - warmup_steps
+    measured_steps = len(trace) - 1 - warmup_steps
     if measured_steps <= 0:
         raise ValueError("trace too short for the requested warmup")
-    sim.stats.stop_measuring()
-    for _ in range(warmup_steps):
-        sim.step()
-    sim.stats.start_measuring()
-
     # Spread traffic requests uniformly over the measured window.
-    request_steps = {
-        warmup_steps + int(round(k * measured_steps / len(pairs))): pair
+    request_at = {
+        int(round(k * measured_steps / len(pairs))): pair
         for k, pair in enumerate(pairs)
     }
     delivered = 0
-    for step_index in range(warmup_steps, total_steps):
-        sim.step()
-        pair = request_steps.get(step_index)
-        if pair is None:
-            continue
-        source, destination = pair
-        if stack == "hybrid":
-            path = router.route(sim, source, destination)
-        elif stack == "dsdv":
-            path = router.path(sim, source, destination)
-        else:
-            path = router.route(sim, source, destination)
-        if path is not None:
+
+    def on_measured_step(index: int, _steps: int) -> None:
+        nonlocal delivered
+        pair = request_at.get(index)
+        if pair is not None and find_path(sim, *pair) is not None:
             delivered += 1
-    sim.stats.stop_measuring()
+
+    sim.run(
+        measured_steps * dt, warmup_steps * dt, on_measured_step=on_measured_step
+    )
     return {
         "overhead": sim.stats.total_overhead(),
         "messages": sum(

@@ -50,7 +50,6 @@ from ..spatial import (
     IncrementalConnectivityEngine,
     LinkEvents,
     SquareRegion,
-    UniformGridIndex,
     compute_edges,
     csr_to_lists,
     degree_counts_from_edges,
@@ -302,11 +301,8 @@ class Simulation:
                 f"'incremental', got {connectivity!r}"
             )
         self.connectivity = connectivity
-        self._index: UniformGridIndex | None = None
         self._incremental: IncrementalConnectivityEngine | None = None
-        if connectivity == "grid":
-            self._index = UniformGridIndex(self.region, params.tx_range)
-        elif connectivity == "incremental":
+        if connectivity == "incremental":
             self._incremental = IncrementalConnectivityEngine(
                 self.region, params.tx_range
             )
@@ -324,7 +320,6 @@ class Simulation:
                 self.region,
                 self.mobility.positions,
                 params.tx_range,
-                self._index,
                 method=connectivity,
             )
         self.edges = self._mask_failed(initial)
@@ -662,7 +657,6 @@ class Simulation:
                     self.region,
                     positions,
                     self.params.tx_range,
-                    self._index,
                     method=self.connectivity,
                 )
             )

@@ -9,7 +9,6 @@ from .neighbors import (
     INCREMENTAL_MIN_AMORTIZED_STEPS,
     LinkEvents,
     adjacency_to_edges,
-    compute_adjacency,
     compute_edges,
     csr_to_lists,
     degree_counts,
@@ -35,7 +34,6 @@ __all__ = [
     "INCREMENTAL_MIN_AMORTIZED_STEPS",
     "LinkEvents",
     "adjacency_to_edges",
-    "compute_adjacency",
     "compute_edges",
     "csr_to_lists",
     "degree_counts",

@@ -5,15 +5,15 @@ connectivity of the current node positions, and diff two consecutive
 snapshots into link *generation* and *break* events (the event stream
 that drives HELLO, CLUSTER and ROUTE accounting).
 
-The canonical connectivity representation is the sorted **edge set** —
-an ``(E, 2)`` integer array of pairs with ``i < j`` in lexicographic
-order, as produced by :func:`compute_edges` /
+The spatial layer's only connectivity output is the sorted **edge
+set** — an ``(E, 2)`` integer array of pairs with ``i < j`` in
+lexicographic order, as produced by :func:`compute_edges` /
 :meth:`~repro.spatial.grid_index.UniformGridIndex.neighbor_pairs`.
 Edge sets cost ``O(E)`` memory instead of ``O(N^2)`` and diff in
-``O(E log E)`` (:func:`diff_edge_sets`).  Two views derive from it:
-dense boolean adjacency matrices (:func:`edges_to_adjacency`,
-:func:`compute_adjacency`) for clustering consumers that index into a
-matrix, and the ascending per-node neighbor rows of a CSR pair
+``O(E log E)`` (:func:`diff_edge_sets`).  The converters below build
+the simulation engine's views from it: the dense boolean adjacency
+matrix (:func:`edges_to_adjacency`) for clustering consumers that index
+into a matrix, and the ascending per-node neighbor rows of a CSR pair
 (:func:`edges_to_csr`), which serve both as Python lists
 (:func:`edges_to_lists`) for the routing layer's ``O(degree)`` walks and
 as the flood graph of backbone route discovery.
@@ -39,7 +39,6 @@ __all__ = [
     "MIN_GRID_CELLS_PER_SIDE",
     "LinkEvents",
     "adjacency_to_edges",
-    "compute_adjacency",
     "compute_edges",
     "csr_to_lists",
     "degree_counts",
@@ -210,56 +209,26 @@ def compute_edges(
     region: SquareRegion,
     positions: np.ndarray,
     tx_range: float,
-    index: UniformGridIndex | None = None,
     method: str = "auto",
 ) -> np.ndarray:
     """Sorted unit-disk edge set of ``positions`` under the region metric.
 
-    If ``index`` is given it is rebuilt and used regardless of
-    ``method``; otherwise ``method`` selects the dense metric
-    (``"dense"``), a throwaway grid index (``"grid"``), or the measured
-    cost model (``"auto"``, the default).  Every path returns the
-    identical edge array.
+    ``method`` selects the dense metric (``"dense"``), a fresh grid
+    index (``"grid"``), or the measured cost model (``"auto"``, the
+    default).  Every path returns the identical edge array.
     """
     pos = np.asarray(positions, dtype=float)
-    if index is not None:
-        index.rebuild(pos)
-        return index.neighbor_pairs(tx_range)
     if method == "auto":
         method = select_connectivity_method(len(pos), tx_range, region.side)
     if method == "grid":
-        scratch = UniformGridIndex(region, tx_range)
-        scratch.rebuild(pos)
-        return scratch.neighbor_pairs(tx_range)
+        index = UniformGridIndex(region, tx_range)
+        index.rebuild(pos)
+        return index.neighbor_pairs()
     if method != "dense":
         raise ValueError(
             f"method must be 'auto', 'dense' or 'grid', got {method!r}"
         )
     return adjacency_to_edges(region.adjacency(pos, tx_range))
-
-
-def compute_adjacency(
-    region: SquareRegion,
-    positions: np.ndarray,
-    tx_range: float,
-    index: UniformGridIndex | None = None,
-) -> np.ndarray:
-    """Unit-disk adjacency of ``positions`` under the region metric.
-
-    Compatibility view over :func:`compute_edges`: the same cost model
-    picks the dense or grid path, and either path returns the identical
-    boolean matrix.
-    """
-    pos = np.asarray(positions, dtype=float)
-    if index is not None:
-        index.rebuild(pos)
-        return index.adjacency(tx_range)
-    method = select_connectivity_method(len(pos), tx_range, region.side)
-    if method == "grid":
-        return edges_to_adjacency(
-            compute_edges(region, pos, tx_range, method="grid"), len(pos)
-        )
-    return region.adjacency(pos, tx_range)
 
 
 def _as_edge_array(edges: np.ndarray) -> np.ndarray:

@@ -222,6 +222,11 @@ class TestMain:
     def test_bench_bad_sizes(self, capsys):
         assert main(["bench", "--sizes", "abc"]) == 2
 
+    @pytest.mark.parametrize("sizes", ["0", "1", "-5", "60,1"])
+    def test_bench_sizes_below_two(self, capsys, sizes):
+        assert main(["bench", "--sizes", sizes]) == 2
+        assert "sizes must be >= 2" in capsys.readouterr().err
+
     def test_bench_bad_modes(self, capsys):
         assert main(["bench", "--modes", "edge,warp"]) == 2
         assert main(["bench", "--modes", "dense"]) == 2

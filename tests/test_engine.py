@@ -181,7 +181,7 @@ class TestRun:
             seed=7,
             connectivity="grid",
         )
-        assert sim._index is not None
+        assert sim.connectivity == "grid"
         expected = sim.region.adjacency(sim.positions, params.tx_range)
         np.testing.assert_array_equal(sim.adjacency, expected)
         sim.step()

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spatial import Boundary, SquareRegion, UniformGridIndex
+from repro.spatial import (
+    Boundary,
+    SquareRegion,
+    UniformGridIndex,
+    edges_to_adjacency,
+)
 
 
 def _build(region, n, radius, seed):
@@ -15,6 +20,11 @@ def _build(region, n, radius, seed):
     index = UniformGridIndex(region, radius)
     index.rebuild(positions)
     return positions, index
+
+
+def _adjacency(index, n):
+    """Dense view of the index's edge set."""
+    return edges_to_adjacency(index.neighbor_pairs(), n)
 
 
 class TestConstruction:
@@ -34,11 +44,9 @@ class TestConstruction:
     def test_query_before_rebuild_raises(self, unit_torus):
         index = UniformGridIndex(unit_torus, 0.2)
         with pytest.raises(RuntimeError):
-            index.neighbors_of(0)
-        with pytest.raises(RuntimeError):
             index.neighbor_pairs()
         with pytest.raises(RuntimeError):
-            index.adjacency()
+            index.candidate_pairs_raw()
 
     def test_bad_positions_shape(self, unit_torus):
         index = UniformGridIndex(unit_torus, 0.2)
@@ -53,16 +61,8 @@ class TestEquivalenceWithDense:
         region = SquareRegion(1.0, boundary)
         positions, index = _build(region, 250, radius, seed=1)
         np.testing.assert_array_equal(
-            index.adjacency(), region.adjacency(positions, radius)
+            _adjacency(index, 250), region.adjacency(positions, radius)
         )
-
-    def test_neighbors_of_matches_dense_row(self, unit_torus):
-        positions, index = _build(unit_torus, 150, 0.12, seed=2)
-        dense = unit_torus.adjacency(positions, 0.12)
-        for node in range(0, 150, 17):
-            np.testing.assert_array_equal(
-                np.sort(index.neighbors_of(node)), np.flatnonzero(dense[node])
-            )
 
     def test_tiny_torus_few_cells(self):
         # cells_per_side <= 3 exercises the wrapped-stencil dedup path.
@@ -70,21 +70,8 @@ class TestEquivalenceWithDense:
         positions, index = _build(region, 80, 0.4, seed=3)
         assert index.cells_per_side <= 3
         np.testing.assert_array_equal(
-            index.adjacency(), region.adjacency(positions, 0.4)
+            _adjacency(index, 80), region.adjacency(positions, 0.4)
         )
-
-    def test_smaller_query_radius(self, unit_torus):
-        positions, index = _build(unit_torus, 120, 0.2, seed=4)
-        np.testing.assert_array_equal(
-            index.adjacency(0.1), unit_torus.adjacency(positions, 0.1)
-        )
-
-    def test_larger_query_radius_rejected(self, unit_torus):
-        _, index = _build(unit_torus, 20, 0.1, seed=5)
-        with pytest.raises(ValueError):
-            index.neighbors_of(0, 0.2)
-        with pytest.raises(ValueError):
-            index.neighbor_pairs(0.2)
 
 
 class TestPairs:
@@ -105,7 +92,7 @@ class TestPairs:
         index = UniformGridIndex(unit_torus, 0.05)
         index.rebuild(positions)
         assert index.neighbor_pairs().shape == (0, 2)
-        assert not index.adjacency().any()
+        assert not _adjacency(index, 3).any()
 
 
 class TestEveryCellCount:
@@ -129,7 +116,7 @@ class TestEveryCellCount:
         assert index.cells_per_side == m
         index.rebuild(positions)
         np.testing.assert_array_equal(
-            index.adjacency(), region.adjacency(positions, radius)
+            _adjacency(index, 90), region.adjacency(positions, radius)
         )
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
@@ -147,14 +134,23 @@ class TestEveryCellCount:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_candidates_unique_per_node(self, m):
+        """The raw sweep repeats a node's candidates iff the stencil aliases.
+
+        From three cells per side on, the half stencil visits every cell
+        pair once, which is what lets ``neighbor_pairs`` sort its keys
+        instead of deduplicating them; at m <= 2 the wrapped offsets
+        alias and the dedup is required.
+        """
         region = SquareRegion(1.0, Boundary.TORUS)
         radius = 1.0 / (m + 0.5)
         positions = region.uniform_positions(50, m + 100)
         index = UniformGridIndex(region, radius)
         index.rebuild(positions)
+        i, j = index.candidate_pairs_raw()
         for node in range(0, 50, 7):
-            candidates = index._candidate_indices(tuple(index._cell_of[node]))
-            assert len(np.unique(candidates)) == len(candidates)
+            candidates = np.concatenate((j[i == node], i[j == node]))
+            unique = len(np.unique(candidates)) == len(candidates)
+            assert unique == (m >= 3)
 
 
 class TestIncrementalUpdate:
@@ -166,7 +162,6 @@ class TestIncrementalUpdate:
         np.testing.assert_array_equal(
             index.neighbor_pairs(), fresh.neighbor_pairs()
         )
-        np.testing.assert_array_equal(index.adjacency(), fresh.adjacency())
 
     @pytest.mark.parametrize(
         "boundary", [Boundary.TORUS, Boundary.OPEN, Boundary.REFLECT]
@@ -233,7 +228,7 @@ def test_grid_equals_dense_property(n, radius, seed, boundary):
     index = UniformGridIndex(region, radius)
     index.rebuild(positions)
     np.testing.assert_array_equal(
-        index.adjacency(), region.adjacency(positions, radius)
+        _adjacency(index, n), region.adjacency(positions, radius)
     )
 
 

@@ -20,7 +20,7 @@ from repro.core.linkdynamics import (
     mean_relative_speed,
 )
 from repro.mobility import ConstantVelocityModel
-from repro.spatial import Boundary, SquareRegion, compute_adjacency, diff_adjacency
+from repro.spatial import Boundary, SquareRegion, compute_edges, diff_edge_sets
 
 
 class TestRelativeSpeed:
@@ -82,12 +82,12 @@ class TestCvRates:
         model = ConstantVelocityModel(v)
         model.reset(n, region, 11)
         dt, steps = 0.05, 400
-        adjacency = compute_adjacency(region, model.positions, r)
+        edges = compute_edges(region, model.positions, r)
         changes = 0
         for _ in range(steps):
-            new = compute_adjacency(region, model.advance(dt), r)
-            changes += diff_adjacency(adjacency, new).change_count
-            adjacency = new
+            new = compute_edges(region, model.advance(dt), r)
+            changes += diff_edge_sets(edges, new).change_count
+            edges = new
         measured = 2 * changes / (n * steps * dt)
         assert measured == pytest.approx(
             cv_link_change_rate(float(n), r, v), rel=0.05
@@ -157,20 +157,19 @@ class TestLinkLifetime:
     def test_matches_torus_simulation(self):
         """Mean measured link lifetime matches pi^2 r / (8 v)."""
         from repro.core.linkdynamics import expected_link_lifetime
-        from repro.spatial import compute_adjacency, diff_adjacency
 
         n, r, v = 300, 0.08, 0.04
         region = SquareRegion(1.0, Boundary.TORUS)
         model = ConstantVelocityModel(v)
         model.reset(n, region, 3)
         dt = 0.02 * r / v
-        adjacency = compute_adjacency(region, model.positions, r)
+        edges = compute_edges(region, model.positions, r)
         born: dict[tuple[int, int], float] = {}
         lifetimes: list[float] = []
         time = 0.0
         for _ in range(1500):
-            new = compute_adjacency(region, model.advance(dt), r)
-            events = diff_adjacency(adjacency, new)
+            new = compute_edges(region, model.advance(dt), r)
+            events = diff_edge_sets(edges, new)
             time += dt
             for u, v_ in events.generated:
                 born[(int(u), int(v_))] = time
@@ -178,7 +177,7 @@ class TestLinkLifetime:
                 start = born.pop((int(u), int(v_)), None)
                 if start is not None:
                     lifetimes.append(time - start)
-            adjacency = new
+            edges = new
         # Completed lifetimes only: slightly biased short, so compare
         # loosely (the bias shrinks with observation length).
         measured = float(np.mean(lifetimes))

@@ -18,18 +18,18 @@ from repro.mobility import (
     EpochRandomWaypointModel,
     RandomWaypointModel,
 )
-from repro.spatial import Boundary, SquareRegion, compute_adjacency, diff_adjacency
+from repro.spatial import Boundary, SquareRegion, compute_edges, diff_edge_sets
 
 
 def _measure_change_rate(model, n, r, dt, steps, seed=0):
     region = SquareRegion(1.0, Boundary.TORUS)
     model.reset(n, region, seed)
-    adjacency = compute_adjacency(region, model.positions, r)
+    edges = compute_edges(region, model.positions, r)
     changes = 0
     for _ in range(steps):
-        new = compute_adjacency(region, model.advance(dt), r)
-        changes += diff_adjacency(adjacency, new).change_count
-        adjacency = new
+        new = compute_edges(region, model.advance(dt), r)
+        changes += diff_edge_sets(edges, new).change_count
+        edges = new
     return 2 * changes / (n * steps * dt)
 
 

@@ -10,34 +10,38 @@ from repro.spatial import (
     LinkEvents,
     SquareRegion,
     UniformGridIndex,
-    compute_adjacency,
+    compute_edges,
     degree_counts,
     diff_adjacency,
+    edges_to_adjacency,
 )
 
 
 class TestComputeAdjacency:
+    """The dense view of every edge-set path equals the dense metric."""
+
     def test_dense_path(self, unit_torus, rng):
         positions = unit_torus.uniform_positions(100, rng)
-        adjacency = compute_adjacency(unit_torus, positions, 0.2)
+        edges = compute_edges(unit_torus, positions, 0.2)
         np.testing.assert_array_equal(
-            adjacency, unit_torus.adjacency(positions, 0.2)
+            edges_to_adjacency(edges, 100), unit_torus.adjacency(positions, 0.2)
         )
 
     def test_explicit_index_path(self, unit_torus, rng):
         positions = unit_torus.uniform_positions(100, rng)
         index = UniformGridIndex(unit_torus, 0.2)
-        adjacency = compute_adjacency(unit_torus, positions, 0.2, index)
+        index.rebuild(positions)
         np.testing.assert_array_equal(
-            adjacency, unit_torus.adjacency(positions, 0.2)
+            edges_to_adjacency(index.neighbor_pairs(), 100),
+            unit_torus.adjacency(positions, 0.2),
         )
 
     def test_auto_grid_for_large_sparse(self):
         region = SquareRegion(10.0, Boundary.TORUS)
         positions = region.uniform_positions(900, 0)
-        adjacency = compute_adjacency(region, positions, 0.5)
+        edges = compute_edges(region, positions, 0.5)
         np.testing.assert_array_equal(
-            adjacency, region.adjacency(positions, 0.5)
+            edges_to_adjacency(edges, 900), region.adjacency(positions, 0.5)
         )
 
 

@@ -29,7 +29,7 @@ from repro.core.lid_analysis import lid_head_probability_exact
 from repro.core.params import MessageSizes, NetworkParameters
 from repro.mobility import EpochRandomWaypointModel
 from repro.sim import Simulation
-from repro.spatial import Boundary, SquareRegion, compute_adjacency, diff_adjacency
+from repro.spatial import Boundary, SquareRegion, diff_adjacency
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -171,8 +171,8 @@ def test_adjacency_diff_roundtrip(n, r, seed, boundary):
     region = SquareRegion(1.0, boundary)
     a_positions = region.uniform_positions(n, seed)
     b_positions = region.uniform_positions(n, seed + 1)
-    a = compute_adjacency(region, a_positions, r)
-    b = compute_adjacency(region, b_positions, r)
+    a = region.adjacency(a_positions, r)
+    b = region.adjacency(b_positions, r)
     events = diff_adjacency(a, b)
     rebuilt = a.copy()
     for u, v in events.broken:
