@@ -16,14 +16,14 @@ adaptive (staleness-bounded) HELLO x faults off / on x 2 seeds, plus one
 run with non-integer message sizes and a full-table, star-topology
 intra-cluster router.
 
-One d-hop row runs MobDHop (d=2) under
+Two d-hop rows run MobDHop and Max-Min (both d=2) under
 :class:`~repro.clustering.DHopClusterMaintenanceProtocol` with event
-HELLO and no intra-cluster router; its digest drops the one-hop
+HELLO and no intra-cluster router; their digests drop the one-hop
 maintenance counters.
 
 Data-plane rows add CBR traffic on top of LID with event HELLO: the
 hybrid router (faults off / on x 2 seeds), one faulted AODV run and
-one faulted DSDV run.  They gate the route reads, so their digests
+DSDV runs with faults off and on.  They gate the route reads, so their digests
 also carry the traffic books (generated / delivered / dropped /
 hop-count sum), the ``sha256`` of the router's route table in
 insertion order (DSDV: every entry with its metric and sequence
@@ -69,6 +69,7 @@ from repro.clustering import (
     DmacClustering,
     HighestConnectivityClustering,
     LowestIdClustering,
+    MaxMinDCluster,
     MobDHopClustering,
 )
 from repro.control import build_policy
@@ -155,12 +156,15 @@ def _cases() -> dict[str, dict]:
     cases["lid-event-faults-s0-aodv-cbr"] = dict(
         algorithm="lid", hello="event", faults=True, seed=0, routing="aodv"
     )
-    cases["lid-event-faults-s0-dsdv-cbr"] = dict(
-        algorithm="lid", hello="event", faults=True, seed=0, routing="dsdv"
-    )
-    cases["mobdhop-d2-event-clean-s0"] = dict(
-        algorithm="mobdhop", hello="event", faults=False, seed=0
-    )
+    for faults in (False, True):
+        name = f"lid-event-{'faults' if faults else 'clean'}-s0-dsdv-cbr"
+        cases[name] = dict(
+            algorithm="lid", hello="event", faults=faults, seed=0, routing="dsdv"
+        )
+    for algorithm in ("mobdhop", "maxmin"):
+        cases[f"{algorithm}-d2-event-clean-s0"] = dict(
+            algorithm=algorithm, hello="event", faults=False, seed=0
+        )
     return cases
 
 
@@ -219,8 +223,8 @@ def run_case(
 
     ``routing`` (``"hybrid"``, ``"aodv"`` or ``"dsdv"``) adds that
     router and a CBR traffic protocol, and the data-plane fields to the
-    digest.  ``algorithm="mobdhop"`` runs d-hop maintenance (d=2)
-    without an intra-cluster router.
+    digest.  ``algorithm="mobdhop"`` or ``"maxmin"`` runs d-hop
+    maintenance (d=2) without an intra-cluster router.
     """
     params = NetworkParameters.from_fractions(
         n_nodes=N_NODES,
@@ -250,9 +254,10 @@ def run_case(
     else:
         sim.attach(HelloProtocol(mode="periodic", interval=0.5, miss_limit=miss_limit))
     intra = None
-    if algorithm == "mobdhop":
+    if algorithm in ("mobdhop", "maxmin"):
+        dhop = {"mobdhop": MobDHopClustering, "maxmin": MaxMinDCluster}[algorithm]
         maintenance = sim.attach(
-            DHopClusterMaintenanceProtocol(MobDHopClustering(d=2), d=2)
+            DHopClusterMaintenanceProtocol(dhop(d=2), d=2)
         )
     else:
         clustering = {

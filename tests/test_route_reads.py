@@ -27,7 +27,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.clustering import ClusterMaintenanceProtocol, LowestIdClustering
@@ -660,13 +660,36 @@ def _csr_rows(indptr, indices) -> list[list[int]]:
     ]
 
 
+def _random_edge_set(n: int, pairs: int, seed: int):
+    """A sorted edge set of up to ``pairs`` random links over ``n`` nodes."""
+    ends = np.sort(np.random.default_rng(seed).integers(0, n, (pairs, 2)), axis=1)
+    edges = np.unique(ends[ends[:, 0] < ends[:, 1]], axis=0)
+    return edges.astype(np.int64), n
+
+
+def _listed_rows(edges: np.ndarray, n: int) -> list[list[int]]:
+    """Ascending neighbor rows built pair by pair, without a dense matrix."""
+    rows = [[] for _ in range(n)]
+    for u, v in edges.tolist():
+        rows[u].append(v)
+        rows[v].append(u)
+    return [sorted(row) for row in rows]
+
+
 @settings(max_examples=200, deadline=None)
 @given(edge_sets())
+# Node counts whose owner ids fit one byte and need four bytes.
+@example(_random_edge_set(200, 3000, seed=0))
+@example(_random_edge_set(70_000, 20_000, seed=1))
 def test_csr_rows_equal_dense_rows(case):
     edges, n = case
     indptr, indices = edges_to_csr(edges, n)
     assert len(indptr) == n + 1 and indptr[-1] == len(indices) == 2 * len(edges)
-    assert _csr_rows(indptr, indices) == _dense_rows(edges, n)
+    assert indptr.dtype == indices.dtype == np.int64
+    rows = _csr_rows(indptr, indices)
+    assert rows == _listed_rows(edges, n)
+    if n <= 1000:
+        assert rows == _dense_rows(edges, n)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
