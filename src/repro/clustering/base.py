@@ -18,7 +18,6 @@ skeleton; the algorithm classes supply priorities.
 
 from __future__ import annotations
 
-import abc
 import enum
 from dataclasses import dataclass, field
 
@@ -164,26 +163,34 @@ class ClusterState:
         return ClusterState(self.roles.copy(), self.head_of.copy())
 
 
-class ClusteringAlgorithm(abc.ABC):
+class ClusteringAlgorithm:
     """A clustering algorithm's formation stage.
 
     ``form`` builds a complete :class:`ClusterState` for a static
-    topology.  One-hop algorithms additionally expose
-    :meth:`head_priority`, which the reactive maintenance protocol uses
-    to arbitrate P1 violations and member re-affiliation at runtime.
+    topology.  One-hop algorithms define :meth:`head_priority`, which
+    ranks the default ``form`` and which the reactive maintenance
+    protocol uses to arbitrate P1 violations and member re-affiliation
+    at runtime.
     """
 
     name: str = "clustering"
 
-    @abc.abstractmethod
     def form(self, adjacency: np.ndarray, rng=None) -> ClusterState:
-        """Run cluster formation on a boolean adjacency matrix."""
+        """Run cluster formation on a boolean adjacency matrix.
 
-    def head_priority(self, adjacency: np.ndarray) -> np.ndarray:
-        """Per-node priority: larger values win head contention.
+        The default is :func:`sequential_formation` ranked by
+        :meth:`head_priority` of the matrix's degrees.
+        """
+        adjacency = np.asarray(adjacency, dtype=bool)
+        priority = self.head_priority(adjacency.sum(axis=1))
+        return sequential_formation(adjacency, priority)
 
-        The default raises: algorithms that support reactive
-        maintenance must override.
+    def head_priority(self, degrees: np.ndarray) -> np.ndarray:
+        """Per-node priority from the degree vector: larger values win.
+
+        ``degrees[i]`` is the current degree of node ``i``, and its
+        length is the node count.  The default raises: algorithms that
+        support reactive maintenance must override.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not define a head priority and "

@@ -28,6 +28,7 @@ import numpy as np
 
 from ..obs.attribution import CAUSE_REAFFILIATION, attributed
 from ..sim.engine import Protocol, Simulation
+from ..spatial import edges_to_adjacency
 from .base import ClusteringAlgorithm, ClusterState, Role
 
 __all__ = ["DHopClusterMaintenanceProtocol"]
@@ -57,7 +58,9 @@ class DHopClusterMaintenanceProtocol(Protocol):
 
     # ------------------------------------------------------------------
     def on_attach(self, sim: Simulation) -> None:
-        self.state = self.algorithm.form(sim.adjacency)
+        self.state = self.algorithm.form(
+            edges_to_adjacency(sim.edges, sim.n_nodes)
+        )
 
     # ------------------------------------------------------------------
     # Distance bookkeeping
@@ -68,12 +71,12 @@ class DHopClusterMaintenanceProtocol(Protocol):
         members = set(int(x) for x in state.cluster_nodes(head))
         depths = {head: 0}
         queue: deque[int] = deque([head])
+        lists = sim.adjacency_lists
         while queue:
             current = queue.popleft()
             if depths[current] >= self.d:
                 continue
-            for neighbor in np.flatnonzero(sim.adjacency[current]):
-                neighbor = int(neighbor)
+            for neighbor in lists[current]:
                 if neighbor in members and neighbor not in depths:
                     depths[neighbor] = depths[current] + 1
                     queue.append(neighbor)
@@ -103,8 +106,7 @@ class DHopClusterMaintenanceProtocol(Protocol):
         """
         state = self.state
         best: tuple[int, int] | None = None  # (depth of contact, head)
-        for neighbor in np.flatnonzero(sim.adjacency[node]):
-            neighbor = int(neighbor)
+        for neighbor in sim.adjacency_lists[node]:
             head = int(state.head_of[neighbor])
             if head < 0 or head == node:
                 continue

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ClusteringAlgorithm, ClusterState, sequential_formation
+from .base import ClusteringAlgorithm
 
 __all__ = ["DmacClustering"]
 
@@ -50,16 +50,12 @@ class DmacClustering(ClusteringAlgorithm):
         self.weights = rng.uniform(size=n)
         return self.weights
 
-    def head_priority(self, adjacency: np.ndarray) -> np.ndarray:
+    def head_priority(self, degrees: np.ndarray) -> np.ndarray:
         """DMAC priority: the node weight, with ``-id`` as tie-break."""
-        n = len(adjacency)
+        n = len(degrees)
         weights = self._weights_for(n)
         # Random floats are almost surely unique, but compose the id
         # tie-break anyway so the formation contract (unique priorities)
         # holds for any injected weights.
         order = np.argsort(np.lexsort((np.arange(n), -weights)))
         return -(order.astype(float))
-
-    def form(self, adjacency: np.ndarray, rng=None) -> ClusterState:
-        """Run DMAC formation on a static topology."""
-        return sequential_formation(adjacency, self.head_priority(adjacency))

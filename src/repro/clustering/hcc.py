@@ -3,7 +3,7 @@
 The degree-based alternative to LID from the paper's related-work set:
 head contention is won by the node with the highest degree, with lower
 id breaking ties.  Because degree is topology-dependent, the priority is
-recomputed from the adjacency at formation time; during reactive
+recomputed from the degrees at formation time; during reactive
 maintenance the degree at the moment of the triggering event is used.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ClusteringAlgorithm, ClusterState, sequential_formation
+from .base import ClusteringAlgorithm
 
 __all__ = ["HighestConnectivityClustering"]
 
@@ -21,18 +21,13 @@ class HighestConnectivityClustering(ClusteringAlgorithm):
 
     name = "hcc"
 
-    def head_priority(self, adjacency: np.ndarray) -> np.ndarray:
+    def head_priority(self, degrees: np.ndarray) -> np.ndarray:
         """Composite priority: degree major, ``-id`` minor.
 
         Degrees are integers and ids are unique, so scaling the degree
         by the node count and subtracting the id yields a unique
         priority with the intended lexicographic order.
         """
-        adjacency = np.asarray(adjacency, dtype=bool)
-        n = len(adjacency)
-        degrees = adjacency.sum(axis=1).astype(float)
+        degrees = np.asarray(degrees, dtype=float)
+        n = len(degrees)
         return degrees * n - np.arange(n)
-
-    def form(self, adjacency: np.ndarray, rng=None) -> ClusterState:
-        """Run HCC formation on a static topology."""
-        return sequential_formation(adjacency, self.head_priority(adjacency))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ClusteringAlgorithm, ClusterState, sequential_formation
+from .base import ClusteringAlgorithm
 
 __all__ = ["LowestIdClustering"]
 
@@ -47,10 +47,6 @@ class LowestIdClustering(ClusteringAlgorithm):
             )
         return self.ids
 
-    def head_priority(self, adjacency: np.ndarray) -> np.ndarray:
+    def head_priority(self, degrees: np.ndarray) -> np.ndarray:
         """Lower id wins head contention: priority is ``-id``."""
-        return -self._ids_for(len(adjacency)).astype(float)
-
-    def form(self, adjacency: np.ndarray, rng=None) -> ClusterState:
-        """Run LID formation on a static topology."""
-        return sequential_formation(adjacency, self.head_priority(adjacency))
+        return -self._ids_for(len(degrees)).astype(float)

@@ -48,6 +48,7 @@ from ..obs.attribution import (
     attributed,
 )
 from ..sim.engine import Protocol, Simulation
+from ..spatial import edges_to_adjacency
 from .base import HEAD, MEMBER, ClusteringAlgorithm, ClusterState
 
 __all__ = ["ClusterMaintenanceProtocol"]
@@ -104,9 +105,11 @@ class ClusterMaintenanceProtocol(Protocol):
     # ------------------------------------------------------------------
     def on_attach(self, sim: Simulation) -> None:
         self._priority = np.asarray(
-            self.algorithm.head_priority(sim.adjacency), dtype=float
+            self.algorithm.head_priority(sim.degrees()), dtype=float
         )
-        self.state = self.algorithm.form(sim.adjacency)
+        self.state = self.algorithm.form(
+            edges_to_adjacency(sim.edges, sim.n_nodes)
+        )
 
     # ------------------------------------------------------------------
     # Repair primitives
@@ -281,7 +284,7 @@ class ClusterMaintenanceProtocol(Protocol):
             return
         if self.dynamic_priority:
             self._priority = np.asarray(
-                self.algorithm.head_priority(sim.adjacency), dtype=float
+                self.algorithm.head_priority(sim.degrees()), dtype=float
             )
         cause = CAUSE_HEAD_ADJACENCY_REPAIR
         if sim.faults is not None and sim.faults.is_fault_transition(u, v):

@@ -90,18 +90,19 @@ def run_traffic_epoch(
     measured_steps = len(trace) - 1 - warmup_steps
     if measured_steps <= 0:
         raise ValueError("trace too short for the requested warmup")
-    # Spread traffic requests uniformly over the measured window.
-    request_at = {
-        int(round(k * measured_steps / len(pairs))): pair
-        for k, pair in enumerate(pairs)
-    }
+    # Spread traffic requests uniformly over the measured window; pairs
+    # that round to the same step are all served there, in pair order.
+    requests: list[list[tuple[int, int]]] = [[] for _ in range(measured_steps)]
+    for k, pair in enumerate(pairs):
+        index = int(round(k * measured_steps / len(pairs)))
+        requests[min(index, measured_steps - 1)].append(pair)
     delivered = 0
 
     def on_measured_step(index: int, _steps: int) -> None:
         nonlocal delivered
-        pair = request_at.get(index)
-        if pair is not None and find_path(sim, *pair) is not None:
-            delivered += 1
+        for pair in requests[index]:
+            if find_path(sim, *pair) is not None:
+                delivered += 1
 
     sim.run(
         measured_steps * dt, warmup_steps * dt, on_measured_step=on_measured_step

@@ -6,7 +6,7 @@ head) after *every* delivered link event.  The test suite asserts this
 on small runs; :class:`InvariantAuditor` carries the same check into
 any live simulation: attached as an ordinary protocol it re-validates
 the maintained :class:`~repro.clustering.base.ClusterState` against the
-live adjacency on a configurable simulated-time cadence and emits one
+live edge set on a configurable simulated-time cadence and emits one
 ``invariant_audit`` trace event per check::
 
     {"event": "invariant_audit", "t": 6.5, "sim": 0, "ok": true,
@@ -108,11 +108,14 @@ class InvariantAuditor:
         # Imported lazily: obs must not pull the clustering package (and
         # through it the simulation engine) at import time.
         from ..clustering.properties import check_properties
+        from ..spatial import edges_to_adjacency
 
         state = self.maintenance.state
         if state is None:
             return True
-        found = check_properties(state, sim.adjacency)
+        found = check_properties(
+            state, edges_to_adjacency(sim.edges, sim.n_nodes)
+        )
         unbalanced = _unbalanced_traffic(sim)
         self.audits += 1
         ok = found.ok and not unbalanced

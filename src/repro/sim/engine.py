@@ -9,12 +9,12 @@ consecutive edge sets into link generation/break events in
 ``O(E log E)``, and delivers those events — in deterministic order — to
 attached protocols (HELLO beaconing, clustering maintenance, routing).
 Neighbor views are derived from the edge set lazily and cached until
-the next step: a dense boolean :attr:`Simulation.adjacency` matrix for
-consumers that index into one (formation, audits, point queries), the
-:attr:`Simulation.neighbor_csr` ``(indptr, indices)`` pair of ascending
-neighbor rows (the flood graph of backbone route discovery is built
-from it), and :attr:`Simulation.adjacency_lists`, the same rows as one
-Python list per node, for the routing layer's ``O(degree)`` walks.
+the next step: the :attr:`Simulation.neighbor_csr` ``(indptr, indices)``
+pair of ascending neighbor rows (point queries such as
+:meth:`Simulation.neighbors_of` slice it, and backbone route discovery
+builds its flood graph from it), and :attr:`Simulation.adjacency_lists`,
+the same rows as Python lists, for ``O(degree)`` walks.  No step builds
+an ``N x N`` matrix.
 Message accounting flows into a shared
 :class:`~repro.sim.stats.MessageStats`.
 
@@ -56,7 +56,9 @@ from ..spatial import (
     diff_edge_sets,
     edge_key,
     edge_keys,
-    edges_to_adjacency,
+    # Not called here: the perfbench probes count dense builds by
+    # wrapping ``repro.sim.engine.edges_to_adjacency``, so it stays.
+    edges_to_adjacency,  # noqa: F401
     edges_to_csr,
     select_connectivity_method,
 )
@@ -312,7 +314,6 @@ class Simulation:
         #: step; the incremental fast-path events are only valid when no
         #: external masking happened on either side of the diff.
         self._prev_all_active = True
-        #: Primary connectivity state: sorted (E, 2) edge array, i < j.
         if self._incremental is not None:
             initial = self._incremental.step(self.mobility.positions).edges
         else:
@@ -322,13 +323,7 @@ class Simulation:
                 params.tx_range,
                 method=connectivity,
             )
-        self.edges = self._mask_failed(initial)
-        self._adjacency_cache: np.ndarray | None = None
-        self._neighbor_csr: tuple[np.ndarray, np.ndarray] | None = None
-        self._adjacency_lists: list[list[int]] | None = None
-        #: :func:`~repro.spatial.edge_keys` of the live edge set (sorted),
-        #: built lazily for :meth:`has_link` and cached until the next step.
-        self._edge_keys: np.ndarray | None = None
+        self._set_edges(self._mask_failed(initial))
         logger.debug(
             "sim %d: N=%d side=%.4g r=%.4g v=%.4g dt=%.4g seed=%s",
             self.sim_id,
@@ -440,41 +435,30 @@ class Simulation:
         return self.mobility.positions
 
     @property
-    def adjacency(self) -> np.ndarray:
-        """Dense boolean adjacency view of the live edge set.
-
-        Materialized lazily and cached until the next step, so runs
-        whose protocols never index into a matrix stay ``O(E)``.
-        """
-        if self._adjacency_cache is None:
-            self._adjacency_cache = edges_to_adjacency(
-                self.edges, self.params.n_nodes
-            )
-        return self._adjacency_cache
-
-    @property
     def neighbor_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """``(indptr, indices)`` CSR pair of the live edge set.
 
         Row ``i``, ``indices[indptr[i]:indptr[i + 1]]``, holds the
         neighbors of ``i`` in ascending order, equal to
-        ``np.flatnonzero(adjacency[i])``.  Built in ``O(N + E)`` plus one
-        stable sort of the sorted edge set
+        ``np.flatnonzero(edges_to_adjacency(edges, n)[i])``.  Built in
+        ``O(N + E)`` plus one stable sort of the sorted edge set
         (:func:`~repro.spatial.edges_to_csr`) and cached until the next
-        step; :attr:`adjacency_lists` is sliced from it.
+        step; :attr:`adjacency_lists` is sliced from it.  Both arrays
+        are read-only, because :meth:`neighbors_of` hands out views.
         """
         if self._neighbor_csr is None:
-            self._neighbor_csr = edges_to_csr(self.edges, self.params.n_nodes)
+            indptr, indices = edges_to_csr(self.edges, self.params.n_nodes)
+            indptr.flags.writeable = indices.flags.writeable = False
+            self._neighbor_csr = indptr, indices
         return self._neighbor_csr
 
     @property
     def adjacency_lists(self) -> list[list[int]]:
         """Per-node ascending neighbor lists of the live edge set.
 
-        ``adjacency_lists[i]`` equals ``np.flatnonzero(adjacency[i])``
-        as Python ints, so BFS walks over it visit neighbors in the same
-        order as over the dense view.  The rows of :attr:`neighbor_csr`,
-        cached until the next step.
+        The rows of :attr:`neighbor_csr` as Python ints, so BFS walks
+        over them visit neighbors in ascending order; cached until the
+        next step.
         """
         if self._adjacency_lists is None:
             self._adjacency_lists = csr_to_lists(*self.neighbor_csr)
@@ -490,18 +474,19 @@ class Simulation:
         return degree_counts_from_edges(self.edges, self.params.n_nodes)
 
     def neighbors_of(self, node: int) -> np.ndarray:
-        """Current neighbor indices of ``node`` from the live adjacency."""
-        return np.flatnonzero(self.adjacency[node])
+        """Ascending neighbors of ``node``: a read-only CSR row view."""
+        indptr, indices = self.neighbor_csr
+        return indices[indptr[node] : indptr[node + 1]]
 
     def degree_of(self, node: int) -> int:
         """Current degree of ``node``."""
-        return int(self.adjacency[node].sum())
+        indptr = self.neighbor_csr[0]
+        return int(indptr[node + 1] - indptr[node])
 
     def has_link(self, u: int, v: int) -> bool:
         """Whether ``u`` and ``v`` are currently connected.
 
-        Binary-searches the sorted edge set, so a point query never
-        forces the dense ``N x N`` build.
+        Binary-searches the sorted edge set.
         """
         keys = self._edge_keys
         if keys is None:
@@ -582,6 +567,16 @@ class Simulation:
             return edges
         alive = self.active[edges[:, 0]] & self.active[edges[:, 1]]
         return edges[alive]
+
+    def _set_edges(self, edges: np.ndarray) -> None:
+        """Commit ``edges`` as the live edge set and drop the derived views."""
+        #: Primary connectivity state: sorted (E, 2) edge array, i < j.
+        self.edges = edges
+        self._neighbor_csr: tuple[np.ndarray, np.ndarray] | None = None
+        self._adjacency_lists: list[list[int]] | None = None
+        #: :func:`~repro.spatial.edge_keys` of the live edge set (sorted),
+        #: built lazily for :meth:`has_link` and cached until the next step.
+        self._edge_keys: np.ndarray | None = None
 
     def notify_node_fail(self, node: int) -> None:
         """Deliver ``on_node_fail`` (state wipe) to every protocol.
@@ -666,11 +661,7 @@ class Simulation:
             timer.add("adjacency", t2 - t1)
         timer.add("link_diff", t3 - t2)
         self._prev_all_active = all_active
-        self.edges = new_edges
-        self._adjacency_cache = None
-        self._neighbor_csr = None
-        self._adjacency_lists = None
-        self._edge_keys = None
+        self._set_edges(new_edges)
         self.time += self.dt
         self.stats.advance_time(self.dt)
 

@@ -183,7 +183,10 @@ def edges_to_csr(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarra
     # all larger: a stable sort by x keeps both runs in place.
     owners = np.concatenate((edges[:, 1], edges[:, 0]))
     others = np.concatenate((edges[:, 0], edges[:, 1]))
-    indices = others[np.argsort(owners, kind="stable")]
+    # Sorting the smallest unsigned type that holds every id gives the
+    # same order; numpy radix-sorts keys of up to 16 bits.
+    keys = owners.astype(np.min_scalar_type(max(n_nodes - 1, 0)))
+    indices = others[np.argsort(keys, kind="stable")]
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(owners, minlength=n_nodes), out=indptr[1:])
     return indptr, indices

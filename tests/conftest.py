@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core.params import MessageSizes, NetworkParameters
-from repro.spatial import Boundary, SquareRegion
+from repro.spatial import (
+    Boundary,
+    SquareRegion,
+    adjacency_to_edges,
+    edges_to_adjacency,
+)
 
 
 @pytest.fixture
@@ -50,3 +55,21 @@ def small_adjacency() -> np.ndarray:
     for u, v in [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]:
         adj[u, v] = adj[v, u] = True
     return adj
+
+
+@pytest.fixture
+def set_link():
+    """``set_link(sim, u, v, up)``: switch one link of a live simulation.
+
+    Commits the simulation's edge set with the link ``u``-``v`` present
+    (``up``) or absent through the same private commit a step uses, so
+    a link hook called next reads the changed topology through every
+    neighbor view, as it would in a stepped run.
+    """
+
+    def set_link(sim, u: int, v: int, up: bool) -> None:
+        adjacency = edges_to_adjacency(sim.edges, sim.n_nodes)
+        adjacency[u, v] = adjacency[v, u] = up
+        sim._set_edges(adjacency_to_edges(adjacency))
+
+    return set_link

@@ -10,6 +10,7 @@ from repro.core.params import NetworkParameters
 from repro.mobility import EpochRandomWaypointModel
 from repro.routing import AodvProtocol
 from repro.sim import Simulation
+from repro.spatial import edges_to_adjacency
 
 
 def _sim(n=60, vf=0.0, seed=51):
@@ -30,7 +31,7 @@ class TestDiscovery:
 
     def test_discovers_shortest_path(self):
         sim, aodv = _sim()
-        graph = nx.from_numpy_array(sim.adjacency)
+        graph = nx.from_numpy_array(edges_to_adjacency(sim.edges, sim.n_nodes))
         for source, destination in [(0, 30), (10, 50)]:
             if not nx.has_path(graph, source, destination):
                 continue
@@ -43,7 +44,7 @@ class TestDiscovery:
     def test_flood_reaches_whole_component(self):
         sim, aodv = _sim()
         sim.stats.start_measuring()
-        graph = nx.from_numpy_array(sim.adjacency)
+        graph = nx.from_numpy_array(edges_to_adjacency(sim.edges, sim.n_nodes))
         component = nx.node_connected_component(graph, 0)
         far = max(
             component,
@@ -104,13 +105,13 @@ class TestRouteReuse:
 
 
 class TestErrorHandling:
-    def test_link_break_invalidates_and_rerrs(self):
+    def test_link_break_invalidates_and_rerrs(self, set_link):
         sim, aodv = _sim(seed=55)
         path = aodv.discover(sim, 0, 45)
         if path is None or len(path) < 2:
             pytest.skip("no route")
         u, v = path[0], path[1]
-        sim.adjacency[u, v] = sim.adjacency[v, u] = False
+        set_link(sim, u, v, False)
         sim.stats.start_measuring()
         aodv.on_link_down(sim, min(u, v), max(u, v), 0.0)
         assert sim.stats.message_count("aodv_rerr") >= 1

@@ -79,7 +79,7 @@ class TestAuditViolations:
         members = np.flatnonzero(state.roles == Role.MEMBER)
         for node in members:
             head = int(state.head_of[node])
-            if sim.adjacency[node, head]:
+            if sim.has_link(int(node), head):
                 state.make_head(int(node))
                 return
         pytest.fail("no member adjacent to its head found")

@@ -70,7 +70,7 @@ class TestInvariantUnderMobility:
 
 
 class TestRepairSemantics:
-    def test_orphan_rehomes_or_becomes_head(self):
+    def test_orphan_rehomes_or_becomes_head(self, set_link):
         sim, maintenance = _dhop_sim(vf=0.0, seed=6)
         state = maintenance.state
         # Find a member at depth >= 1 whose sole connection runs through
@@ -83,11 +83,9 @@ class TestRepairSemantics:
                 # Break every link of the member inside its cluster.
                 cluster = set(int(x) for x in state.cluster_nodes(head))
                 sim.stats.start_measuring()
-                for neighbor in np.flatnonzero(sim.adjacency[member]):
-                    neighbor = int(neighbor)
+                for neighbor in sim.neighbors_of(member).tolist():
                     if neighbor in cluster:
-                        sim.adjacency[member, neighbor] = False
-                        sim.adjacency[neighbor, member] = False
+                        set_link(sim, member, neighbor, False)
                         maintenance.on_link_down(
                             sim, min(member, neighbor), max(member, neighbor), 0.0
                         )
@@ -101,15 +99,14 @@ class TestRepairSemantics:
                 return
         pytest.skip("no member found")
 
-    def test_cross_cluster_break_is_free(self):
+    def test_cross_cluster_break_is_free(self, set_link):
         sim, maintenance = _dhop_sim(vf=0.0, seed=7)
         state = maintenance.state
-        rows, cols = np.nonzero(np.triu(sim.adjacency, 1))
-        for u, v in zip(rows, cols):
+        for u, v in sim.edges.tolist():
             if state.head_of[u] != state.head_of[v]:
                 sim.stats.start_measuring()
-                sim.adjacency[u, v] = sim.adjacency[v, u] = False
-                maintenance.on_link_down(sim, int(u), int(v), 0.0)
+                set_link(sim, u, v, False)
+                maintenance.on_link_down(sim, u, v, 0.0)
                 assert sim.stats.message_count("cluster") == 0
                 return
         pytest.skip("no cross-cluster link")

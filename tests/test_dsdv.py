@@ -10,6 +10,7 @@ from repro.core.params import NetworkParameters
 from repro.mobility import EpochRandomWaypointModel
 from repro.routing import DsdvProtocol
 from repro.sim import Simulation
+from repro.spatial import edges_to_adjacency
 
 
 def _sim(n=60, vf=0.0, seed=41, interval=1.0):
@@ -37,7 +38,7 @@ class TestConstruction:
 class TestConvergence:
     def test_tables_match_shortest_paths_static(self):
         sim, dsdv = _sim()
-        graph = nx.from_numpy_array(sim.adjacency)
+        graph = nx.from_numpy_array(edges_to_adjacency(sim.edges, sim.n_nodes))
         lengths = dict(nx.all_pairs_shortest_path_length(graph))
         for source in range(0, sim.n_nodes, 7):
             for destination in range(0, sim.n_nodes, 11):
@@ -52,7 +53,7 @@ class TestConvergence:
 
     def test_path_following_delivers(self):
         sim, dsdv = _sim(seed=42)
-        graph = nx.from_numpy_array(sim.adjacency)
+        graph = nx.from_numpy_array(edges_to_adjacency(sim.edges, sim.n_nodes))
         for source, destination in [(0, 30), (5, 55), (12, 48)]:
             if nx.has_path(graph, source, destination):
                 path = dsdv.path(sim, source, destination)
@@ -91,12 +92,11 @@ class TestPeriodicTraffic:
 
 
 class TestLinkBreakHandling:
-    def test_break_marks_routes_infinite(self):
+    def test_break_marks_routes_infinite(self, set_link):
         sim, dsdv = _sim(seed=43)
         # Break one link and deliver the event directly.
-        rows, cols = np.nonzero(np.triu(sim.adjacency, 1))
-        u, v = int(rows[0]), int(cols[0])
-        sim.adjacency[u, v] = sim.adjacency[v, u] = False
+        u, v = (int(x) for x in sim.edges[0])
+        set_link(sim, u, v, False)
         dsdv.on_link_down(sim, u, v, 0.0)
         # Every route of u through v is now infinite with an odd seqno.
         for destination, entry in dsdv.tables[u].items():
@@ -130,7 +130,7 @@ class TestLinkBreakHandling:
         dsdv = sim.attach(DsdvProtocol(periodic_interval=1.0))
         for _ in range(int(round(10.0 / sim.dt))):
             sim.step()
-        graph = nx.from_numpy_array(sim.adjacency)
+        graph = nx.from_numpy_array(edges_to_adjacency(sim.edges, sim.n_nodes))
         checked = passed = 0
         for source in range(0, sim.n_nodes, 7):
             for destination in range(0, sim.n_nodes, 11):

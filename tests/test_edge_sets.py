@@ -4,8 +4,8 @@ The engine's primary connectivity state is a sorted ``(E, 2)`` edge
 array; these tests pin its exact equivalence to the dense adjacency
 representation — conversions roundtrip, ``diff_edge_sets`` produces the
 same events as ``diff_adjacency``, every compute method yields the same
-edge set, and the engine's lazy dense view stays consistent with its
-edge state (including under node failure).
+edge set, and the engine's lazy neighbor views stay consistent with
+its edge state (including under node failure).
 """
 
 from __future__ import annotations
@@ -233,21 +233,22 @@ class TestEngineEdgeState:
         sim = self._sim()
         for _ in range(5):
             sim.step()
+            dense = sim.region.adjacency(sim.positions, sim.params.tx_range)
             np.testing.assert_array_equal(
-                sim.adjacency,
-                edges_to_adjacency(sim.edges, sim.n_nodes),
+                edges_to_adjacency(sim.edges, sim.n_nodes), dense
             )
-            np.testing.assert_array_equal(
-                sim.adjacency,
-                sim.region.adjacency(sim.positions, sim.params.tx_range),
-            )
+            for node in range(sim.n_nodes):
+                np.testing.assert_array_equal(
+                    sim.neighbors_of(node), np.flatnonzero(dense[node])
+                )
 
-    def test_adjacency_cache_invalidated_per_step(self):
+    def test_neighbor_views_invalidated_per_step(self):
         sim = self._sim()
-        before = sim.adjacency
-        assert sim.adjacency is before  # cached within a step
+        csr, lists = sim.neighbor_csr, sim.adjacency_lists
+        # Cached within a step.
+        assert sim.neighbor_csr is csr and sim.adjacency_lists is lists
         sim.step()
-        assert sim.adjacency is not before
+        assert sim.neighbor_csr is not csr and sim.adjacency_lists is not lists
 
     def test_has_link_answers_from_edges_without_a_dense_build(self):
         sim = self._sim(n_nodes=60)
@@ -257,7 +258,8 @@ class TestEngineEdgeState:
             for u in range(sim.n_nodes):
                 for v in range(sim.n_nodes):
                     assert sim.has_link(u, v) == oracle[u, v]
-            assert sim._adjacency_cache is None
+            # The sorted edge keys answer it: no neighbor view is built.
+            assert sim._neighbor_csr is None
 
     def test_dense_and_grid_engines_agree(self):
         dense = self._sim(connectivity="dense")
@@ -277,7 +279,8 @@ class TestEngineEdgeState:
         sim = self._sim()
         assert sim.edge_count == len(sim.edges)
         np.testing.assert_array_equal(
-            sim.degrees(), degree_counts(sim.adjacency)
+            sim.degrees(),
+            degree_counts(edges_to_adjacency(sim.edges, sim.n_nodes)),
         )
         assert sim.degrees().sum() == 2 * sim.edge_count
 

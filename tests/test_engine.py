@@ -2,13 +2,29 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.clustering import (
+    ClusterMaintenanceProtocol,
+    HighestConnectivityClustering,
+    LowestIdClustering,
+)
 from repro.core.params import NetworkParameters
 from repro.mobility import ConstantVelocityModel, EpochRandomWaypointModel
-from repro.sim import Protocol, Simulation, recommended_step
-from repro.spatial import Boundary
+from repro.routing import HybridRoutingProtocol, IntraClusterRoutingProtocol
+from repro.sim import (
+    CbrFlow,
+    HelloProtocol,
+    HybridRouterAdapter,
+    Protocol,
+    Simulation,
+    TrafficProtocol,
+    recommended_step,
+)
+from repro.spatial import Boundary, edges_to_adjacency
 
 
 class RecordingProtocol(Protocol):
@@ -59,7 +75,9 @@ class TestRecommendedStep:
 class TestConstruction:
     def test_initial_adjacency_matches_positions(self, sim, params):
         expected = sim.region.adjacency(sim.positions, params.tx_range)
-        np.testing.assert_array_equal(sim.adjacency, expected)
+        np.testing.assert_array_equal(
+            edges_to_adjacency(sim.edges, sim.n_nodes), expected
+        )
 
     def test_region_side_from_params(self, sim, params):
         assert sim.region.side == pytest.approx(params.side)
@@ -86,13 +104,24 @@ class TestConstruction:
 
 class TestTopologyAccessors:
     def test_neighbors_of(self, sim):
+        adjacency = edges_to_adjacency(sim.edges, sim.n_nodes)
         for node in (0, 17, 50):
             np.testing.assert_array_equal(
-                sim.neighbors_of(node), np.flatnonzero(sim.adjacency[node])
+                sim.neighbors_of(node), np.flatnonzero(adjacency[node])
             )
 
+    def test_neighbor_rows_are_read_only(self, sim):
+        node = int(sim.degrees().argmax())
+        with pytest.raises(ValueError):
+            sim.neighbors_of(node)[0] = node
+        for array in sim.neighbor_csr:
+            with pytest.raises(ValueError):
+                array[0] = 0
+
     def test_degree_of(self, sim):
-        assert sim.degree_of(3) == int(sim.adjacency[3].sum())
+        adjacency = edges_to_adjacency(sim.edges, sim.n_nodes)
+        for node in range(sim.n_nodes):
+            assert sim.degree_of(node) == int(adjacency[node].sum())
 
     def test_has_link_symmetric(self, sim):
         u = 0
@@ -122,9 +151,9 @@ class TestStepDelivery:
         sim = Simulation(
             params, EpochRandomWaypointModel(params.velocity, 1.0), seed=2
         )
-        before = sim.adjacency.copy()
+        before = edges_to_adjacency(sim.edges, sim.n_nodes)
         events = sim.step()
-        after = sim.adjacency
+        after = edges_to_adjacency(sim.edges, sim.n_nodes)
         for u, v in events.generated:
             assert not before[u, v] and after[u, v]
         for u, v in events.broken:
@@ -183,10 +212,14 @@ class TestRun:
         )
         assert sim.connectivity == "grid"
         expected = sim.region.adjacency(sim.positions, params.tx_range)
-        np.testing.assert_array_equal(sim.adjacency, expected)
+        np.testing.assert_array_equal(
+            edges_to_adjacency(sim.edges, sim.n_nodes), expected
+        )
         sim.step()
         expected = sim.region.adjacency(sim.positions, params.tx_range)
-        np.testing.assert_array_equal(sim.adjacency, expected)
+        np.testing.assert_array_equal(
+            edges_to_adjacency(sim.edges, sim.n_nodes), expected
+        )
 
     def test_incremental_engine_used_for_auto_large_sparse(self):
         params = NetworkParameters.from_fractions(
@@ -198,7 +231,48 @@ class TestRun:
         assert sim.connectivity == "incremental"
         assert sim._incremental is not None
         expected = sim.region.adjacency(sim.positions, params.tx_range)
-        np.testing.assert_array_equal(sim.adjacency, expected)
+        np.testing.assert_array_equal(
+            edges_to_adjacency(sim.edges, sim.n_nodes), expected
+        )
         sim.step()
         expected = sim.region.adjacency(sim.positions, params.tx_range)
-        np.testing.assert_array_equal(sim.adjacency, expected)
+        np.testing.assert_array_equal(
+            edges_to_adjacency(sim.edges, sim.n_nodes), expected
+        )
+
+
+class TestStepMemory:
+    """No step allocates an ``N x N`` array: its cost follows the edges."""
+
+    @pytest.mark.parametrize("algorithm", ["lid", "hcc"])
+    def test_step_peak_stays_below_a_dense_matrix(self, algorithm):
+        n = 3000
+        params = NetworkParameters.from_fractions(
+            n_nodes=n, range_fraction=0.03, velocity_fraction=0.05
+        )
+        sim = Simulation(
+            params, EpochRandomWaypointModel(params.velocity, 1.0), seed=0
+        )
+        sim.attach(HelloProtocol(mode="periodic", interval=0.5))
+        if algorithm == "lid":
+            maintenance = ClusterMaintenanceProtocol(LowestIdClustering())
+        else:
+            maintenance = ClusterMaintenanceProtocol(
+                HighestConnectivityClustering(), dynamic_priority=True
+            )
+        intra = sim.attach(IntraClusterRoutingProtocol(maintenance))
+        sim.attach(maintenance)
+        hybrid = sim.attach(HybridRoutingProtocol(maintenance, intra))
+        flows = [CbrFlow(k, n - 1 - k, sim.dt) for k in range(10)]
+        sim.attach(TrafficProtocol(flows, HybridRouterAdapter(hybrid)))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(8):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                sim.step()
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < n * n / 2, peaks

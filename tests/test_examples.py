@@ -41,6 +41,13 @@ def test_capacity_planning_runs():
     assert "ROUTE" in out
 
 
+def test_failure_resilience_runs():
+    out = _run("failure_resilience.py")
+    assert "crashing heads in waves" in out
+    assert "BROKEN" not in out
+    assert "after full recovery: structure ok" in out
+
+
 def test_scenario_files_are_valid():
     from repro.scenario import load_scenario
 

@@ -26,6 +26,7 @@ from repro.routing import (
     IntraClusterRoutingProtocol,
 )
 from repro.sim import HelloProtocol, Simulation
+from repro.spatial import edges_to_adjacency
 
 
 def _clustered_stack(n=80, vf=0.02, seed=0):
@@ -92,7 +93,9 @@ class TestClusteringUnderFailure:
         assert orphans, "pick a head with members"
         sim.fail_node(victim)
         sim.step()
-        violations = check_properties(maintenance.state, sim.adjacency)
+        violations = check_properties(
+            maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
+        )
         assert violations.ok, violations.describe()
         for orphan in orphans:
             assert state.head_of[orphan] != victim or state.is_head(orphan)
@@ -107,7 +110,9 @@ class TestClusteringUnderFailure:
             sim.fail_node(int(victim))
         for _ in range(30):
             sim.step()
-            assert check_properties(maintenance.state, sim.adjacency).ok
+            assert check_properties(
+                maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
+            ).ok
 
     def test_crash_recover_cycle_invariants(self):
         sim, maintenance, *_ = _clustered_stack(vf=0.02, seed=3)
@@ -120,7 +125,8 @@ class TestClusteringUnderFailure:
                 sim.recover_node(node)
             for _ in range(5):
                 sim.step()
-                violations = check_properties(maintenance.state, sim.adjacency)
+                adjacency = edges_to_adjacency(sim.edges, sim.n_nodes)
+                violations = check_properties(maintenance.state, adjacency)
                 assert violations.ok, violations.describe()
 
     def test_recovered_head_rejoins_cleanly(self):
@@ -131,7 +137,9 @@ class TestClusteringUnderFailure:
         sim.step()
         sim.recover_node(victim)
         sim.step()
-        assert check_properties(maintenance.state, sim.adjacency).ok
+        assert check_properties(
+            maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
+        ).ok
 
 
 class TestRoutingUnderFailure:

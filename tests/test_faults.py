@@ -36,6 +36,7 @@ from repro.obs.audit import InvariantAuditor
 from repro.obs.tracer import CollectingTracer
 from repro.routing import AodvProtocol, IntraClusterRoutingProtocol
 from repro.sim import HelloProtocol, Simulation
+from repro.spatial import edges_to_adjacency
 
 
 def _params(n=60, vf=0.03):
@@ -312,8 +313,9 @@ class TestGracefulDegradation:
         sim.attach(HelloProtocol(mode="event"))
         for _ in range(40):
             sim.step()
-            # Retransmit checks are point link queries on the edge set.
-            assert sim._adjacency_cache is None
+            # Retransmit checks are point link queries on the edge set:
+            # no step builds a neighbor view.
+            assert sim._neighbor_csr is None
         assert injector.hello_retransmits_total > 0
 
     def test_periodic_hello_miss_tolerance(self):
@@ -403,7 +405,9 @@ class TestGracefulDegradation:
             sim.step()
         from repro.clustering import check_properties
 
-        assert check_properties(maintenance.state, sim.adjacency).ok
+        assert check_properties(
+            maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
+        ).ok
 
 
 # ---------------------------------------------------------------------

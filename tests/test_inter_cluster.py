@@ -10,6 +10,7 @@ from repro.core.params import NetworkParameters
 from repro.mobility import EpochRandomWaypointModel
 from repro.routing import discover_route, is_gateway
 from repro.sim import Simulation
+from repro.spatial import edges_to_adjacency
 
 
 @pytest.fixture
@@ -30,7 +31,9 @@ class TestGateway:
         sim, maintenance = clustered_sim
         state = maintenance.state
         head = int(state.heads()[0])
-        assert not is_gateway(state, sim.adjacency, head)
+        assert not is_gateway(
+            state, edges_to_adjacency(sim.edges, sim.n_nodes), head
+        )
 
     def test_member_with_foreign_neighbor_is_gateway(self, clustered_sim):
         sim, maintenance = clustered_sim
@@ -42,7 +45,9 @@ class TestGateway:
                 v for v in neighbors if state.head_of[v] != state.head_of[node]
             ]
             expected = bool(foreign)
-            assert is_gateway(state, sim.adjacency, int(node)) == expected
+            assert is_gateway(
+                state, edges_to_adjacency(sim.edges, sim.n_nodes), int(node)
+            ) == expected
             found = found or expected
         assert found, "topology should contain at least one gateway"
 
@@ -74,7 +79,9 @@ class TestDiscovery:
         for node in result.path[1:-1]:
             assert (
                 state.roles[node] == Role.HEAD
-                or is_gateway(state, sim.adjacency, node)
+                or is_gateway(
+                    state, edges_to_adjacency(sim.edges, sim.n_nodes), node
+                )
             )
 
     def test_fewer_transmissions_than_full_flood(self, clustered_sim):
@@ -125,7 +132,7 @@ class TestBroadcastFlood:
         from repro.routing import broadcast_flood
 
         sim, _ = clustered_sim
-        graph = nx.from_numpy_array(sim.adjacency)
+        graph = nx.from_numpy_array(edges_to_adjacency(sim.edges, sim.n_nodes))
         component = nx.node_connected_component(graph, 0)
         result = broadcast_flood(sim, 0, state=None, record_stats=False)
         assert result.reached == len(component)

@@ -15,6 +15,7 @@ from repro.clustering import (
 from repro.core.params import NetworkParameters
 from repro.mobility import EpochRandomWaypointModel
 from repro.sim import Simulation
+from repro.spatial import edges_to_adjacency
 
 
 def _sim_with_maintenance(n=80, rf=0.18, vf=0.05, seed=0, algorithm=None):
@@ -32,7 +33,9 @@ def _sim_with_maintenance(n=80, rf=0.18, vf=0.05, seed=0, algorithm=None):
 class TestFormationOnAttach:
     def test_initial_state_valid(self):
         sim, maintenance = _sim_with_maintenance()
-        assert check_properties(maintenance.state, sim.adjacency).ok
+        assert check_properties(
+            maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
+        ).ok
 
     def test_head_ratio_accessors(self):
         sim, maintenance = _sim_with_maintenance()
@@ -49,7 +52,9 @@ class TestInvariantPreservation:
         sim, maintenance = _sim_with_maintenance(seed=seed)
         for _ in range(150):
             sim.step()
-            violations = check_properties(maintenance.state, sim.adjacency)
+            violations = check_properties(
+                maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
+            )
             assert violations.ok, violations.describe()
 
     def test_hcc_stays_valid_under_mobility(self):
@@ -58,14 +63,18 @@ class TestInvariantPreservation:
         )
         for _ in range(100):
             sim.step()
-            violations = check_properties(maintenance.state, sim.adjacency)
+            violations = check_properties(
+                maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
+            )
             assert violations.ok, violations.describe()
 
     def test_fast_mobility_stress(self):
         sim, maintenance = _sim_with_maintenance(vf=0.2, seed=4)
         for _ in range(100):
             sim.step()
-            assert check_properties(maintenance.state, sim.adjacency).ok
+            assert check_properties(
+                maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
+            ).ok
 
 
 class TestMessageAccounting:
@@ -88,7 +97,7 @@ class TestMessageAccounting:
             * sim.params.messages.p_cluster
         )
 
-    def test_member_head_break_sends_one_message(self):
+    def test_member_head_break_sends_one_message(self, set_link):
         """Manufacture a member-head break and count exactly 1 CLUSTER."""
         sim, maintenance = _sim_with_maintenance(vf=0.0, seed=6)
         state = maintenance.state
@@ -97,14 +106,14 @@ class TestMessageAccounting:
         # rather than becoming a head; either way it is one message).
         member = int(members[0])
         head = int(state.head_of[member])
-        sim.adjacency[member, head] = sim.adjacency[head, member] = False
+        set_link(sim, member, head, False)
         sim.stats.start_measuring()
         maintenance.on_link_down(sim, min(member, head), max(member, head), 0.0)
         assert sim.stats.message_count("cluster") == 1
         # The member found a new affiliation.
         assert state.head_of[member] != head or state.is_head(member)
 
-    def test_head_merge_sends_cluster_size_messages(self):
+    def test_head_merge_sends_cluster_size_messages(self, set_link):
         """A P1 violation re-affiliates the loser's whole cluster."""
         sim, maintenance = _sim_with_maintenance(vf=0.0, seed=7)
         state = maintenance.state
@@ -113,15 +122,17 @@ class TestMessageAccounting:
         # Pick the two heads and force a link-up between them.
         winner, loser = int(heads[0]), int(heads[1])  # lid: lower id wins
         loser_cluster_size = len(state.cluster_nodes(loser))
-        sim.adjacency[winner, loser] = sim.adjacency[loser, winner] = True
+        set_link(sim, winner, loser, True)
         sim.stats.start_measuring()
         maintenance.on_link_up(sim, winner, loser, 0.0)
         # Loser resigns (1 message) + each former member re-affiliates.
         assert sim.stats.message_count("cluster") == loser_cluster_size
         assert not state.is_head(loser)
-        assert check_properties(maintenance.state, sim.adjacency).ok
+        assert check_properties(
+            maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
+        ).ok
 
-    def test_irrelevant_link_events_are_free(self):
+    def test_irrelevant_link_events_are_free(self, set_link):
         sim, maintenance = _sim_with_maintenance(vf=0.0, seed=8)
         state = maintenance.state
         members = np.flatnonzero(state.roles == Role.MEMBER)
@@ -136,13 +147,13 @@ class TestMessageAccounting:
             pytest.skip("topology produced no cross-cluster member pair")
         u, v = pairs[0]
         sim.stats.start_measuring()
-        sim.adjacency[u, v] = sim.adjacency[v, u] = True
+        set_link(sim, u, v, True)
         maintenance.on_link_up(sim, min(u, v), max(u, v), 0.0)
         assert sim.stats.message_count("cluster") == 0
 
 
 class TestChangeListeners:
-    def test_listener_fires_per_affected_node(self):
+    def test_listener_fires_per_affected_node(self, set_link):
         sim, maintenance = _sim_with_maintenance(vf=0.0, seed=9)
         state = maintenance.state
         heads = state.heads()
@@ -152,11 +163,11 @@ class TestChangeListeners:
             lambda _sim, node, _time: changed.append(node)
         )
         loser_cluster = set(int(x) for x in state.cluster_nodes(loser))
-        sim.adjacency[winner, loser] = sim.adjacency[loser, winner] = True
+        set_link(sim, winner, loser, True)
         maintenance.on_link_up(sim, winner, loser, 0.0)
         assert set(changed) == loser_cluster
 
-    def test_lcc_member_does_not_switch_heads(self):
+    def test_lcc_member_does_not_switch_heads(self, set_link):
         """LCC: a member gaining a link to a better head stays put."""
         sim, maintenance = _sim_with_maintenance(vf=0.0, seed=10)
         state = maintenance.state
@@ -164,15 +175,15 @@ class TestChangeListeners:
         heads = state.heads()
         for member in members:
             for head in heads:
-                if head != state.head_of[member] and not sim.adjacency[member, head]:
-                    sim.adjacency[member, head] = True
-                    sim.adjacency[head, member] = True
-                    before = int(state.head_of[member])
-                    maintenance.on_link_up(
-                        sim, min(member, head), max(member, head), 0.0
-                    )
-                    assert int(state.head_of[member]) == before
-                    return
+                if head == state.head_of[member] or sim.has_link(member, head):
+                    continue
+                set_link(sim, member, head, True)
+                before = int(state.head_of[member])
+                maintenance.on_link_up(
+                    sim, min(member, head), max(member, head), 0.0
+                )
+                assert int(state.head_of[member]) == before
+                return
         pytest.skip("no member/foreign-head pair available")
 
 
@@ -194,7 +205,7 @@ class _HeadPairRefreshReference(ClusterMaintenanceProtocol):
             and state.roles[v] == Role.HEAD
         ):
             self._priority = np.asarray(
-                self.algorithm.head_priority(sim.adjacency), dtype=float
+                self.algorithm.head_priority(sim.degrees()), dtype=float
             )
         if state.roles[u] == Role.HEAD and state.roles[v] == Role.HEAD:
             if self._priority[u] >= self._priority[v]:
@@ -225,15 +236,14 @@ def _assert_same_structure(a, b):
 class TestHccPriorityRefresh:
     """HCC (``dynamic_priority``) repairs match the reference rule."""
 
-    def test_stale_priority_ranks_p2_candidates(self):
+    def test_stale_priority_ranks_p2_candidates(self, set_link):
         """Non-head link-ups leave the priority; a P2 repair then uses it."""
         sim, maintenance, reference = _hcc_pair(vf=0.0, seed=11)
         state = maintenance.state
-        adjacency = sim.adjacency
         stale = maintenance._priority.copy()
 
         def link_up(u, v):
-            adjacency[u, v] = adjacency[v, u] = True
+            set_link(sim, u, v, True)
             for protocol in (maintenance, reference):
                 protocol.on_link_up(sim, min(u, v), max(u, v), 0.0)
 
@@ -245,26 +255,26 @@ class TestHccPriorityRefresh:
         own = int(state.head_of[orphan])
         others = [h for h in heads if h != own]
         for head in others[:2]:
-            if not adjacency[orphan, head]:
+            if not sim.has_link(orphan, head):
                 link_up(orphan, head)
-        candidates = [h for h in others if adjacency[orphan, h]]
+        candidates = [h for h in others if sim.has_link(orphan, h)]
         b = max(candidates, key=lambda h: stale[h])
         a = next(h for h in candidates if h != b)
         # Member links raise A's live degree above B's: non-head
         # generations, so no priority refresh.
-        degree = adjacency.sum(axis=1)
+        degree = sim.degrees()
         for member in members:
             if degree[a] > degree[b]:
                 break
-            if member != orphan and not adjacency[a, member]:
+            if member != orphan and not sim.has_link(a, member):
                 link_up(a, member)
-                degree = adjacency.sum(axis=1)
-        fresh = HighestConnectivityClustering().head_priority(adjacency)
+                degree = sim.degrees()
+        fresh = HighestConnectivityClustering().head_priority(degree)
         assert fresh[a] > fresh[b] and stale[b] > stale[a]
         np.testing.assert_array_equal(maintenance._priority, stale)
         _assert_same_structure(maintenance, reference)
 
-        adjacency[orphan, own] = adjacency[own, orphan] = False
+        set_link(sim, orphan, own, False)
         for protocol in (maintenance, reference):
             protocol.on_link_down(sim, min(orphan, own), max(orphan, own), 0.0)
         assert int(state.head_of[orphan]) == b

@@ -29,7 +29,12 @@ from repro.core.lid_analysis import lid_head_probability_exact
 from repro.core.params import MessageSizes, NetworkParameters
 from repro.mobility import EpochRandomWaypointModel
 from repro.sim import Simulation
-from repro.spatial import Boundary, SquareRegion, diff_adjacency
+from repro.spatial import (
+    Boundary,
+    SquareRegion,
+    diff_adjacency,
+    edges_to_adjacency,
+)
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -47,14 +52,16 @@ def test_event_stream_reconstructs_adjacency(n, rf, vf, seed):
     sim = Simulation(
         params, EpochRandomWaypointModel(params.velocity, 1.0), seed=seed
     )
-    reconstructed = sim.adjacency.copy()
+    reconstructed = edges_to_adjacency(sim.edges, sim.n_nodes)
     for _ in range(5):
         events = sim.step()
         for u, v in events.broken:
             reconstructed[u, v] = reconstructed[v, u] = False
         for u, v in events.generated:
             reconstructed[u, v] = reconstructed[v, u] = True
-        np.testing.assert_array_equal(reconstructed, sim.adjacency)
+        np.testing.assert_array_equal(
+            reconstructed, edges_to_adjacency(sim.edges, sim.n_nodes)
+        )
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -75,7 +82,9 @@ def test_maintenance_invariant_under_mobility(n, rf, seed):
     sim.attach(maintenance)
     for _ in range(15):
         sim.step()
-        violations = check_properties(maintenance.state, sim.adjacency)
+        violations = check_properties(
+            maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
+        )
         assert violations.ok, violations.describe()
 
 

@@ -94,6 +94,17 @@ PINNED_EPOCHS = {
 }
 
 
+def test_requests_sharing_a_step_are_all_served(shared_trace):
+    params, _, dt = shared_trace
+    # One warm-up and four measured steps for 200 requests.
+    trace, dt = _record_trace(params, duration=5 * dt, seed=1)
+    assert len(trace) == 6
+    metrics = run_traffic_epoch(
+        "hybrid", params, trace, dt, [(0, 1)] * 200, warmup=dt
+    )
+    assert metrics["delivery"] == 1.0
+
+
 @pytest.mark.parametrize("stack", sorted(PINNED_EPOCHS))
 def test_traffic_epoch_is_pinned(shared_trace, stack):
     params, trace, dt = shared_trace

@@ -1,12 +1,12 @@
 """Property tests of the routing layer's O(degree) read paths.
 
 * ``edges_to_lists`` / ``Simulation.adjacency_lists`` equal the dense
-  view's ``flatnonzero`` rows (isolated nodes, empty edge sets, failed
+  matrix's ``flatnonzero`` rows (isolated nodes, empty edge sets, failed
   nodes included);
 * the vectorized ``backbone_mask`` equals the scalar head-or-gateway
   definition node by node;
 * the intra-cluster router's lazy per-source tables equal an eager
-  all-pairs rebuild over the dense view;
+  all-pairs rebuild over the dense matrix;
 * the hybrid router's link -> route index holds exactly the links of
   its cached paths after every step, and a break emits the same RERR
   sequence as a scan of the whole cache;
@@ -17,7 +17,8 @@
   faulted hybrid stack makes equals that reference, and the cached
   flood graph follows cluster-state mutations and steps;
 * ``edges_to_csr`` / ``Simulation.neighbor_csr`` rows equal the dense
-  view's rows, and ``ClusterState.version`` moves on every mutation.
+  matrix's rows (and rows built pair by pair at node counts whose ids
+  need one and four bytes), and ``ClusterState.version`` moves on every mutation.
 """
 
 from __future__ import annotations
@@ -171,7 +172,9 @@ def test_backbone_mask_equals_head_or_gateway(seed):
     for _ in range(10):
         sim.step()
         state = maintenance.state
-        expected = _head_or_gateway(state, sim.adjacency)
+        expected = _head_or_gateway(
+            state, edges_to_adjacency(sim.edges, sim.n_nodes)
+        )
         assert backbone_mask(state, sim.edges).tolist() == expected
 
 
@@ -223,7 +226,9 @@ def test_lazy_tables_equal_an_eager_rebuild(seed):
     n = sim.n_nodes
     for _ in range(8):
         sim.step()
-        expected = _eager_tables(maintenance.state, sim.adjacency)
+        expected = _eager_tables(
+            maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
+        )
         for source in range(n):
             for destination in range(n):
                 assert intra.next_hop(sim, source, destination) == expected.get(
@@ -381,7 +386,6 @@ class _StaticSim:
         self.params = NetworkParameters.from_fractions(
             n_nodes=max(n, 2), range_fraction=0.1, velocity_fraction=0.0
         )
-        self.adjacency = edges_to_adjacency(edges, n)
         self.adjacency_lists = _dense_rows(edges, n)
         self.neighbor_csr = (
             np.cumsum([0] + [len(row) for row in self.adjacency_lists]),
@@ -417,7 +421,9 @@ def _flood_case(n: int, density: float, heads: float, formed: bool, seed: int):
 def _check_floods(sim, state, pairs) -> set[str]:
     """Compare every flood against the reference; returns the cases hit."""
     lists = sim.adjacency_lists
-    forwards = _head_or_gateway(state, sim.adjacency)
+    forwards = _head_or_gateway(
+        state, edges_to_adjacency(sim.edges, sim.n_nodes)
+    )
     hit = set()
     if len(sim.edges) == 0:
         hit.add("empty edge set")
@@ -517,10 +523,10 @@ def _faulted_hybrid_stack(
 
 
 def _reference_on(sim, state, source, destination):
-    """The reference discovery over the dense view and scalar backbone."""
+    """The reference discovery over the dense matrix and scalar backbone."""
     return _reference_discovery(
         _dense_rows(sim.edges, sim.n_nodes),
-        _head_or_gateway(state, sim.adjacency),
+        _head_or_gateway(state, edges_to_adjacency(sim.edges, sim.n_nodes)),
         source,
         destination,
     )
@@ -629,7 +635,9 @@ def test_discovery_sees_the_next_steps_edges():
     assert after != before
     floods = [broadcast_flood(sim, s, state, record_stats=False) for s, _ in pairs]
     lists = _dense_rows(sim.edges, sim.n_nodes)
-    forwards = _head_or_gateway(state, sim.adjacency)
+    forwards = _head_or_gateway(
+        state, edges_to_adjacency(sim.edges, sim.n_nodes)
+    )
     assert [(f.reached, f.transmissions) for f in floods] == [
         _reference_broadcast(lists, forwards, s) for s, _ in pairs
     ]

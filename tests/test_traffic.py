@@ -24,6 +24,7 @@ from repro.sim import (
     TrafficProtocol,
     TrafficStats,
 )
+from repro.spatial import edges_to_adjacency
 
 
 def _dsdv_sim(n=60, vf=0.0, seed=61):
@@ -105,7 +106,7 @@ class TestDsdvForwarding:
         traffic = sim.attach(
             TrafficProtocol([CbrFlow(0, 45, interval=1.0)], DsdvRouterAdapter(dsdv))
         )
-        graph = nx.from_numpy_array(sim.adjacency)
+        graph = nx.from_numpy_array(edges_to_adjacency(sim.edges, sim.n_nodes))
         if not nx.has_path(graph, 0, 45):
             pytest.skip("pair unreachable")
         shortest = nx.shortest_path_length(graph, 0, 45)
