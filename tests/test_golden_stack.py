@@ -16,6 +16,11 @@ adaptive (staleness-bounded) HELLO x faults off / on x 2 seeds, plus one
 run with non-integer message sizes and a full-table, star-topology
 intra-cluster router.
 
+Two mobility rows run LID with event HELLO under non-uniform motion:
+Gauss-Markov, and random waypoint with a speed range and pauses.  They
+gate the incremental connectivity engine on nodes of unequal and
+changing speed (the other rows move every node at one speed).
+
 Two d-hop rows run MobDHop and Max-Min (both d=2) under
 :class:`~repro.clustering.DHopClusterMaintenanceProtocol` with event
 HELLO and no intra-cluster router; their digests drop the one-hop
@@ -75,7 +80,11 @@ from repro.clustering import (
 from repro.control import build_policy
 from repro.core.params import MessageSizes, NetworkParameters
 from repro.faults import FaultConfig, attach_faults, build_plan
-from repro.mobility import EpochRandomWaypointModel
+from repro.mobility import (
+    EpochRandomWaypointModel,
+    GaussMarkovModel,
+    RandomWaypointModel,
+)
 from repro.obs import (
     JsonlTracer,
     MetricsRegistry,
@@ -165,6 +174,11 @@ def _cases() -> dict[str, dict]:
         cases[f"{algorithm}-d2-event-clean-s0"] = dict(
             algorithm=algorithm, hello="event", faults=False, seed=0
         )
+    for mobility in ("gauss-markov", "rwp-pause"):
+        cases[f"lid-event-clean-s0-{mobility}"] = dict(
+            algorithm="lid", hello="event", faults=False, seed=0,
+            mobility=mobility,
+        )
     return cases
 
 
@@ -176,6 +190,15 @@ TRACED_CASES = {
     )
     for faults in (False, True)
 }
+
+
+def _mobility(name: str, velocity: float):
+    """The mobility model of a row: epoch RWP unless the row names one."""
+    if name == "gauss-markov":
+        return GaussMarkovModel(velocity, update_interval=0.5)
+    if name == "rwp-pause":
+        return RandomWaypointModel((0.5 * velocity, 1.5 * velocity), (0.0, 0.3))
+    return EpochRandomWaypointModel(velocity, epoch=1.0)
 
 
 def _sha256(array: np.ndarray) -> str:
@@ -218,13 +241,16 @@ def run_case(
     full_table: bool = False,
     topology: str = "all",
     routing: str | None = None,
+    mobility: str = "epoch-rwp",
 ) -> dict:
     """Run one case of the matrix and return its digest.
 
     ``routing`` (``"hybrid"``, ``"aodv"`` or ``"dsdv"``) adds that
     router and a CBR traffic protocol, and the data-plane fields to the
     digest.  ``algorithm="mobdhop"`` or ``"maxmin"`` runs d-hop
-    maintenance (d=2) without an intra-cluster router.
+    maintenance (d=2) without an intra-cluster router.  ``mobility``
+    (``"gauss-markov"`` or ``"rwp-pause"``) replaces the epoch random
+    waypoint model.
     """
     params = NetworkParameters.from_fractions(
         n_nodes=N_NODES,
@@ -232,9 +258,7 @@ def run_case(
         velocity_fraction=0.05,
         messages=sizes or MessageSizes(),
     )
-    sim = Simulation(
-        params, EpochRandomWaypointModel(params.velocity, epoch=1.0), seed=seed
-    )
+    sim = Simulation(params, _mobility(mobility, params.velocity), seed=seed)
     if faults:
         attach_faults(
             sim, build_plan(FAULTS, N_NODES, horizon=WARMUP + DURATION, seed=seed)
@@ -461,6 +485,15 @@ def test_stack_digest_is_byte_identical(name, fixture):
 def test_traced_stack_digest_is_byte_identical(name, fixture):
     digest = run_traced_case(**TRACED_CASES[name])
     assert _canonical(digest) == _canonical(fixture["traced_digests"][name])
+
+
+@pytest.mark.parametrize("mobility", ["gauss-markov", "rwp-pause"])
+def test_mobility_rows_run_the_incremental_engine(mobility):
+    params = NetworkParameters.from_fractions(
+        n_nodes=N_NODES, range_fraction=0.15, velocity_fraction=0.05
+    )
+    sim = Simulation(params, _mobility(mobility, params.velocity), seed=0)
+    assert sim.connectivity == "incremental"
 
 
 def test_traced_rows_cover_the_fixture(fixture):
