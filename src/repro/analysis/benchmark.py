@@ -78,6 +78,11 @@ logger = logging.getLogger(__name__)
 #: counts as a regression.
 DEFAULT_REGRESSION_THRESHOLD = 0.20
 
+#: Full validations (after the initial one) that :func:`check_equivalence`
+#: must run the incremental engine through, and its step cap.
+EQUIVALENCE_VALIDATIONS = 3
+EQUIVALENCE_MAX_STEPS = 200
+
 #: Network sizes the step benchmark reports on.
 DEFAULT_SIZES = (100, 500, 2000, 5000)
 
@@ -152,7 +157,12 @@ def _bench_edge_engine(
 def _bench_incremental_engine(
     params: NetworkParameters, steps: int, seed: int = 0
 ) -> dict:
-    """The temporal-coherence kernel, forced on regardless of auto."""
+    """The temporal-coherence kernel, forced on regardless of auto.
+
+    ``engine_stats`` counts the full validations and incremental steps;
+    ``mean_at_risk`` is the mean number of candidate pairs whose
+    distance an incremental step recomputed.
+    """
     timer = PhaseTimer()
     sim = Simulation(
         params,
@@ -195,8 +205,13 @@ def check_equivalence(
     The reference is whatever the mobility-blind selection (dense or
     grid) picks for this size — both of those are themselves pinned
     equal by the test suite.  Compares the sorted edge set and the link
-    events after every step; returns ``"ok"`` or a description of the
-    first mismatch.
+    events after every step.  Runs at least ``steps`` steps and on
+    until the incremental engine has done :data:`EQUIVALENCE_VALIDATIONS`
+    full validations after its initial one (at most
+    ``EQUIVALENCE_MAX_STEPS`` steps), so the check crosses validations
+    and is not confined to one validation cycle.  Returns ``"ok"`` or a
+    description of the first mismatch, or of a run too short to reach
+    the validations.
     """
     from ..spatial import select_connectivity_method
 
@@ -212,9 +227,17 @@ def check_equivalence(
         )
         for connectivity in ("incremental", reference)
     ]
+    engine = sims[0]._incremental
     if not np.array_equal(sims[0].edges, sims[1].edges):
         return f"initial edge sets differ (vs {reference})"
-    for step in range(1, steps + 1):
+    step = 0
+    while step < steps or engine.full_rebuilds <= EQUIVALENCE_VALIDATIONS:
+        if step == EQUIVALENCE_MAX_STEPS:
+            return (
+                f"only {engine.full_rebuilds - 1} validations in {step} "
+                f"steps, expected {EQUIVALENCE_VALIDATIONS}"
+            )
+        step += 1
         events = [sim.step() for sim in sims]
         if not np.array_equal(sims[0].edges, sims[1].edges):
             return f"edge sets differ at step {step} (vs {reference})"

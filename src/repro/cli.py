@@ -810,6 +810,16 @@ def _run_bench(args) -> int:
             f"{row['steps_per_sec']:>10.1f} steps/s  "
             f"peak RSS {row['peak_rss_kb'] / 1024:.0f} MiB"
         )
+    for row in payload["step_benchmarks"]:
+        stats = row.get("engine_stats")
+        if stats:
+            print(
+                f"  N={row['n_nodes']:>5d}  incremental engine: "
+                f"{stats['full_rebuilds']} validations, "
+                f"{stats['incremental_steps']} incremental steps, "
+                f"{stats['mean_at_risk']:.0f} pairs recomputed per "
+                "incremental step (mean_at_risk)"
+            )
     for size, per_mode in payload.get("speedup_vs_edge", {}).items():
         for mode, speedup in per_mode.items():
             print(f"  N={size:>5s}  {mode} vs edge: {speedup:.1f}x")

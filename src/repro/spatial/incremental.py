@@ -8,27 +8,43 @@ while staying *exact*: every step returns the bit-identical sorted
 edge set (and :class:`~repro.spatial.neighbors.LinkEvents`) that a full
 rebuild would produce.  Tests enforce the equivalence property.
 
-The scheme is an expanded-radius candidate cache validated by the
-triangle inequality:
+The scheme is an expanded-radius candidate cache whose per-pair work
+follows the pairs near the range boundary:
 
-* At a **full validation** the internal grid (sized for
-  ``tx_range + margin``) produces all candidate pairs within the
-  expanded radius, their distances ``d0``, their edge status
-  ``d0 <= r``, and a snapshot of the positions.
-* Each **incremental step** computes every node's displacement since
-  the snapshot under the region metric.  For a candidate pair with
-  displacement sum ``s``, the metric's triangle inequality gives
-  ``|d_now - d0| <= s``, so the pair is *safe* (status cannot have
-  flipped) whenever ``s < |d0 - r|``; only the *at-risk* pairs get
-  their distance recomputed.  Pairs outside the candidate set are
-  covered globally: no pair separation can shrink by more than the two
-  largest displacements, so while their sum stays below ``margin`` no
+* A **full validation** finds every pair within the candidate radius
+  ``r_cand = tx_range + margin`` with one KD-tree sweep
+  (``cKDTree.query_pairs`` at a radius inflated by ``1e-9`` relative,
+  periodic via ``boxsize`` on the torus), keeps exactly the pairs whose
+  bit-exact distance is ``<= r_cand`` and sorts them by pair key, so the
+  candidate set and its order equal a grid sweep's.  Each candidate
+  gets its edge status ``d0 <= r`` and a recheck budget
+  ``due = |d0 - r| - eps``; every node's odometer resets to 0.
+* Each **incremental step** adds every node's step displacement (under
+  the region metric) to its odometer.  A pair ``(i, j)`` is recomputed
+  only once ``odo[i] + odo[j] >= due``.  Proof sketch: if the pair was
+  last measured at distance ``d`` when the odometers summed to ``s``,
+  the triangle inequality bounds the change of its separation since
+  then by the path length both nodes travelled, ``odo[i] + odo[j] - s``;
+  while that stays below ``|d - r|`` the pair cannot have crossed the
+  range, so its status is unchanged.  A recompute measures ``d`` anew
+  and sets ``due = odo[i] + odo[j] + |d - r| - eps``, restarting the
+  argument from that step.  Link events are the status flips among the
+  recomputed pairs: every other pair provably kept its status.
+* Pairs outside the candidate set are covered globally: no pair
+  separation can shrink by more than the two largest displacements
+  since the validation, so while their sum stays below ``margin`` no
   non-candidate can have entered range — once it no longer does, the
   engine falls back to a full validation.
-* A float-safety slack ``eps`` shrinks the safe band so borderline
+* A float-safety slack ``eps`` shrinks every budget so borderline
   classifications always take the recompute path, where the distance
   is evaluated bit-identically to the batch engine (see below), so the
-  resulting edge status can never disagree with a full rebuild.
+  resulting edge status can never disagree with a full rebuild.  The
+  slack is far above the ulp-scale error the odometer sums accumulate.
+
+The odometers are per node, not one global clock: a global clock would
+charge every pair with the motion of the two fastest nodes, so pairs of
+slow or paused nodes would be rechecked needlessly under random
+waypoint with pauses or Gauss-Markov motion.
 
 Distances are computed by :meth:`_pair_distances`, which replaces the
 round-based torus wrap of :meth:`SquareRegion.displacement` with
@@ -52,8 +68,8 @@ from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .grid_index import UniformGridIndex
 from .neighbors import INCREMENTAL_MARGIN_FRACTION, LinkEvents
 from .region import Boundary, SquareRegion
 
@@ -62,17 +78,24 @@ __all__ = [
     "IncrementalStepResult",
 ]
 
+#: Relative inflation of the KD-tree query radius: the tree's distances
+#: may round differently from :meth:`_pair_distances`, so it must return
+#: a superset, which the bit-exact filter then trims.
+_QUERY_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class IncrementalStepResult:
     """Outcome of one engine step.
 
     ``edges`` is the canonical sorted ``(E, 2)`` edge set.  ``events``
-    carries the link changes since the previous step when the fast
-    mask-diff path produced them, and is ``None`` on validation steps
-    (the caller diffs edge sets itself there).  ``revalidate_seconds``
-    is the time spent classifying and recomputing at-risk pairs, kept
-    separate so the simulation can charge it to a dedicated sub-phase.
+    carries the link changes since the previous step when the
+    incremental path produced them, and is ``None`` on validation steps
+    (the caller diffs edge sets itself there).  ``at_risk`` is the
+    number of candidate pairs whose distance this step recomputed.
+    ``revalidate_seconds`` is the time spent on the odometers and on
+    classifying and recomputing pairs, kept separate so the simulation
+    can charge it to a dedicated sub-phase.
     """
 
     edges: np.ndarray
@@ -113,23 +136,24 @@ class IncrementalConnectivityEngine:
         self.region = region
         self.tx_range = float(tx_range)
         self.margin = margin_fraction * self.tx_range
-        # Slack subtracted from every safe-band test: borderline pairs
+        self._r_cand = self.tx_range + self.margin
+        # Slack subtracted from every recheck budget: borderline pairs
         # fall through to the recompute path, whose result is bit-exact
         # against the batch engine, so float rounding can never flip a
         # "safe" classification.  Way above the ~ulp-scale error the
-        # displacement sums can accumulate, way below any physical
+        # odometer sums can accumulate, way below any physical
         # displacement.
         self._eps = 1e-9 * self.tx_range
         self._wrap = region.boundary is Boundary.TORUS
-        self.grid = UniformGridIndex(region, self.tx_range + self.margin)
         self._ref: np.ndarray | None = None
+        self._prev: np.ndarray | None = None
+        self._odo: np.ndarray | None = None
         self._cand: np.ndarray | None = None
         self._ci: np.ndarray | None = None
         self._cj: np.ndarray | None = None
-        self._risk_margin: np.ndarray | None = None
-        self._base_edge: np.ndarray | None = None
+        self._ci_counts: np.ndarray | None = None
+        self._due: np.ndarray | None = None
         self._mask: np.ndarray | None = None
-        self._prev_mask: np.ndarray | None = None
         self._pending = True
         # Grown-on-demand scratch (keyed by role) so steady-state steps
         # allocate almost nothing.
@@ -165,10 +189,12 @@ class IncrementalConnectivityEngine:
         round-based form — identical magnitudes under IEEE-754 (module
         docstring), at a fraction of the cost of ``np.round``.
         """
-        x = pos[:, 0]
-        y = pos[:, 1]
-        dx = x[i] - x[j]
-        dy = y[i] - y[j]
+        x = np.ascontiguousarray(pos[:, 0])
+        y = np.ascontiguousarray(pos[:, 1])
+        dx = x.take(i)
+        dx -= x.take(j)
+        dy = y.take(i)
+        dy -= y.take(j)
         np.abs(dx, out=dx)
         np.abs(dy, out=dy)
         if self._wrap:
@@ -182,48 +208,49 @@ class IncrementalConnectivityEngine:
 
     def _validate(self, pos: np.ndarray) -> np.ndarray:
         """Full candidate sweep at the expanded radius; reseeds all state."""
-        i, j = self.grid.candidate_pairs_raw()
         n = len(pos)
-        r_cand = self.grid.tx_range
-        dist = self._pair_distances(pos, i, j)
-        keep = dist <= r_cand
-        aliased = self._wrap and self.grid.cells_per_side <= 2
-        if aliased:
-            # Aliased wrapped stencil offsets emit self pairs and
-            # duplicates (see candidate_pairs_raw); drop / dedup them.
-            keep &= i != j
-        i, j, dist = i[keep], j[keep], dist[keep]
-        keys = np.minimum(i, j) * n + np.maximum(i, j)
-        if aliased:
-            keys, first = np.unique(keys, return_index=True)
-            dist = dist[first]
+        if self._wrap:
+            side = self.region.side
+            # The periodic tree needs coordinates in [0, side); np.mod
+            # can round a tiny negative up to exactly side, which folds
+            # to 0 as in SquareRegion.apply_boundary.
+            points = np.mod(pos, side)
+            points[points >= side] = 0.0
+            tree = cKDTree(points, boxsize=side)
         else:
-            # Keys are unique here, so a plain (unstable) sort is
-            # deterministic and canonical.
-            rank = np.argsort(keys)
-            keys = keys[rank]
-            dist = dist[rank]
+            tree = cKDTree(pos)
+        pairs = tree.query_pairs(
+            self._r_cand * (1.0 + _QUERY_SLACK), output_type="ndarray"
+        )
+        # query_pairs emits i < j, so the keys are canonical and unique:
+        # a plain (unstable) sort is deterministic.
+        keys = pairs[:, 0] * n
+        keys += pairs[:, 1]
+        keys.sort()
         ci = keys // n
         cj = keys - ci * n
+        dist = self._pair_distances(pos, ci, cj)
+        keep = dist <= self._r_cand
+        if not keep.all():
+            ci, cj, dist = ci[keep], cj[keep], dist[keep]
         self._ci = ci
         self._cj = cj
+        # ci ascends, so gathering per-node values over ci is a repeat.
+        self._ci_counts = np.bincount(ci, minlength=n)
         self._cand = np.column_stack((ci, cj))
-        self._base_edge = dist <= self.tx_range
-        # Precomputed per-pair safe band |d0 - r| - eps: an incremental
-        # step only compares displacement sums against it.
-        self._risk_margin = np.abs(dist - self.tx_range)
-        self._risk_margin -= self._eps
-        k = len(keys)
-        self._mask = self._scratch("mask", k, bool)
-        self._prev_mask = self._scratch("prev_mask", k, bool)
-        np.copyto(self._mask, self._base_edge)
+        self._mask = dist <= self.tx_range
+        dist -= self.tx_range
+        self._due = np.abs(dist, out=dist)
+        self._due -= self._eps
         # The mobility model mutates its position buffer in place, so
-        # the reference snapshot must be an owned copy.
+        # the snapshots must be owned copies.
         self._ref = pos.copy()
+        self._prev = pos.copy()
+        self._odo = np.zeros(n)
         self._pending = False
         self.full_rebuilds += 1
         self.last_at_risk = 0
-        return self._cand[self._base_edge]
+        return self._cand[self._mask]
 
     def _needs_validation(self, disp: np.ndarray) -> bool:
         if disp.shape[0] < 2:
@@ -237,16 +264,12 @@ class IncrementalConnectivityEngine:
     def step(self, positions: np.ndarray) -> IncrementalStepResult:
         """Advance to ``positions`` and return the exact edge set."""
         pos = np.asarray(positions, dtype=float)
-        self.grid.update(pos)
         rebuild = (
             self._pending
             or self._ref is None
             or len(pos) != len(self._ref)
+            or self._needs_validation(self.region.distance(self._ref, pos))
         )
-        disp = None
-        if not rebuild:
-            disp = self.region.distance(self._ref, pos)
-            rebuild = self._needs_validation(disp)
         if rebuild:
             edges = self._validate(pos)
             return IncrementalStepResult(
@@ -257,31 +280,34 @@ class IncrementalConnectivityEngine:
                 revalidate_seconds=0.0,
             )
         started = perf_counter()
+        odo = self._odo
+        odo += self.region.distance(self._prev, pos)
+        np.copyto(self._prev, pos)
         k = len(self._ci)
-        s = self._scratch("disp_sum", k, float)
-        sj = self._scratch("disp_j", k, float)
-        np.take(disp, self._ci, out=s)
-        np.take(disp, self._cj, out=sj)
-        s += sj
+        spent = np.repeat(odo, self._ci_counts)
+        spent_j = self._scratch("spent_j", k, float)
+        np.take(odo, self._cj, out=spent_j)
+        spent += spent_j
         at_risk = self._scratch("at_risk", k, bool)
-        np.greater_equal(s, self._risk_margin, out=at_risk)
-        # Double-buffered masks: the previous step's status becomes the
-        # diff baseline for this step's link events.
-        self._mask, self._prev_mask = self._prev_mask, self._mask
-        np.copyto(self._mask, self._base_edge)
+        np.greater_equal(spent, self._due, out=at_risk)
         risk_idx = np.flatnonzero(at_risk)
-        if risk_idx.size:
-            d_now = self._pair_distances(
-                pos, self._ci[risk_idx], self._cj[risk_idx]
-            )
-            self._mask[risk_idx] = d_now <= self.tx_range
-        flipped = self._scratch("flipped", k, bool)
-        np.not_equal(self._prev_mask, self._mask, out=flipped)
-        # Candidates are stored in canonical sorted order, so masked
-        # selections are already sorted edge arrays — the events here
-        # are bit-identical to diff_edge_sets on the two snapshots.
-        flip_idx = np.flatnonzero(flipped)
-        up = self._mask[flip_idx]
+        d_now = self._pair_distances(
+            pos, self._ci.take(risk_idx), self._cj.take(risk_idx)
+        )
+        up = d_now <= self.tx_range
+        flipped = up != self._mask.take(risk_idx)
+        self._mask[risk_idx] = up
+        # Fresh budget from this step: due = odo[i] + odo[j] + |d - r| - eps.
+        d_now -= self.tx_range
+        np.abs(d_now, out=d_now)
+        d_now += spent.take(risk_idx)
+        d_now -= self._eps
+        self._due[risk_idx] = d_now
+        # Candidates are stored in canonical sorted order and risk_idx
+        # ascends, so the flips are already sorted edge arrays — the
+        # events are bit-identical to diff_edge_sets on the snapshots.
+        flip_idx = risk_idx[flipped]
+        up = up[flipped]
         generated = self._cand[flip_idx[up]]
         broken = self._cand[flip_idx[~up]]
         edges = self._cand.compress(self._mask, axis=0)
