@@ -11,9 +11,8 @@ The index has one output, the sorted ``(E, 2)`` edge array of
 :meth:`UniformGridIndex.neighbor_pairs`, computed by a *batched
 cell-pair sweep*: every occupied cell is paired with its half stencil
 in one CSR-style vectorized expansion, with no per-node Python loop.
-The raw candidate pairs of that sweep (:meth:`candidate_pairs_raw`)
-also feed the incremental engine's candidate cache.  Dense and per-node
-views are built from the edge set by the simulation engine.
+Dense and per-node views are built from the edge set by the
+simulation engine.
 
 The edge set equals the dense metric's; tests assert this equivalence.
 """
@@ -156,13 +155,12 @@ class UniformGridIndex:
     def candidate_pairs_raw(self) -> tuple[np.ndarray, np.ndarray]:
         """Raw stencil candidate pairs ``(i, j)``, unfiltered.
 
-        The batched cell-pair sweep shared by :meth:`neighbor_pairs`
-        and the incremental engine's validation: within-cell pairs plus
-        the four half-stencil neighbor cells of every node's cell,
-        expanded CSR-style.  No distance filtering or canonicalization
-        happens here; when a wrapped grid has at most two cells per
-        side the aliased stencil may emit duplicate and self pairs,
-        which downstream filtering must drop.
+        The batched cell-pair sweep behind :meth:`neighbor_pairs`:
+        within-cell pairs plus the four half-stencil neighbor cells of
+        every node's cell, expanded CSR-style.  No distance filtering or
+        canonicalization happens here; when a wrapped grid has at most
+        two cells per side the aliased stencil may emit duplicate and
+        self pairs, which downstream filtering must drop.
         """
         if self._positions is None:
             raise RuntimeError("index not built; call rebuild() first")

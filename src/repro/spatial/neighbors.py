@@ -73,7 +73,13 @@ MIN_GRID_CELLS_PER_SIDE = 4
 #: ``(1 + fraction) * tx_range``.  A wider margin amortizes full
 #: validations over more steps but inflates the per-step candidate set;
 #: 0.5 balances the two at the paper's default velocities (see the
-#: README Performance section).
+#: README Performance section).  Re-measured with per-pair recheck
+#: budgets (bare engine, N=2000, r = 0.1a, v = 0.05a, 300 steps, three
+#: interleaved repeats on a 2-vCPU x86-64 VM): 0.25, 0.5 and 0.75 run
+#: 3.7-5.5 ms/step and sit within the repeat-to-repeat noise of each
+#: other (61, 31 and 20 validations; 23 k, 31 k and 36 k pairs
+#: recomputed per step), while 1.0 is 1-1.5 ms/step slower in every
+#: repeat (251 k candidates).
 INCREMENTAL_MARGIN_FRACTION = 0.5
 
 #: The incremental engine only pays off if the margin buys at least
