@@ -21,6 +21,10 @@ Gauss-Markov, and random waypoint with a speed range and pauses.  They
 gate the incremental connectivity engine on nodes of unequal and
 changing speed (the other rows move every node at one speed).
 
+Two batch rows run LID with event HELLO on networks the selection keeps
+off the incremental engine: N=80, and N=200 at ``range_fraction=0.3``.
+They gate the batch pair sweep inside a full stack.
+
 Two d-hop rows run MobDHop and Max-Min (both d=2) under
 :class:`~repro.clustering.DHopClusterMaintenanceProtocol` with event
 HELLO and no intra-cluster router; their digests drop the one-hop
@@ -114,6 +118,7 @@ from repro.sim.engine import ENGINE_SCHEMA_VERSION
 FIXTURE = Path(__file__).with_name("golden_stack.json")
 
 N_NODES = 200
+RANGE_FRACTION = 0.15
 WARMUP = 0.5
 DURATION = 3.0
 FAULTS = FaultConfig(
@@ -122,8 +127,6 @@ FAULTS = FaultConfig(
 ODD_SIZES = MessageSizes(p_hello=250.5, p_cluster=127.25, p_route=96.125)
 FLOWS = 12
 FLOW_INTERVAL = 0.2
-#: Every fifth node: the intra-cluster path grid is its same-cluster pairs.
-PATH_GRID = range(0, N_NODES, 5)
 TRACED_N_NODES = 300
 
 
@@ -179,7 +182,18 @@ def _cases() -> dict[str, dict]:
             algorithm="lid", hello="event", faults=False, seed=0,
             mobility=mobility,
         )
+    cases["lid-event-clean-s0-n80"] = dict(
+        algorithm="lid", hello="event", faults=False, seed=0, n_nodes=80
+    )
+    cases["lid-event-clean-s0-r30"] = dict(
+        algorithm="lid", hello="event", faults=False, seed=0,
+        range_fraction=0.3,
+    )
     return cases
+
+
+#: Rows whose network the connectivity selection keeps on the batch path.
+BATCH_ROWS = ("lid-event-clean-s0-n80", "lid-event-clean-s0-r30")
 
 
 CASES = _cases()
@@ -242,6 +256,8 @@ def run_case(
     topology: str = "all",
     routing: str | None = None,
     mobility: str = "epoch-rwp",
+    n_nodes: int = N_NODES,
+    range_fraction: float = RANGE_FRACTION,
 ) -> dict:
     """Run one case of the matrix and return its digest.
 
@@ -250,18 +266,18 @@ def run_case(
     digest.  ``algorithm="mobdhop"`` or ``"maxmin"`` runs d-hop
     maintenance (d=2) without an intra-cluster router.  ``mobility``
     (``"gauss-markov"`` or ``"rwp-pause"``) replaces the epoch random
-    waypoint model.
+    waypoint model.  ``n_nodes`` and ``range_fraction`` size the network.
     """
     params = NetworkParameters.from_fractions(
-        n_nodes=N_NODES,
-        range_fraction=0.15,
+        n_nodes=n_nodes,
+        range_fraction=range_fraction,
         velocity_fraction=0.05,
         messages=sizes or MessageSizes(),
     )
     sim = Simulation(params, _mobility(mobility, params.velocity), seed=seed)
     if faults:
         attach_faults(
-            sim, build_plan(FAULTS, N_NODES, horizon=WARMUP + DURATION, seed=seed)
+            sim, build_plan(FAULTS, n_nodes, horizon=WARMUP + DURATION, seed=seed)
         )
     miss_limit = FAULTS.hello_miss_limit if faults else None
     if hello == "event":
@@ -309,7 +325,7 @@ def run_case(
         router = sim.attach(DsdvProtocol())
         adapter = DsdvRouterAdapter(router)
     if router is not None:
-        traffic = sim.attach(TrafficProtocol(_flows(seed), adapter))
+        traffic = sim.attach(TrafficProtocol(_flows(seed, n_nodes), adapter))
     ledger = sim.attach(OverheadLedger(maintenance))
     sim.run(duration=DURATION, warmup=WARMUP)
 
@@ -332,10 +348,12 @@ def run_case(
         )
     if router is not None:
         books = traffic.traffic
+        # Every fifth node: the path grid is its same-cluster pairs.
+        path_grid = range(0, n_nodes, 5)
         paths = [
             [source, destination, intra.path(sim, source, destination)]
-            for source in PATH_GRID
-            for destination in PATH_GRID
+            for source in path_grid
+            for destination in path_grid
             if source != destination and state.same_cluster(source, destination)
         ]
         digest.update(
@@ -490,10 +508,22 @@ def test_traced_stack_digest_is_byte_identical(name, fixture):
 @pytest.mark.parametrize("mobility", ["gauss-markov", "rwp-pause"])
 def test_mobility_rows_run_the_incremental_engine(mobility):
     params = NetworkParameters.from_fractions(
-        n_nodes=N_NODES, range_fraction=0.15, velocity_fraction=0.05
+        n_nodes=N_NODES, range_fraction=RANGE_FRACTION, velocity_fraction=0.05
     )
     sim = Simulation(params, _mobility(mobility, params.velocity), seed=0)
     assert sim.connectivity == "incremental"
+
+
+@pytest.mark.parametrize("name", BATCH_ROWS)
+def test_batch_rows_stay_off_the_incremental_engine(name):
+    case = CASES[name]
+    params = NetworkParameters.from_fractions(
+        n_nodes=case.get("n_nodes", N_NODES),
+        range_fraction=case.get("range_fraction", RANGE_FRACTION),
+        velocity_fraction=0.05,
+    )
+    sim = Simulation(params, _mobility("epoch-rwp", params.velocity), seed=0)
+    assert sim.connectivity != "incremental"
 
 
 def test_traced_rows_cover_the_fixture(fixture):
