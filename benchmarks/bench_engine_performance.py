@@ -13,13 +13,7 @@ from repro.clustering import LowestIdClustering
 from repro.core.params import NetworkParameters
 from repro.mobility import EpochRandomWaypointModel
 from repro.sim import Simulation
-from repro.spatial import (
-    Boundary,
-    SquareRegion,
-    UniformGridIndex,
-    compute_edges,
-    diff_edge_sets,
-)
+from repro.spatial import Boundary, SquareRegion, compute_edges, diff_edge_sets
 
 
 def test_simulation_step_cost(benchmark):
@@ -32,32 +26,35 @@ def test_simulation_step_cost(benchmark):
     benchmark(sim.step)
 
 
-def test_simulation_step_cost_large_grid(benchmark):
-    """Edge-set engine at N=2000 — the grid path the cost model picks."""
+def test_simulation_step_cost_large_tree(benchmark):
+    """Edge-set engine at N=2000, re-sweeping its pairs every step."""
     params = NetworkParameters.from_fractions(
         n_nodes=2000, range_fraction=0.05, velocity_fraction=0.05
     )
     sim = Simulation(
-        params, EpochRandomWaypointModel(params.velocity, 1.0), seed=0
+        params,
+        EpochRandomWaypointModel(params.velocity, 1.0),
+        seed=0,
+        connectivity="tree",
     )
-    assert sim.connectivity == "grid"
+    assert sim.connectivity == "tree"
     benchmark(sim.step)
 
 
-def test_compute_edges_grid_cost(benchmark):
+def test_compute_edges_tree_cost(benchmark):
     region = SquareRegion(1.0, Boundary.TORUS)
     positions = region.uniform_positions(2000, 0)
-    edges = benchmark(compute_edges, region, positions, 0.05, method="grid")
+    edges = benchmark(compute_edges, region, positions, 0.05, method="tree")
     assert len(edges) > 0
 
 
 def test_diff_edge_sets_cost(benchmark):
     region = SquareRegion(1.0, Boundary.TORUS)
     edges_a = compute_edges(
-        region, region.uniform_positions(2000, 0), 0.05, method="grid"
+        region, region.uniform_positions(2000, 0), 0.05, method="tree"
     )
     edges_b = compute_edges(
-        region, region.uniform_positions(2000, 1), 0.05, method="grid"
+        region, region.uniform_positions(2000, 1), 0.05, method="tree"
     )
     events = benchmark(diff_edge_sets, edges_a, edges_b)
     assert events.change_count > 0
@@ -70,19 +67,6 @@ def test_lid_formation_cost(benchmark):
     algorithm = LowestIdClustering()
     state = benchmark(algorithm.form, adjacency)
     assert state.cluster_count() > 0
-
-
-def test_grid_index_rebuild_cost(benchmark):
-    region = SquareRegion(1.0, Boundary.TORUS)
-    positions = region.uniform_positions(2000, 0)
-    index = UniformGridIndex(region, 0.05)
-
-    def rebuild_and_pair():
-        index.rebuild(positions)
-        return index.neighbor_pairs()
-
-    pairs = benchmark(rebuild_and_pair)
-    assert len(pairs) > 0
 
 
 def test_dense_adjacency_cost(benchmark):

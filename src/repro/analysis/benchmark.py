@@ -1,21 +1,17 @@
 """Engine performance benchmark: incremental vs batch edge-set kernels.
 
 ``repro-manet bench`` drives this module and writes ``BENCH_engine.json``.
-It answers three questions about the simulation substrate:
+It answers two questions about the simulation substrate:
 
 * **How much faster is the incremental kernel?**  The edge engine runs
-  the batch edge-set core, and the incremental engine runs the
-  temporal-coherence kernel (:mod:`repro.spatial.incremental`).  Both
-  run the same mobility model with the same seeds, so the steps/sec
-  ratio isolates the connectivity kernel.  Each incremental row is
-  preceded by an **equivalence check** — a short dual-engine run
+  the batch KD-tree pair sweep every step, and the incremental engine
+  runs the temporal-coherence kernel (:mod:`repro.spatial.incremental`).
+  Both run the same mobility model with the same seeds, so the
+  steps/sec ratio isolates the connectivity kernel.  Each incremental
+  row is preceded by an **equivalence check** — a short dual-engine run
   asserting identical per-step edge sets and link events — so a
   speedup number is never reported for a kernel that silently
   diverged.
-* **Where is the dense/grid crossover?**  ``--crossover`` times
-  :func:`~repro.spatial.neighbors.compute_edges` under both methods
-  across sizes; the measured ratio table is the evidence behind
-  ``GRID_CROSSOVER_NODES``.
 * **Does process parallelism pay?**  ``--sweep-jobs`` times an
   identical small sweep point at several ``jobs`` values; numbers are
   whatever the current machine supports (a single-core container shows
@@ -56,7 +52,6 @@ from ..mobility import EpochRandomWaypointModel
 from ..obs.resources import ResourceSampler
 from ..obs.timing import PhaseTimer
 from ..sim import Simulation
-from ..spatial import Boundary, SquareRegion, compute_edges
 
 __all__ = [
     "DEFAULT_SIZES",
@@ -64,7 +59,6 @@ __all__ = [
     "DEFAULT_REGRESSION_THRESHOLD",
     "bench_step_modes",
     "check_equivalence",
-    "measure_crossover",
     "bench_parallel_sweep",
     "run_bench",
     "write_bench",
@@ -113,30 +107,21 @@ def _phase_dict(timer: PhaseTimer) -> dict[str, float]:
 
 
 def _bench_edge_engine(
-    params: NetworkParameters,
-    steps: int,
-    seed: int = 0,
-    connectivity: str | None = None,
+    params: NetworkParameters, steps: int, seed: int = 0
 ) -> dict:
     """The batch edge-set engine through :meth:`Simulation.step`.
 
-    Pinned to the mobility-blind dense/grid selection (``auto`` would
-    resolve to the incremental engine for large sparse networks, which
-    has its own benchmark mode).
+    Pinned to the KD-tree sweep (``auto`` would resolve to the
+    incremental engine for large sparse networks, which has its own
+    benchmark mode).
     """
-    from ..spatial import select_connectivity_method
-
-    if connectivity is None:
-        connectivity = select_connectivity_method(
-            params.n_nodes, params.tx_range, params.side
-        )
     timer = PhaseTimer()
     sim = Simulation(
         params,
         EpochRandomWaypointModel(params.velocity, epoch=1.0),
         seed=seed,
         timer=timer,
-        connectivity=connectivity,
+        connectivity="tree",
     )
     start = perf_counter()
     for _ in range(steps):
@@ -200,24 +185,18 @@ def _bench_incremental_engine(
 def check_equivalence(
     params: NetworkParameters, steps: int = 10, seed: int = 0
 ) -> str:
-    """Run the incremental engine against a reference engine in lockstep.
+    """Run the incremental engine against the batch engine in lockstep.
 
-    The reference is whatever the mobility-blind selection (dense or
-    grid) picks for this size — both of those are themselves pinned
-    equal by the test suite.  Compares the sorted edge set and the link
-    events after every step.  Runs at least ``steps`` steps and on
-    until the incremental engine has done :data:`EQUIVALENCE_VALIDATIONS`
-    full validations after its initial one (at most
-    ``EQUIVALENCE_MAX_STEPS`` steps), so the check crosses validations
-    and is not confined to one validation cycle.  Returns ``"ok"`` or a
+    The reference re-sweeps every step (``connectivity="tree"``), which
+    the test suite pins equal to the dense metric.  Compares the sorted
+    edge set and the link events after every step.  Runs at least
+    ``steps`` steps and on until the incremental engine has done
+    :data:`EQUIVALENCE_VALIDATIONS` full validations after its initial
+    one (at most ``EQUIVALENCE_MAX_STEPS`` steps), so the check crosses
+    validations and is not confined to one validation cycle.  Returns ``"ok"`` or a
     description of the first mismatch, or of a run too short to reach
     the validations.
     """
-    from ..spatial import select_connectivity_method
-
-    reference = select_connectivity_method(
-        params.n_nodes, params.tx_range, params.side
-    )
     sims = [
         Simulation(
             params,
@@ -225,11 +204,11 @@ def check_equivalence(
             seed=seed,
             connectivity=connectivity,
         )
-        for connectivity in ("incremental", reference)
+        for connectivity in ("incremental", "tree")
     ]
     engine = sims[0]._incremental
     if not np.array_equal(sims[0].edges, sims[1].edges):
-        return f"initial edge sets differ (vs {reference})"
+        return "initial edge sets differ (vs tree)"
     step = 0
     while step < steps or engine.full_rebuilds <= EQUIVALENCE_VALIDATIONS:
         if step == EQUIVALENCE_MAX_STEPS:
@@ -240,14 +219,14 @@ def check_equivalence(
         step += 1
         events = [sim.step() for sim in sims]
         if not np.array_equal(sims[0].edges, sims[1].edges):
-            return f"edge sets differ at step {step} (vs {reference})"
+            return f"edge sets differ at step {step} (vs tree)"
         for field in ("generated", "broken"):
             if not np.array_equal(
                 getattr(events[0], field), getattr(events[1], field)
             ):
                 return (
                     f"{field} link events differ at step {step} "
-                    f"(vs {reference})"
+                    f"(vs tree)"
                 )
     return "ok"
 
@@ -303,38 +282,6 @@ def bench_step_modes(
     return results, tables
 
 
-def measure_crossover(
-    sizes=(32, 64, 100, 128, 256, 512), repeats: int = 3
-) -> list[dict]:
-    """Time ``compute_edges`` dense vs grid per size (min over repeats).
-
-    ``ratio > 1`` means the grid wins; this table is the measurement
-    behind :data:`~repro.spatial.neighbors.GRID_CROSSOVER_NODES`.
-    """
-    rows = []
-    for n_nodes in sizes:
-        params = _params_for(n_nodes)
-        region = SquareRegion(params.side, Boundary.TORUS)
-        positions = region.uniform_positions(n_nodes, 0)
-        timings = {}
-        for method in ("dense", "grid"):
-            best = np.inf
-            for _ in range(repeats):
-                start = perf_counter()
-                compute_edges(region, positions, params.tx_range, method=method)
-                best = min(best, perf_counter() - start)
-            timings[method] = best
-        rows.append(
-            {
-                "n_nodes": n_nodes,
-                "dense_s": timings["dense"],
-                "grid_s": timings["grid"],
-                "ratio": timings["dense"] / timings["grid"],
-            }
-        )
-    return rows
-
-
 def bench_parallel_sweep(
     jobs_values=(1, 4),
     n_nodes: int = 120,
@@ -386,7 +333,6 @@ def bench_parallel_sweep(
 def run_bench(
     sizes=DEFAULT_SIZES,
     steps: int = 30,
-    crossover: bool = False,
     sweep_jobs=None,
     modes=DEFAULT_MODES,
 ) -> dict:
@@ -396,7 +342,7 @@ def run_bench(
     from ..sim.engine import ENGINE_SCHEMA_VERSION
 
     payload: dict = {
-        "schema_version": 3,
+        "schema_version": 4,
         "engine_schema_version": ENGINE_SCHEMA_VERSION,
         "machine": {
             "platform": platform.platform(),
@@ -421,8 +367,6 @@ def run_bench(
         results, tables = bench_step_modes(sizes, steps, modes)
         payload["step_benchmarks"] = results
         payload.update(tables)
-        if crossover:
-            payload["crossover"] = measure_crossover()
         if sweep_jobs:
             payload["parallel_sweep"] = bench_parallel_sweep(
                 tuple(sweep_jobs)

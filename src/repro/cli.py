@@ -557,11 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench.add_argument(
-        "--crossover",
-        action="store_true",
-        help="also measure the dense/grid crossover table",
-    )
-    bench.add_argument(
         "--sweep-jobs",
         default=None,
         metavar="J1,J2",
@@ -798,7 +793,6 @@ def _run_bench(args) -> int:
     payload = run_bench(
         sizes=sizes,
         steps=args.steps,
-        crossover=args.crossover,
         sweep_jobs=sweep_jobs,
         modes=modes,
     )

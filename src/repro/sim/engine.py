@@ -215,9 +215,10 @@ class Simulation:
         or a private one when none is configured.
     connectivity:
         How the per-step edge set is computed: ``"auto"`` (default)
-        lets the measured cost model pick, ``"grid"`` forces the
-        uniform grid index, ``"dense"`` forces the dense metric, and
-        ``"incremental"`` forces the temporal-coherence engine
+        lets :func:`~repro.spatial.select_connectivity_method` pick,
+        ``"tree"`` forces the KD-tree pair sweep every step, ``"dense"``
+        forces the dense metric, and ``"incremental"`` forces the
+        temporal-coherence engine
         (:class:`~repro.spatial.IncrementalConnectivityEngine`).  All
         methods produce identical edge sets and link events; the knob
         exists for benchmarking and for densities where the model's
@@ -297,9 +298,9 @@ class Simulation:
                 velocity=params.velocity,
                 dt=self.dt,
             )
-        if connectivity not in ("dense", "grid", "incremental"):
+        if connectivity not in ("tree", "dense", "incremental"):
             raise ValueError(
-                "connectivity must be 'auto', 'dense', 'grid' or "
+                "connectivity must be 'auto', 'tree', 'dense' or "
                 f"'incremental', got {connectivity!r}"
             )
         self.connectivity = connectivity

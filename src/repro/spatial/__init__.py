@@ -1,12 +1,11 @@
-"""Spatial substrate: square regions, metrics and neighbor indexing."""
+"""Spatial substrate: square regions, metrics and the unit-disk pair sweep."""
 
 from .region import Boundary, SquareRegion
-from .grid_index import UniformGridIndex
 from .incremental import IncrementalConnectivityEngine, IncrementalStepResult
 from .neighbors import (
-    GRID_CROSSOVER_NODES,
     INCREMENTAL_MARGIN_FRACTION,
     INCREMENTAL_MIN_AMORTIZED_STEPS,
+    INCREMENTAL_MIN_NODES,
     LinkEvents,
     adjacency_to_edges,
     compute_edges,
@@ -20,18 +19,18 @@ from .neighbors import (
     edges_to_adjacency,
     edges_to_csr,
     edges_to_lists,
+    pairs_within,
     select_connectivity_method,
 )
 
 __all__ = [
     "Boundary",
     "SquareRegion",
-    "UniformGridIndex",
     "IncrementalConnectivityEngine",
     "IncrementalStepResult",
-    "GRID_CROSSOVER_NODES",
     "INCREMENTAL_MARGIN_FRACTION",
     "INCREMENTAL_MIN_AMORTIZED_STEPS",
+    "INCREMENTAL_MIN_NODES",
     "LinkEvents",
     "adjacency_to_edges",
     "compute_edges",
@@ -45,5 +44,6 @@ __all__ = [
     "edges_to_adjacency",
     "edges_to_csr",
     "edges_to_lists",
+    "pairs_within",
     "select_connectivity_method",
 ]

@@ -12,13 +12,11 @@ The scheme is an expanded-radius candidate cache whose per-pair work
 follows the pairs near the range boundary:
 
 * A **full validation** finds every pair within the candidate radius
-  ``r_cand = tx_range + margin`` with one KD-tree sweep
-  (``cKDTree.query_pairs`` at a radius inflated by ``1e-9`` relative,
-  periodic via ``boxsize`` on the torus), keeps exactly the pairs whose
-  bit-exact distance is ``<= r_cand`` and sorts them by pair key, so the
-  candidate set and its order equal a grid sweep's.  Each candidate
-  gets its edge status ``d0 <= r`` and a recheck budget
-  ``due = |d0 - r| - eps``; every node's odometer resets to 0.
+  ``r_cand = tx_range + margin`` with the batch pair sweep
+  :func:`~repro.spatial.neighbors.pairs_within`, which returns them
+  key-sorted with their bit-exact distances.  Each candidate gets its
+  edge status ``d0 <= r`` and a recheck budget ``due = |d0 - r| - eps``;
+  every node's odometer resets to 0.
 * Each **incremental step** adds every node's step displacement (under
   the region metric) to its odometer.  A pair ``(i, j)`` is recomputed
   only once ``odo[i] + odo[j] >= due``.  Proof sketch: if the pair was
@@ -46,14 +44,9 @@ charge every pair with the motion of the two fastest nodes, so pairs of
 slow or paused nodes would be rechecked needlessly under random
 waypoint with pauses or Gauss-Markov motion.
 
-Distances are computed by :meth:`_pair_distances`, which replaces the
-round-based torus wrap of :meth:`SquareRegion.displacement` with
-``min(|d|, side - |d|)``: IEEE-754 subtraction rounds symmetrically
-(``fl(a - b) == -fl(b - a)``), so both forms produce the same wrapped
-magnitude bit for bit and the final ``sqrt(dx*dx + dy*dy)`` matches
-``region.distance`` exactly — while skipping ``np.round``, the single
-most expensive op of the batch sweep.  Tests assert the bitwise
-equality directly.
+Every distance, in a validation and in a recompute, comes from
+:func:`~repro.spatial.neighbors._pair_distances`, bit-equal to
+``region.distance`` and thus to the batch engine.
 
 Teleports, mobility resets, and any other large jump are caught by the
 same displacement test (the region metric bounds the torus shortcut
@@ -68,20 +61,19 @@ from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .neighbors import INCREMENTAL_MARGIN_FRACTION, LinkEvents
-from .region import Boundary, SquareRegion
+from .neighbors import (
+    INCREMENTAL_MARGIN_FRACTION,
+    LinkEvents,
+    _pair_distances,
+    pairs_within,
+)
+from .region import SquareRegion
 
 __all__ = [
     "IncrementalConnectivityEngine",
     "IncrementalStepResult",
 ]
-
-#: Relative inflation of the KD-tree query radius: the tree's distances
-#: may round differently from :meth:`_pair_distances`, so it must return
-#: a superset, which the bit-exact filter then trims.
-_QUERY_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -144,7 +136,6 @@ class IncrementalConnectivityEngine:
         # odometer sums can accumulate, way below any physical
         # displacement.
         self._eps = 1e-9 * self.tx_range
-        self._wrap = region.boundary is Boundary.TORUS
         self._ref: np.ndarray | None = None
         self._prev: np.ndarray | None = None
         self._odo: np.ndarray | None = None
@@ -180,59 +171,10 @@ class IncrementalConnectivityEngine:
             self._buffers[name] = buf
         return buf[:size]
 
-    def _pair_distances(
-        self, pos: np.ndarray, i: np.ndarray, j: np.ndarray
-    ) -> np.ndarray:
-        """Distances of the node pairs, bit-equal to ``region.distance``.
-
-        The torus wrap uses ``min(|d|, side - |d|)`` instead of the
-        round-based form — identical magnitudes under IEEE-754 (module
-        docstring), at a fraction of the cost of ``np.round``.
-        """
-        x = np.ascontiguousarray(pos[:, 0])
-        y = np.ascontiguousarray(pos[:, 1])
-        dx = x.take(i)
-        dx -= x.take(j)
-        dy = y.take(i)
-        dy -= y.take(j)
-        np.abs(dx, out=dx)
-        np.abs(dy, out=dy)
-        if self._wrap:
-            side = self.region.side
-            np.minimum(dx, side - dx, out=dx)
-            np.minimum(dy, side - dy, out=dy)
-        dx *= dx
-        dy *= dy
-        dx += dy
-        return np.sqrt(dx, out=dx)
-
     def _validate(self, pos: np.ndarray) -> np.ndarray:
         """Full candidate sweep at the expanded radius; reseeds all state."""
         n = len(pos)
-        if self._wrap:
-            side = self.region.side
-            # The periodic tree needs coordinates in [0, side); np.mod
-            # can round a tiny negative up to exactly side, which folds
-            # to 0 as in SquareRegion.apply_boundary.
-            points = np.mod(pos, side)
-            points[points >= side] = 0.0
-            tree = cKDTree(points, boxsize=side)
-        else:
-            tree = cKDTree(pos)
-        pairs = tree.query_pairs(
-            self._r_cand * (1.0 + _QUERY_SLACK), output_type="ndarray"
-        )
-        # query_pairs emits i < j, so the keys are canonical and unique:
-        # a plain (unstable) sort is deterministic.
-        keys = pairs[:, 0] * n
-        keys += pairs[:, 1]
-        keys.sort()
-        ci = keys // n
-        cj = keys - ci * n
-        dist = self._pair_distances(pos, ci, cj)
-        keep = dist <= self._r_cand
-        if not keep.all():
-            ci, cj, dist = ci[keep], cj[keep], dist[keep]
+        ci, cj, dist = pairs_within(self.region, pos, self._r_cand)
         self._ci = ci
         self._cj = cj
         # ci ascends, so gathering per-node values over ci is a repeat.
@@ -291,8 +233,8 @@ class IncrementalConnectivityEngine:
         at_risk = self._scratch("at_risk", k, bool)
         np.greater_equal(spent, self._due, out=at_risk)
         risk_idx = np.flatnonzero(at_risk)
-        d_now = self._pair_distances(
-            pos, self._ci.take(risk_idx), self._cj.take(risk_idx)
+        d_now = _pair_distances(
+            self.region, pos, self._ci.take(risk_idx), self._cj.take(risk_idx)
         )
         up = d_now <= self.tx_range
         flipped = up != self._mask.take(risk_idx)

@@ -7,20 +7,29 @@ that drives HELLO, CLUSTER and ROUTE accounting).
 
 The spatial layer's only connectivity output is the sorted **edge
 set** — an ``(E, 2)`` integer array of pairs with ``i < j`` in
-lexicographic order, as produced by :func:`compute_edges` /
-:meth:`~repro.spatial.grid_index.UniformGridIndex.neighbor_pairs`.
-Edge sets cost ``O(E)`` memory instead of ``O(N^2)`` and diff in
-``O(E log E)`` (:func:`diff_edge_sets`).  The converters below build
-the simulation engine's views from it: the dense boolean adjacency
-matrix (:func:`edges_to_adjacency`) for clustering consumers that index
-into a matrix, and the ascending per-node neighbor rows of a CSR pair
+lexicographic order, as produced by :func:`compute_edges`.  Edge sets
+cost ``O(E)`` memory instead of ``O(N^2)`` and diff in ``O(E log E)``
+(:func:`diff_edge_sets`).  The converters below build the simulation
+engine's views from it: the dense boolean adjacency matrix
+(:func:`edges_to_adjacency`) for clustering consumers that index into a
+matrix, and the ascending per-node neighbor rows of a CSR pair
 (:func:`edges_to_csr`), which serve both as Python lists
 (:func:`edges_to_lists`) for the routing layer's ``O(degree)`` walks and
 as the flood graph of backbone route discovery.
 
-Whether an edge set is computed through the dense metric or the uniform
-grid index is decided by a measured cost model (see
-:data:`GRID_CROSSOVER_NODES`).
+Every batch pair search is one function, :func:`pairs_within`: a
+KD-tree sweep (periodic on the torus) at a slightly inflated radius,
+trimmed by the bit-exact :func:`_pair_distances`.  :func:`compute_edges`
+calls it at the transmission range, and the incremental engine's full
+validation at its candidate radius.  The dense ``N x N`` metric
+(``method="dense"``) stays as the test reference.
+
+:func:`_pair_distances` replaces the round-based torus wrap of
+:meth:`SquareRegion.displacement` with ``min(|d|, side - |d|)``:
+IEEE-754 subtraction rounds symmetrically (``fl(a - b) == -fl(b - a)``),
+so both forms produce the same wrapped magnitude bit for bit and the
+final ``sqrt(dx*dx + dy*dy)`` matches ``region.distance`` exactly, while
+skipping ``np.round``.  Tests assert the bitwise equality directly.
 """
 
 from __future__ import annotations
@@ -28,15 +37,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .grid_index import UniformGridIndex
-from .region import SquareRegion
+from .region import Boundary, SquareRegion
 
 __all__ = [
-    "GRID_CROSSOVER_NODES",
     "INCREMENTAL_MARGIN_FRACTION",
     "INCREMENTAL_MIN_AMORTIZED_STEPS",
-    "MIN_GRID_CELLS_PER_SIDE",
+    "INCREMENTAL_MIN_NODES",
+    "INCREMENTAL_MIN_RADII_PER_SIDE",
     "LinkEvents",
     "adjacency_to_edges",
     "compute_edges",
@@ -50,23 +59,20 @@ __all__ = [
     "edges_to_adjacency",
     "edges_to_csr",
     "edges_to_lists",
+    "pairs_within",
     "select_connectivity_method",
 ]
 
-#: Node count above which the grid index beats the dense metric for a
-#: full edge-set recompute.  Measured with the engine bench harness
-#: (``repro-manet bench --crossover``, recorded in ``BENCH_engine.json``;
-#: see the README's Performance section): on the reference container
-#: (1-core x86-64, NumPy 2.4) the grid's batched cell-pair sweep breaks
-#: even with the dense ``O(N^2)`` distance matrix near N=64 at
-#: r/a = 0.1, is ~2.5x faster by N=128 and >10x by N=512.  The constant
-#: sits at the top of the break-even band so small networks keep the
-#: allocation-free dense path.
-GRID_CROSSOVER_NODES = 100
+#: Networks of at most this many nodes re-sweep every step instead of
+#: running the incremental engine: one KD-tree sweep at N=100, r = 0.1a
+#: takes under 0.2 ms (torus, 2-vCPU x86-64 VM), so the engine's state
+#: has little to save.
+INCREMENTAL_MIN_NODES = 100
 
-#: Below this many grid cells per side the 3x3 stencil spans most of
-#: the region, so the grid degenerates into a slower dense scan.
-MIN_GRID_CELLS_PER_SIDE = 4
+#: The incremental engine needs the square's side to span at least this
+#: many candidate radii ``(1 + margin_fraction) * tx_range``; denser
+#: networks cache most of the ``N^2`` pairs as candidates.
+INCREMENTAL_MIN_RADII_PER_SIDE = 4
 
 #: Default candidate-cache margin of the incremental engine, as a
 #: fraction of ``tx_range``: candidates are cached out to
@@ -86,6 +92,11 @@ INCREMENTAL_MARGIN_FRACTION = 0.5
 #: this many steps between full validations (worst case every pair
 #: closes at ``2 * velocity`` per unit time).
 INCREMENTAL_MIN_AMORTIZED_STEPS = 4
+
+#: Relative inflation of the KD-tree query radius: the tree's distances
+#: may round differently from :func:`_pair_distances`, so it must return
+#: a superset, which the bit-exact filter then trims.
+_QUERY_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -122,39 +133,96 @@ def select_connectivity_method(
     velocity: float | None = None,
     dt: float | None = None,
 ) -> str:
-    """Pick ``"dense"``, ``"grid"`` or ``"incremental"`` connectivity.
+    """Pick ``"incremental"`` or ``"tree"`` connectivity.
 
-    The grid wins over the dense metric once the network is large
-    (``n_nodes`` above the measured :data:`GRID_CROSSOVER_NODES`) *and*
-    sparse enough that the 3x3 stencil prunes most pairs (at least
-    :data:`MIN_GRID_CELLS_PER_SIDE` cells per side, i.e.
-    ``tx_range * 4 <= side``).
-
-    When the caller also supplies ``velocity`` and ``dt`` (the
-    simulation does; one-shot recomputes do not), the incremental
-    engine is preferred over the grid whenever temporal coherence pays:
-    the *expanded* candidate radius must still be sparse, and the
-    per-step displacement bound ``2 * velocity * dt`` must be small
-    enough that the candidate margin amortizes a full validation over
-    at least :data:`INCREMENTAL_MIN_AMORTIZED_STEPS` steps.  Static
-    networks (``velocity == 0``) always qualify.  Without the mobility
-    kwargs the historical dense/grid behavior is unchanged.
+    The incremental engine needs the mobility kwargs (the simulation
+    passes them; one-shot recomputes do not), more than
+    :data:`INCREMENTAL_MIN_NODES` nodes, a candidate radius that the
+    side spans at least :data:`INCREMENTAL_MIN_RADII_PER_SIDE` times,
+    and a per-step displacement bound ``2 * velocity * dt`` small enough
+    that the candidate margin amortizes a full validation over at least
+    :data:`INCREMENTAL_MIN_AMORTIZED_STEPS` steps.  Static networks
+    (``velocity == 0``) always meet the last condition.  Every other
+    network re-sweeps its pairs each step (``"tree"``).
     """
-    sparse_enough = tx_range * MIN_GRID_CELLS_PER_SIDE <= side
-    if n_nodes <= GRID_CROSSOVER_NODES or not sparse_enough:
-        return "dense"
-    if velocity is not None and dt is not None:
+    mobile = velocity is not None and dt is not None
+    if mobile and n_nodes > INCREMENTAL_MIN_NODES:
         margin = INCREMENTAL_MARGIN_FRACTION * tx_range
-        expanded_sparse = (
-            (tx_range + margin) * MIN_GRID_CELLS_PER_SIDE <= side
-        )
         step_churn = 2.0 * velocity * dt
         if (
-            expanded_sparse
+            (tx_range + margin) * INCREMENTAL_MIN_RADII_PER_SIDE <= side
             and step_churn * INCREMENTAL_MIN_AMORTIZED_STEPS <= margin
         ):
             return "incremental"
-    return "grid"
+    return "tree"
+
+
+def _pair_distances(
+    region: SquareRegion, pos: np.ndarray, i: np.ndarray, j: np.ndarray
+) -> np.ndarray:
+    """Distances of the node pairs, bit-equal to ``region.distance``.
+
+    The torus wrap uses ``min(|d|, side - |d|)`` instead of the
+    round-based form: identical magnitudes under IEEE-754 (module
+    docstring), at a fraction of the cost of ``np.round``.
+    """
+    x = np.ascontiguousarray(pos[:, 0])
+    y = np.ascontiguousarray(pos[:, 1])
+    dx = x.take(i)
+    dx -= x.take(j)
+    dy = y.take(i)
+    dy -= y.take(j)
+    np.abs(dx, out=dx)
+    np.abs(dy, out=dy)
+    if region.boundary is Boundary.TORUS:
+        side = region.side
+        np.minimum(dx, side - dx, out=dx)
+        np.minimum(dy, side - dy, out=dy)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
+def pairs_within(
+    region: SquareRegion, positions: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair within ``radius`` under the region metric, key-sorted.
+
+    Returns ``(i, j, dist)``: ``i < j``, ascending in ``(i, j)``, and
+    ``dist`` the bit-exact :func:`_pair_distances` of each pair, all
+    ``<= radius``.  One KD-tree sweep at a radius inflated by
+    :data:`_QUERY_SLACK` finds a superset; on the torus the tree is
+    periodic (``boxsize=side``) over an ``np.mod`` copy of the
+    positions.
+    """
+    pos = np.asarray(positions, dtype=float)
+    n = len(pos)
+    if region.boundary is Boundary.TORUS:
+        side = region.side
+        # The periodic tree needs coordinates in [0, side); np.mod can
+        # round a tiny negative up to exactly side, which folds to 0 as
+        # in SquareRegion.apply_boundary.
+        points = np.mod(pos, side)
+        points[points >= side] = 0.0
+        tree = cKDTree(points, boxsize=side)
+    else:
+        tree = cKDTree(pos)
+    pairs = tree.query_pairs(
+        radius * (1.0 + _QUERY_SLACK), output_type="ndarray"
+    )
+    # query_pairs emits i < j, so the keys are canonical and unique: a
+    # plain (unstable) sort is deterministic.
+    keys = pairs[:, 0] * n
+    keys += pairs[:, 1]
+    keys.sort()
+    i = keys // n
+    j = keys - i * n
+    dist = _pair_distances(region, pos, i, j)
+    keep = dist <= radius
+    if not keep.all():
+        i, j, dist = i[keep], j[keep], dist[keep]
+    return i, j, dist
 
 
 def adjacency_to_edges(adjacency: np.ndarray) -> np.ndarray:
@@ -218,25 +286,23 @@ def compute_edges(
     region: SquareRegion,
     positions: np.ndarray,
     tx_range: float,
-    method: str = "auto",
+    method: str = "tree",
 ) -> np.ndarray:
     """Sorted unit-disk edge set of ``positions`` under the region metric.
 
-    ``method`` selects the dense metric (``"dense"``), a fresh grid
-    index (``"grid"``), or the measured cost model (``"auto"``, the
-    default).  Every path returns the identical edge array.
+    ``method`` selects the KD-tree sweep of :func:`pairs_within`
+    (``"tree"``, the default) or the dense ``N x N`` metric
+    (``"dense"``, the test reference).  Both return the identical edge
+    array.
     """
+    if tx_range < 0.0:
+        raise ValueError(f"tx_range must be non-negative, got {tx_range}")
     pos = np.asarray(positions, dtype=float)
-    if method == "auto":
-        method = select_connectivity_method(len(pos), tx_range, region.side)
-    if method == "grid":
-        index = UniformGridIndex(region, tx_range)
-        index.rebuild(pos)
-        return index.neighbor_pairs()
+    if method == "tree":
+        i, j, _ = pairs_within(region, pos, tx_range)
+        return np.column_stack((i, j))
     if method != "dense":
-        raise ValueError(
-            f"method must be 'auto', 'dense' or 'grid', got {method!r}"
-        )
+        raise ValueError(f"method must be 'tree' or 'dense', got {method!r}")
     return adjacency_to_edges(region.adjacency(pos, tx_range))
 
 

@@ -184,8 +184,9 @@ class TestMain:
                 "adjacency",
                 "link_diff",
             }
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         assert "speedup_vs_dense" not in payload
+        assert "crossover" not in payload
         assert payload["speedup_vs_edge"]["60"]["incremental-engine"] > 0
         assert payload["equivalence"] == {"60": "ok"}
         stats = next(

@@ -3,8 +3,8 @@
 The engine's primary connectivity state is a sorted ``(E, 2)`` edge
 array; these tests pin its exact equivalence to the dense adjacency
 representation — conversions roundtrip, ``diff_edge_sets`` produces the
-same events as ``diff_adjacency``, every compute method yields the same
-edge set, and the engine's lazy neighbor views stay consistent with
+same events as ``diff_adjacency``, the KD-tree sweep yields the dense
+metric's edge set, and the engine's lazy neighbor views stay consistent with
 its edge state (including under node failure).
 """
 
@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.params import NetworkParameters
 from repro.mobility import EpochRandomWaypointModel
 from repro.sim import Simulation
 from repro.spatial import (
-    GRID_CROSSOVER_NODES,
+    INCREMENTAL_MIN_NODES,
     Boundary,
     SquareRegion,
     adjacency_to_edges,
@@ -117,14 +119,64 @@ class TestDiffEdgeSets:
             assert np.all(np.diff(keys) > 0)
 
 
+@st.composite
+def _layouts(draw):
+    """A region, raw positions and a range for the tree-vs-dense test.
+
+    Coordinates include the square's borders (on the torus a coordinate
+    equal to ``side``, and ``-1e-18 * side``, which ``np.mod`` rounds up
+    to ``side``), OPEN positions reach outside the square, some nodes
+    are copies of others and some pairs sit exactly ``r`` apart along
+    an axis.
+    """
+    boundary = draw(st.sampled_from(list(Boundary)))
+    side = draw(st.sampled_from([1.0, 1.0 / 3.0, 1000.0]))
+    radius = draw(st.floats(1e-3, 1.5)) * side
+    low, high = (-0.5, 1.5) if boundary is Boundary.OPEN else (0.0, 1.0)
+    borders = st.sampled_from([0.0, 1.0, -1e-18])
+    coordinate = st.one_of(st.floats(low, high), borders)
+    n = draw(st.integers(0, 60))
+    unit = draw(
+        st.lists(st.tuples(coordinate, coordinate), min_size=n, max_size=n)
+    )
+    positions = np.array(unit, dtype=float).reshape(n, 2) * side
+    if n:
+        node = st.integers(0, n - 1)
+        for a, b in draw(st.lists(st.tuples(node, node), max_size=4)):
+            positions[a] = positions[b]
+        for a, b in draw(st.lists(st.tuples(node, node), max_size=4)):
+            x = positions[b, 0] + radius
+            if boundary is Boundary.OPEN or x <= side:
+                positions[a] = (x, positions[b, 1])
+    return SquareRegion(side, boundary), positions, radius
+
+
 class TestComputeEdges:
     @pytest.mark.parametrize("boundary", [Boundary.TORUS, Boundary.OPEN])
-    def test_dense_equals_grid(self, boundary):
+    def test_dense_equals_tree(self, boundary):
         region = SquareRegion(1.0, boundary)
         positions = region.uniform_positions(200, 7)
         dense = compute_edges(region, positions, 0.1, method="dense")
-        grid = compute_edges(region, positions, 0.1, method="grid")
-        np.testing.assert_array_equal(dense, grid)
+        tree = compute_edges(region, positions, 0.1, method="tree")
+        np.testing.assert_array_equal(dense, tree)
+
+    @given(_layouts())
+    @settings(max_examples=300, deadline=None)
+    def test_tree_equals_dense_and_is_canonical(self, layout):
+        region, positions, radius = layout
+        tree = compute_edges(region, positions, radius, method="tree")
+        dense = compute_edges(region, positions, radius, method="dense")
+        np.testing.assert_array_equal(tree, dense)
+        assert tree.shape == (len(tree), 2)
+        assert np.all(tree[:, 0] < tree[:, 1])
+        keys = tree[:, 0] * len(positions) + tree[:, 1]
+        assert np.all(np.diff(keys) > 0)
+
+    @pytest.mark.parametrize("method", ["tree", "dense"])
+    def test_negative_range_rejected(self, unit_torus, method):
+        positions = unit_torus.uniform_positions(10, 0)
+        with pytest.raises(ValueError, match="tx_range must be non-negative"):
+            compute_edges(unit_torus, positions, -0.1, method=method)
 
     def test_matches_region_adjacency(self, unit_torus):
         positions = unit_torus.uniform_positions(150, 8)
@@ -141,24 +193,41 @@ class TestComputeEdges:
 
 
 class TestConnectivitySelection:
-    def test_small_network_stays_dense(self):
-        assert select_connectivity_method(50, 0.1, 1.0) == "dense"
-
-    def test_large_sparse_uses_grid(self):
+    def test_small_network_uses_tree(self):
+        assert select_connectivity_method(50, 0.1, 1.0) == "tree"
         assert (
-            select_connectivity_method(GRID_CROSSOVER_NODES + 1, 0.1, 1.0)
-            == "grid"
+            select_connectivity_method(50, 0.1, 1.0, velocity=0.0, dt=0.1)
+            == "tree"
         )
 
-    def test_at_crossover_stays_dense(self):
+    def test_large_sparse_uses_tree(self):
+        # Without the mobility kwargs the incremental engine is never
+        # picked.
         assert (
-            select_connectivity_method(GRID_CROSSOVER_NODES, 0.1, 1.0)
-            == "dense"
+            select_connectivity_method(INCREMENTAL_MIN_NODES + 1, 0.1, 1.0)
+            == "tree"
         )
 
-    def test_large_but_dense_range_stays_dense(self):
-        # The grid needs >= MIN_GRID_CELLS_PER_SIDE cells to prune.
-        assert select_connectivity_method(5000, 0.3, 1.0) == "dense"
+    def test_at_min_nodes_stays_batch(self):
+        assert (
+            select_connectivity_method(
+                INCREMENTAL_MIN_NODES, 0.05, 1.0, velocity=0.0, dt=0.1
+            )
+            == "tree"
+        )
+        assert (
+            select_connectivity_method(
+                INCREMENTAL_MIN_NODES + 1, 0.05, 1.0, velocity=0.0, dt=0.1
+            )
+            == "incremental"
+        )
+
+    def test_large_but_dense_range_uses_tree(self):
+        assert select_connectivity_method(5000, 0.3, 1.0) == "tree"
+        assert (
+            select_connectivity_method(5000, 0.3, 1.0, velocity=0.0, dt=0.1)
+            == "tree"
+        )
 
     def test_engine_resolves_auto(self):
         small = NetworkParameters.from_fractions(
@@ -167,7 +236,7 @@ class TestConnectivitySelection:
         sim = Simulation(
             small, EpochRandomWaypointModel(small.velocity, 1.0), seed=0
         )
-        assert sim.connectivity == "dense"
+        assert sim.connectivity == "tree"
         # A large sparse network with the recommended step's small
         # per-step displacement qualifies for the incremental engine.
         large = NetworkParameters.from_fractions(
@@ -178,15 +247,15 @@ class TestConnectivitySelection:
         )
         assert sim.connectivity == "incremental"
 
-    def test_fast_steps_fall_back_to_grid(self):
+    def test_fast_steps_fall_back_to_tree(self):
         # A step so large that nodes cross a sizable fraction of the
         # candidate margin each step cannot amortize validations; the
-        # mobility-aware selection must fall back to the grid.
+        # mobility-aware selection must fall back to the tree sweep.
         assert (
             select_connectivity_method(
                 300, 0.05, 1.0, velocity=0.05, dt=10.0
             )
-            == "grid"
+            == "tree"
         )
 
     def test_static_network_prefers_incremental(self):
@@ -196,12 +265,14 @@ class TestConnectivitySelection:
         )
 
     def test_expanded_radius_density_guard(self):
-        # Sparse enough for the plain grid but not for the expanded
-        # candidate radius: stay on the grid.
-        assert select_connectivity_method(500, 0.2, 1.0) == "grid"
+        # The side spans 5 ranges but only 3.3 candidate radii.
         assert (
             select_connectivity_method(500, 0.2, 1.0, velocity=0.0, dt=0.1)
-            == "grid"
+            == "tree"
+        )
+        assert (
+            select_connectivity_method(500, 0.16, 1.0, velocity=0.0, dt=0.1)
+            == "incremental"
         )
 
     def test_engine_rejects_unknown_connectivity(self):
@@ -261,18 +332,18 @@ class TestEngineEdgeState:
             # The sorted edge keys answer it: no neighbor view is built.
             assert sim._neighbor_csr is None
 
-    def test_dense_and_grid_engines_agree(self):
+    def test_dense_and_tree_engines_agree(self):
         dense = self._sim(connectivity="dense")
-        grid = self._sim(connectivity="grid")
+        tree = self._sim(connectivity="tree")
         for _ in range(5):
             dense_events = dense.step()
-            grid_events = grid.step()
-            np.testing.assert_array_equal(dense.edges, grid.edges)
+            tree_events = tree.step()
+            np.testing.assert_array_equal(dense.edges, tree.edges)
             np.testing.assert_array_equal(
-                dense_events.generated, grid_events.generated
+                dense_events.generated, tree_events.generated
             )
             np.testing.assert_array_equal(
-                dense_events.broken, grid_events.broken
+                dense_events.broken, tree_events.broken
             )
 
     def test_edge_count_and_degrees(self):

@@ -200,7 +200,7 @@ class TestRun:
         with pytest.raises(ValueError):
             sim.run(duration=1.0, warmup=-1.0)
 
-    def test_grid_index_used_for_large_sparse(self):
+    def test_tree_used_for_large_sparse(self):
         params = NetworkParameters.from_fractions(
             n_nodes=500, range_fraction=0.05, velocity_fraction=0.02
         )
@@ -208,9 +208,9 @@ class TestRun:
             params,
             EpochRandomWaypointModel(params.velocity, 1.0),
             seed=7,
-            connectivity="grid",
+            connectivity="tree",
         )
-        assert sim.connectivity == "grid"
+        assert sim.connectivity == "tree"
         expected = sim.region.adjacency(sim.positions, params.tx_range)
         np.testing.assert_array_equal(
             edges_to_adjacency(sim.edges, sim.n_nodes), expected

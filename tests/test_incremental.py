@@ -6,6 +6,8 @@ sorted edge set — and, via the fast mask-diff path, bit-identical
 pin that equivalence across boundaries, mobility models, teleports, and
 node failure, and additionally pin the internal invariants the speedup
 rests on (rebuild fallbacks, the bitwise-equal fast distance kernel).
+The reference is the dense ``N x N`` metric, which shares no pair
+search with the engine's KD-tree validation.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.spatial import (
     compute_edges,
     diff_edge_sets,
 )
+from repro.spatial.neighbors import _pair_distances
 
 
 def _incremental_params(n_nodes=200) -> NetworkParameters:
@@ -57,9 +60,11 @@ def _assert_sims_lockstep(incremental, reference, steps):
 
 
 def _sim_pair(params, model_factory, seed=0):
+    """The incremental engine and a dense-metric reference: the dense
+    path shares no pair search with the engine's validation."""
     return tuple(
         Simulation(params, model_factory(), seed=seed, connectivity=mode)
-        for mode in ("incremental", "grid")
+        for mode in ("incremental", "dense")
     )
 
 
@@ -100,7 +105,17 @@ MODEL_FACTORIES = {
     "direction": lambda v: RandomDirectionModel((0.5 * v, 1.5 * v), pause=0.2),
     "gauss-markov": lambda v: GaussMarkovModel(v, update_interval=0.5),
     "manhattan": lambda v: ManhattanModel((0.5 * v, 1.5 * v)),
+    # Group centres at the network's speed scale.
     "group": lambda v: ReferencePointGroupModel(
+        n_groups=5,
+        group_radius=0.1,
+        member_speed=v,
+        center_speed_range=(0.5 * v, 1.5 * v),
+    ),
+    # The model's default centre speeds (0.5-1.5 side lengths per unit
+    # time) move some node past the margin every step, so every step is
+    # a full validation.
+    "group-fast": lambda v: ReferencePointGroupModel(
         n_groups=5, group_radius=0.1, member_speed=v
     ),
     "teleport": lambda v: TeleportingModel(v),
@@ -108,7 +123,7 @@ MODEL_FACTORIES = {
 
 
 class TestSimulationEquivalence:
-    """Engine-level lockstep equality against the batch grid engine."""
+    """Engine-level lockstep equality against the dense batch engine."""
 
     @pytest.mark.parametrize("model_name", sorted(MODEL_FACTORIES))
     def test_every_mobility_model(self, model_name):
@@ -119,6 +134,8 @@ class TestSimulationEquivalence:
         )
         assert incremental.connectivity == "incremental"
         _assert_sims_lockstep(incremental, reference, steps=40)
+        if model_name != "group-fast":
+            assert incremental._incremental.incremental_steps > 0
 
     def test_static_positions(self):
         params = _incremental_params()
@@ -171,25 +188,15 @@ class TestSimulationEquivalence:
         assert engine.incremental_steps > 0
 
 
-#: Non-uniform motion for the long runs.  The group centers move at
-#: the network's speed scale (the "group" factory above keeps the
-#: model's default centre speeds, so fast that every one of its steps
-#: is a full validation).
+#: Non-uniform motion for the long runs.
 LONG_RUN_FACTORIES = {
-    "rwp": MODEL_FACTORIES["rwp"],
-    "gauss-markov": MODEL_FACTORIES["gauss-markov"],
-    "group": lambda v: ReferencePointGroupModel(
-        n_groups=5,
-        group_radius=0.1,
-        member_speed=v,
-        center_speed_range=(0.5 * v, 1.5 * v),
-    ),
+    name: MODEL_FACTORIES[name] for name in ("rwp", "gauss-markov", "group")
 }
 
 
 class TestLongRunLockstep:
     """Non-uniform motion across many validations, checked every step
-    against a fresh batch rebuild and a fresh edge-set diff."""
+    against the dense metric and a fresh edge-set diff."""
 
     @pytest.mark.parametrize("model_name", sorted(LONG_RUN_FACTORIES))
     def test_spans_six_validations(self, model_name):
@@ -205,7 +212,7 @@ class TestLongRunLockstep:
             previous = sim.edges
             events = sim.step()
             expected = compute_edges(
-                sim.region, sim.positions, params.tx_range, method="grid"
+                sim.region, sim.positions, params.tx_range, method="dense"
             )
             np.testing.assert_array_equal(sim.edges, expected)
             _assert_same_events(events, diff_edge_sets(previous, expected))
@@ -317,7 +324,7 @@ class TestBoundaryInputs:
 
 
 class TestBareEngineEquivalence:
-    """Direct engine-vs-batch equality outside the simulation loop,
+    """Direct engine-vs-dense equality outside the simulation loop,
     covering the non-torus boundaries the Simulation never uses."""
 
     @pytest.mark.parametrize(
@@ -333,7 +340,9 @@ class TestBareEngineEquivalence:
         prev_edges = None
         for step in range(50):
             result = engine.step(positions)
-            expected = compute_edges(region, positions, tx_range)
+            expected = compute_edges(
+                region, positions, tx_range, method="dense"
+            )
             np.testing.assert_array_equal(result.edges, expected)
             if result.events is not None:
                 assert prev_edges is not None
@@ -420,7 +429,6 @@ class TestFastDistanceKernel:
     @pytest.mark.parametrize("side", [1.0, 0.3333333333333333, 1000.0])
     def test_torus_bitwise(self, side):
         region = SquareRegion(side, Boundary.TORUS)
-        engine = IncrementalConnectivityEngine(region, 0.1 * side)
         rng = np.random.default_rng(5)
         pos = rng.random((400, 2)) * side
         # Adversarial band: pairs separated by almost exactly side/2,
@@ -430,19 +438,18 @@ class TestFastDistanceKernel:
         ) % side
         i = rng.integers(0, 400, 5000)
         j = rng.integers(0, 400, 5000)
-        fast = engine._pair_distances(pos, i, j)
+        fast = _pair_distances(region, pos, i, j)
         reference = region.distance(pos[i], pos[j])
         np.testing.assert_array_equal(fast, reference)
 
     def test_open_bitwise(self):
         region = SquareRegion(1.0, Boundary.OPEN)
-        engine = IncrementalConnectivityEngine(region, 0.1)
         rng = np.random.default_rng(6)
         pos = rng.random((300, 2))
         i = rng.integers(0, 300, 3000)
         j = rng.integers(0, 300, 3000)
         np.testing.assert_array_equal(
-            engine._pair_distances(pos, i, j),
+            _pair_distances(region, pos, i, j),
             region.distance(pos[i], pos[j]),
         )
 

@@ -9,7 +9,6 @@ from repro.spatial import (
     Boundary,
     LinkEvents,
     SquareRegion,
-    UniformGridIndex,
     compute_edges,
     degree_counts,
     diff_adjacency,
@@ -22,21 +21,19 @@ class TestComputeAdjacency:
 
     def test_dense_path(self, unit_torus, rng):
         positions = unit_torus.uniform_positions(100, rng)
-        edges = compute_edges(unit_torus, positions, 0.2)
+        edges = compute_edges(unit_torus, positions, 0.2, method="dense")
         np.testing.assert_array_equal(
             edges_to_adjacency(edges, 100), unit_torus.adjacency(positions, 0.2)
         )
 
     def test_explicit_index_path(self, unit_torus, rng):
         positions = unit_torus.uniform_positions(100, rng)
-        index = UniformGridIndex(unit_torus, 0.2)
-        index.rebuild(positions)
+        edges = compute_edges(unit_torus, positions, 0.2, method="tree")
         np.testing.assert_array_equal(
-            edges_to_adjacency(index.neighbor_pairs(), 100),
-            unit_torus.adjacency(positions, 0.2),
+            edges_to_adjacency(edges, 100), unit_torus.adjacency(positions, 0.2)
         )
 
-    def test_auto_grid_for_large_sparse(self):
+    def test_default_tree_for_large_sparse(self):
         region = SquareRegion(10.0, Boundary.TORUS)
         positions = region.uniform_positions(900, 0)
         edges = compute_edges(region, positions, 0.5)
