@@ -41,6 +41,28 @@ def test_simulation_step_cost_large_tree(benchmark):
     benchmark(sim.step)
 
 
+def test_neighbor_rows_cost(benchmark):
+    """80 point queries after one incremental step at N=2000, about the
+    LID maintenance load of a step: the engine's pair index answers
+    them, so no CSR of the whole edge set is built."""
+    params = NetworkParameters.from_fractions(
+        n_nodes=2000, range_fraction=0.1, velocity_fraction=0.05
+    )
+    sim = Simulation(
+        params, EpochRandomWaypointModel(params.velocity, 1.0), seed=0
+    )
+    assert sim.connectivity == "incremental"
+    sim.step()
+    nodes = range(0, params.n_nodes, params.n_nodes // 80)
+
+    def queries():
+        return [sim.neighbors_of(node) for node in nodes]
+
+    rows = benchmark(queries)
+    assert len(rows) == 80
+    assert sim._neighbor_csr is None
+
+
 def test_compute_edges_tree_cost(benchmark):
     region = SquareRegion(1.0, Boundary.TORUS)
     positions = region.uniform_positions(2000, 0)

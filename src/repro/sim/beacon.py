@@ -189,7 +189,7 @@ class HelloProtocol(Protocol):
         # Seed neighbor lists from the initial adjacency: the paper does
         # not measure the initial discovery phase.
         self.neighbor_lists = [
-            {int(v): 0.0 for v in sim.neighbors_of(u)} for u in range(n)
+            dict.fromkeys(row, 0.0) for row in sim.adjacency_lists
         ]
         if self.miss_limit is not None:
             self._miss_counts = [{} for _ in range(n)]
@@ -449,10 +449,9 @@ class HelloProtocol(Protocol):
         still listed plus new neighbors not yet discovered.
         """
         counts = np.zeros(sim.n_nodes, dtype=np.int64)
-        for node in range(sim.n_nodes):
-            actual = {int(v) for v in sim.neighbors_of(node)}
+        for node, row in enumerate(sim.adjacency_lists):
             believed = self.known_neighbors(node)
-            counts[node] = len(actual ^ believed)
+            counts[node] = len(believed.symmetric_difference(row))
         return counts
 
     def detection_errors(self, sim: Simulation) -> int:

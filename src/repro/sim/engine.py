@@ -10,11 +10,13 @@ consecutive edge sets into link generation/break events in
 attached protocols (HELLO beaconing, clustering maintenance, routing).
 Neighbor views are derived from the edge set lazily and cached until
 the next step: the :attr:`Simulation.neighbor_csr` ``(indptr, indices)``
-pair of ascending neighbor rows (point queries such as
-:meth:`Simulation.neighbors_of` slice it, and backbone route discovery
-builds its flood graph from it), and :attr:`Simulation.adjacency_lists`,
-the same rows as Python lists, for ``O(degree)`` walks.  No step builds
-an ``N x N`` matrix.
+pair of ascending neighbor rows (backbone route discovery builds its
+flood graph from it), and :attr:`Simulation.adjacency_lists`, the same
+rows as Python lists, for ``O(degree)`` walks and bulk table builds.
+Point queries (:meth:`Simulation.neighbors_of`) return the same rows;
+on the incremental path they read the engine's pair index until some
+bulk reader builds the CSR, so a step with a few queries sorts nothing.
+No step builds an ``N x N`` matrix.
 Message accounting flows into a shared
 :class:`~repro.sim.stats.MessageStats`.
 
@@ -324,7 +326,8 @@ class Simulation:
                 params.tx_range,
                 method=connectivity,
             )
-        self._set_edges(self._mask_failed(initial))
+        # No radio has failed yet, so nothing is masked.
+        self._set_edges(initial, self._incremental)
         logger.debug(
             "sim %d: N=%d side=%.4g r=%.4g v=%.4g dt=%.4g seed=%s",
             self.sim_id,
@@ -443,9 +446,12 @@ class Simulation:
         neighbors of ``i`` in ascending order, equal to
         ``np.flatnonzero(edges_to_adjacency(edges, n)[i])``.  Built in
         ``O(N + E)`` plus one stable sort of the sorted edge set
-        (:func:`~repro.spatial.edges_to_csr`) and cached until the next
-        step; :attr:`adjacency_lists` is sliced from it.  Both arrays
-        are read-only, because :meth:`neighbors_of` hands out views.
+        (:func:`~repro.spatial.edges_to_csr`) on first use and cached
+        until the next step; bulk readers (:attr:`adjacency_lists`,
+        which is sliced from it, and the backbone flood graph) pay for
+        it, point queries on the incremental path do not (see
+        :meth:`neighbors_of`).  Both arrays are read-only, because
+        :meth:`neighbors_of` hands out views.
         """
         if self._neighbor_csr is None:
             indptr, indices = edges_to_csr(self.edges, self.params.n_nodes)
@@ -475,7 +481,19 @@ class Simulation:
         return degree_counts_from_edges(self.edges, self.params.n_nodes)
 
     def neighbors_of(self, node: int) -> np.ndarray:
-        """Ascending neighbors of ``node``: a read-only CSR row view."""
+        """Ascending neighbors of ``node``, read-only.
+
+        Row ``node`` of :attr:`neighbor_csr`.  While no CSR is cached
+        for this step and the live edge set is the incremental engine's
+        unmasked one, the row comes from the engine's pair index
+        (:meth:`~repro.spatial.IncrementalConnectivityEngine.neighbors`),
+        so a few point queries per step cost ``O(degree)`` each instead
+        of one sort of the whole edge set.
+        """
+        if self._neighbor_csr is None and self._pair_index is not None:
+            row = self._pair_index.neighbors(node)
+            row.flags.writeable = False
+            return row
         indptr, indices = self.neighbor_csr
         return indices[indptr[node] : indptr[node + 1]]
 
@@ -569,10 +587,20 @@ class Simulation:
         alive = self.active[edges[:, 0]] & self.active[edges[:, 1]]
         return edges[alive]
 
-    def _set_edges(self, edges: np.ndarray) -> None:
-        """Commit ``edges`` as the live edge set and drop the derived views."""
+    def _set_edges(
+        self,
+        edges: np.ndarray,
+        engine: IncrementalConnectivityEngine | None = None,
+    ) -> None:
+        """Commit ``edges`` as the live edge set and drop the derived views.
+
+        ``engine`` is the incremental engine whose last step produced
+        exactly ``edges`` (no radio masked), or ``None``; while it is
+        set, :meth:`neighbors_of` reads its pair index.
+        """
         #: Primary connectivity state: sorted (E, 2) edge array, i < j.
         self.edges = edges
+        self._pair_index = engine
         self._neighbor_csr: tuple[np.ndarray, np.ndarray] | None = None
         self._adjacency_lists: list[list[int]] | None = None
         #: :func:`~repro.spatial.edge_keys` of the live edge set (sorted),
@@ -662,7 +690,7 @@ class Simulation:
             timer.add("adjacency", t2 - t1)
         timer.add("link_diff", t3 - t2)
         self._prev_all_active = all_active
-        self._set_edges(new_edges)
+        self._set_edges(new_edges, self._incremental if all_active else None)
         self.time += self.dt
         self.stats.advance_time(self.dt)
 
@@ -693,34 +721,41 @@ class Simulation:
         protocols = self._protocols
         if protocols:
             # One on_link_down / on_link_up call per (event, protocol),
-            # event-major in pair order, each timed on its own so the
-            # protocol:<name> phases stay exact.  Hooks are bound once
+            # event-major in pair order.  The clock is read once after
+            # each call, and the time since the previous read is charged
+            # to that call's protocol, so the protocol:<name> phases
+            # partition the whole dispatch loop.  Hooks are bound once
             # per step.
             now = self.time
             spent = [0.0] * len(protocols)
             slots = range(len(protocols))
+            last = perf_counter()
             for index in slots:
-                h0 = perf_counter()
                 protocols[index].on_step_begin(self, now)
-                spent[index] += perf_counter() - h0
+                tick = perf_counter()
+                spent[index] += tick - last
+                last = tick
             if broken:
                 hooks = [protocol.on_link_down for protocol in protocols]
                 for u, v in broken:
                     for index in slots:
-                        h0 = perf_counter()
                         hooks[index](self, u, v, now)
-                        spent[index] += perf_counter() - h0
+                        tick = perf_counter()
+                        spent[index] += tick - last
+                        last = tick
             if generated:
                 hooks = [protocol.on_link_up for protocol in protocols]
                 for u, v in generated:
                     for index in slots:
-                        h0 = perf_counter()
                         hooks[index](self, u, v, now)
-                        spent[index] += perf_counter() - h0
+                        tick = perf_counter()
+                        spent[index] += tick - last
+                        last = tick
             for index in slots:
-                h0 = perf_counter()
                 protocols[index].on_step_end(self, now)
-                spent[index] += perf_counter() - h0
+                tick = perf_counter()
+                spent[index] += tick - last
+                last = tick
             for protocol, seconds in zip(protocols, spent):
                 timer.add(f"protocol:{protocol.name}", seconds)
 

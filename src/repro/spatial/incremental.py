@@ -48,6 +48,15 @@ Every distance, in a validation and in a recompute, comes from
 :func:`~repro.spatial.neighbors._pair_distances`, bit-equal to
 ``region.distance`` and thus to the batch engine.
 
+The candidates double as a **pair index** for point neighbor queries.
+Each validation also keeps the forward row pointer of the key-sorted
+pairs (node ``x``'s pairs ``(x, j)`` are one contiguous slice) and a
+stable transpose order of ``cj`` with its row pointer (the pairs
+``(i, x)``, ``i`` still ascending).
+:meth:`IncrementalConnectivityEngine.neighbors` masks both slices with
+the live edge status, so one node's row costs ``O(candidate degree)``
+and no step has to sort the whole edge set to answer it.
+
 Teleports, mobility resets, and any other large jump are caught by the
 same displacement test (the region metric bounds the torus shortcut
 correctly), and :meth:`IncrementalConnectivityEngine.invalidate` lets
@@ -143,6 +152,9 @@ class IncrementalConnectivityEngine:
         self._ci: np.ndarray | None = None
         self._cj: np.ndarray | None = None
         self._ci_counts: np.ndarray | None = None
+        self._ci_bounds: list[int] | None = None
+        self._cj_order: np.ndarray | None = None
+        self._cj_bounds: list[int] | None = None
         self._due: np.ndarray | None = None
         self._mask: np.ndarray | None = None
         self._pending = True
@@ -179,6 +191,17 @@ class IncrementalConnectivityEngine:
         self._cj = cj
         # ci ascends, so gathering per-node values over ci is a repeat.
         self._ci_counts = np.bincount(ci, minlength=n)
+        # Pair index (module docstring).  Row pointers are Python ints:
+        # neighbors() reads two of each per call.  Argsorting the
+        # smallest unsigned type that holds every id gives the same
+        # stable order, and numpy radix-sorts keys of up to 16 bits.
+        self._ci_bounds = [0, *np.cumsum(self._ci_counts).tolist()]
+        self._cj_order = np.argsort(
+            cj.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable"
+        )
+        self._cj_bounds = [
+            0, *np.cumsum(np.bincount(cj, minlength=n)).tolist()
+        ]
         self._cand = np.column_stack((ci, cj))
         self._mask = dist <= self.tx_range
         dist -= self.tx_range
@@ -193,6 +216,24 @@ class IncrementalConnectivityEngine:
         self.full_rebuilds += 1
         self.last_at_risk = 0
         return self._cand[self._mask]
+
+    def neighbors(self, node: int) -> np.ndarray:
+        """Ascending neighbors of ``node`` in the last step's edge set.
+
+        Equal, dtype included, to row ``node`` of
+        :func:`~repro.spatial.edges_to_csr` of that edge set: the
+        transpose slice gives the neighbors below ``node``, the forward
+        slice those above it.  A fresh array, so the next step's in-place
+        mask updates never reach it.
+        """
+        mask = self._mask
+        bounds = self._cj_bounds
+        below = self._cj_order[bounds[node] : bounds[node + 1]]
+        start, stop = self._ci_bounds[node], self._ci_bounds[node + 1]
+        return np.concatenate((
+            self._ci.take(below)[mask.take(below)],
+            self._cj[start:stop][mask[start:stop]],
+        ))
 
     def _needs_validation(self, disp: np.ndarray) -> bool:
         if disp.shape[0] < 2:

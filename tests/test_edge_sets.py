@@ -29,8 +29,10 @@ from repro.spatial import (
     diff_adjacency,
     diff_edge_sets,
     edges_to_adjacency,
+    pairs_within,
     select_connectivity_method,
 )
+from repro.spatial.neighbors import _pair_distances
 
 
 def _random_adjacency(n, density, seed):
@@ -171,6 +173,35 @@ class TestComputeEdges:
         assert np.all(tree[:, 0] < tree[:, 1])
         keys = tree[:, 0] * len(positions) + tree[:, 1]
         assert np.all(np.diff(keys) > 0)
+
+    @pytest.mark.parametrize("boundary", [Boundary.TORUS, Boundary.OPEN])
+    @pytest.mark.parametrize("side", [1.0, 1.0 / 3.0, 1000.0])
+    def test_pair_exactly_at_the_radius(self, boundary, side):
+        # The KD-tree compares squared distances, which can round above
+        # radius ** 2 for a pair whose bit-exact distance equals the
+        # radius; without the query slack it drops about a quarter of
+        # these pairs.
+        region = SquareRegion(side, boundary)
+        rng = np.random.default_rng(31)
+        pair = np.array([0]), np.array([1])
+        for k in range(200):
+            first = rng.random(2) * side
+            if k % 2:
+                second = first + rng.uniform(-0.05, 0.05, 2) * side
+            else:
+                second = rng.random(2) * side
+            positions = np.array([first, second])
+            if boundary is Boundary.TORUS:
+                positions %= side
+            radius = float(_pair_distances(region, positions, *pair)[0])
+            i, j, dist = pairs_within(region, positions, radius)
+            assert (i.tolist(), j.tolist(), dist.tolist()) == (
+                [0], [1], [radius]
+            )
+            np.testing.assert_array_equal(
+                compute_edges(region, positions, radius, method="tree"),
+                compute_edges(region, positions, radius, method="dense"),
+            )
 
     @pytest.mark.parametrize("method", ["tree", "dense"])
     def test_negative_range_rejected(self, unit_torus, method):

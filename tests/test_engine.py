@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import repro.sim.engine as engine_module
 from repro.clustering import (
     ClusterMaintenanceProtocol,
     HighestConnectivityClustering,
@@ -14,6 +15,7 @@ from repro.clustering import (
 )
 from repro.core.params import NetworkParameters
 from repro.mobility import ConstantVelocityModel, EpochRandomWaypointModel
+from repro.obs.timing import PhaseTimer
 from repro.routing import HybridRoutingProtocol, IntraClusterRoutingProtocol
 from repro.sim import (
     CbrFlow,
@@ -182,6 +184,98 @@ class TestStepDelivery:
         sim.attach(RecordingProtocol("twin"))
         with pytest.raises(ValueError, match="twin"):
             sim.attach(RecordingProtocol("twin"))
+
+
+class FakeClock:
+    """``perf_counter`` stand-in: every read advances it by one tick."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.reads = 0
+
+    def __call__(self):
+        self.now += 1.0
+        self.reads += 1
+        return self.now
+
+
+class TickingProtocol(Protocol):
+    """Each hook advances the fake clock by ``ticks`` and logs itself."""
+
+    def __init__(self, name, ticks, clock, log):
+        self.name = name
+        self.ticks = ticks
+        self.clock = clock
+        self.log = log
+        self.calls = 0
+        #: Clock reads and clock value when the first hook ran.
+        self.first_seen = None
+
+    def _hook(self, *entry):
+        if self.first_seen is None:
+            self.first_seen = (self.clock.reads, self.clock.now)
+        self.clock.now += self.ticks
+        self.calls += 1
+        self.log.append((self.name, *entry))
+
+    def on_step_begin(self, sim, time):
+        self._hook("begin")
+
+    def on_link_down(self, sim, u, v, time):
+        self._hook("down", u, v)
+
+    def on_link_up(self, sim, u, v, time):
+        self._hook("up", u, v)
+
+    def on_step_end(self, sim, time):
+        self._hook("end")
+
+
+class TestDispatchTiming:
+    """One clock read per hook call; the protocol phases partition the
+    dispatch loop."""
+
+    def test_phases_partition_the_dispatch_span(self, params, monkeypatch):
+        timer = PhaseTimer()
+        sim = Simulation(
+            params,
+            EpochRandomWaypointModel(params.velocity, 1.0),
+            seed=2,
+            timer=timer,
+        )
+        clock = FakeClock()
+        log = []
+        first = sim.attach(TickingProtocol("first", 10.0, clock, log))
+        second = sim.attach(TickingProtocol("second", 1000.0, clock, log))
+        monkeypatch.setattr(engine_module, "perf_counter", clock)
+        events = sim.step()
+        assert events.break_count and events.generation_count
+
+        expected = []
+        for entry in (
+            [("begin",)]
+            + [("down", u, v) for u, v in events.broken.tolist()]
+            + [("up", u, v) for u, v in events.generated.tolist()]
+            + [("end",)]
+        ):
+            expected += [("first", *entry), ("second", *entry)]
+        assert log == expected
+
+        calls = 2 + events.change_count
+        assert first.calls == second.calls == calls
+        # The hooks' ticks plus one tick per read, the read after each call.
+        assert timer.seconds("protocol:first") == calls * (10.0 + 1.0)
+        assert timer.seconds("protocol:second") == calls * (1000.0 + 1.0)
+        # One read opens the loop (its value is the clock when the first
+        # hook runs) and one follows each hook call; no read follows
+        # the loop, so the span ends at the clock's last value.
+        reads_before, opened_at = first.first_seen
+        assert clock.reads - reads_before == 2 * calls
+        span = clock.now - opened_at
+        assert (
+            timer.seconds("protocol:first") + timer.seconds("protocol:second")
+            == span
+        )
 
 
 class TestRun:

@@ -15,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.sim.engine as engine_module
+from repro.clustering import ClusterMaintenanceProtocol, LowestIdClustering
 from repro.core.params import NetworkParameters
 from repro.mobility import (
     ConstantVelocityModel,
@@ -28,13 +30,15 @@ from repro.mobility import (
     ReferencePointGroupModel,
 )
 from repro.obs.timing import PhaseTimer
-from repro.sim import Simulation
+from repro.routing import IntraClusterRoutingProtocol
+from repro.sim import HelloProtocol, Simulation
 from repro.spatial import (
     Boundary,
     IncrementalConnectivityEngine,
     SquareRegion,
     compute_edges,
     diff_edge_sets,
+    edges_to_csr,
 )
 from repro.spatial.neighbors import _pair_distances
 
@@ -219,6 +223,118 @@ class TestLongRunLockstep:
         # The initial validation plus at least six mid-run ones.
         assert engine.full_rebuilds >= 7
         assert engine.incremental_steps >= 3 * engine.full_rebuilds
+
+
+def _assert_rows_match_csr(sim):
+    """Every ``neighbors_of`` row equals the ``edges_to_csr`` row of the
+    live edge set, dtype included, and is read-only."""
+    indptr, indices = edges_to_csr(sim.edges, sim.n_nodes)
+    bad = []
+    for node in range(sim.n_nodes):
+        row = sim.neighbors_of(node)
+        expected = indices[indptr[node] : indptr[node + 1]]
+        if (
+            row.dtype != expected.dtype
+            or row.flags.writeable
+            or not np.array_equal(row, expected)
+        ):
+            bad.append(node)
+    assert not bad, f"rows differ from edges_to_csr at nodes {bad[:10]}"
+
+
+class TestNeighborRows:
+    """Point queries on the incremental path read the engine's pair
+    index and must return the CSR rows exactly; whenever a radio is
+    masked the CSR answers them instead."""
+
+    @pytest.mark.parametrize(
+        "model_name", sorted(set(MODEL_FACTORIES) - {"group-fast"})
+    )
+    def test_rows_track_the_csr_across_validations(self, model_name):
+        params = _incremental_params(300)
+        sim = Simulation(
+            params,
+            MODEL_FACTORIES[model_name](params.velocity),
+            seed=13,
+            connectivity="incremental",
+        )
+        engine = sim._incremental
+        steps = 0
+        while True:
+            _assert_rows_match_csr(sim)
+            # Served by the pair index: no step built the CSR.
+            assert sim._neighbor_csr is None
+            # The initial validation plus three more.
+            if engine.full_rebuilds >= 4 or steps == 300:
+                break
+            sim.step()
+            steps += 1
+        assert engine.full_rebuilds >= 4
+        assert engine.incremental_steps > 0
+
+    def test_csr_takes_over_around_failures(self):
+        params = _incremental_params(300)
+        sim = Simulation(
+            params,
+            EpochRandomWaypointModel(params.velocity, epoch=1.0),
+            seed=14,
+            connectivity="incremental",
+        )
+        victim = int(sim.degrees().argmax())
+        plan = {
+            3: ("fail", victim),
+            4: ("fail", 0),
+            7: ("recover", victim),
+            9: ("recover", 0),
+        }
+        for step in range(12):
+            if step in plan:
+                action, node = plan[step]
+                getattr(sim, f"{action}_node")(node)
+                # The edge set changes only at the next step.
+                _assert_rows_match_csr(sim)
+            sim.step()
+            masked = not sim.active.all()
+            _assert_rows_match_csr(sim)
+            assert (sim._neighbor_csr is not None) == masked, step
+            if not sim.active[victim]:
+                assert sim.neighbors_of(victim).size == 0
+
+    def test_steps_sort_no_csr(self, monkeypatch):
+        # Event HELLO + LID maintenance + intra-cluster routing: the
+        # point queries of maintenance must not rebuild the CSR.
+        params = _incremental_params(300)
+        sim = Simulation(
+            params, EpochRandomWaypointModel(params.velocity, epoch=1.0), seed=5
+        )
+        assert sim.connectivity == "incremental"
+        sim.attach(HelloProtocol(mode="event"))
+        maintenance = ClusterMaintenanceProtocol(LowestIdClustering())
+        sim.attach(IntraClusterRoutingProtocol(maintenance))
+        sim.attach(maintenance)
+        calls = {"edges_to_csr": 0, "neighbors_of": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            engine_module,
+            "edges_to_csr",
+            counted("edges_to_csr", engine_module.edges_to_csr),
+        )
+        monkeypatch.setattr(
+            Simulation,
+            "neighbors_of",
+            counted("neighbors_of", Simulation.neighbors_of),
+        )
+        for _ in range(20):
+            sim.step()
+        assert calls["neighbors_of"] > 0
+        assert calls["edges_to_csr"] == 0
 
 
 class TestRecheckBudget:
