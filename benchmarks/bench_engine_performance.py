@@ -26,21 +26,6 @@ def test_simulation_step_cost(benchmark):
     benchmark(sim.step)
 
 
-def test_simulation_step_cost_large_tree(benchmark):
-    """Edge-set engine at N=2000, re-sweeping its pairs every step."""
-    params = NetworkParameters.from_fractions(
-        n_nodes=2000, range_fraction=0.05, velocity_fraction=0.05
-    )
-    sim = Simulation(
-        params,
-        EpochRandomWaypointModel(params.velocity, 1.0),
-        seed=0,
-        connectivity="tree",
-    )
-    assert sim.connectivity == "tree"
-    benchmark(sim.step)
-
-
 def test_neighbor_rows_cost(benchmark):
     """80 point queries after one incremental step at N=2000, about the
     LID maintenance load of a step: the engine's pair index answers
@@ -51,7 +36,6 @@ def test_neighbor_rows_cost(benchmark):
     sim = Simulation(
         params, EpochRandomWaypointModel(params.velocity, 1.0), seed=0
     )
-    assert sim.connectivity == "incremental"
     sim.step()
     nodes = range(0, params.n_nodes, params.n_nodes // 80)
 

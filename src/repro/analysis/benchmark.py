@@ -3,14 +3,16 @@
 ``repro-manet bench`` drives this module and writes ``BENCH_engine.json``.
 It answers two questions about the simulation substrate:
 
-* **How much faster is the incremental kernel?**  The edge engine runs
-  the batch KD-tree pair sweep every step, and the incremental engine
-  runs the temporal-coherence kernel (:mod:`repro.spatial.incremental`).
-  Both run the same mobility model with the same seeds, so the
-  steps/sec ratio isolates the connectivity kernel.  Each incremental
-  row is preceded by an **equivalence check** — a short dual-engine run
-  asserting identical per-step edge sets and link events — so a
-  speedup number is never reported for a kernel that silently
+* **How much faster is the incremental kernel?**  The edge engine is a
+  bare loop that re-runs the batch KD-tree pair sweep every step and
+  diffs the edge sets; the incremental engine is a
+  :class:`~repro.sim.Simulation`, which runs the temporal-coherence
+  kernel (:mod:`repro.spatial.incremental`).  Both run the same
+  mobility model with the same seeds, so the steps/sec ratio isolates
+  the connectivity kernel.  Each incremental row is preceded by an
+  **equivalence check** — a short run comparing the simulation's edge
+  sets and link events with a fresh sweep of its positions every step
+  — so a speedup number is never reported for a kernel that silently
   diverged.
 * **Does process parallelism pay?**  ``--sweep-jobs`` times an
   identical small sweep point at several ``jobs`` values; numbers are
@@ -51,7 +53,8 @@ from ..core.params import NetworkParameters
 from ..mobility import EpochRandomWaypointModel
 from ..obs.resources import ResourceSampler
 from ..obs.timing import PhaseTimer
-from ..sim import Simulation
+from ..sim import Simulation, recommended_step
+from ..spatial import Boundary, SquareRegion, compute_edges, diff_edge_sets
 
 __all__ = [
     "DEFAULT_SIZES",
@@ -109,28 +112,38 @@ def _phase_dict(timer: PhaseTimer) -> dict[str, float]:
 def _bench_edge_engine(
     params: NetworkParameters, steps: int, seed: int = 0
 ) -> dict:
-    """The batch edge-set engine through :meth:`Simulation.step`.
+    """The batch edge-set kernel as a bare loop.
 
-    Pinned to the KD-tree sweep (``auto`` would resolve to the
-    incremental engine for large sparse networks, which has its own
-    benchmark mode).
+    Each step advances the same mobility model as the incremental row,
+    re-sweeps every pair (:func:`~repro.spatial.compute_edges`, the
+    KD-tree sweep) and diffs the edge sets, charged to the
+    simulation's phase names (``mobility``, ``adjacency``,
+    ``link_diff``).
     """
     timer = PhaseTimer()
-    sim = Simulation(
-        params,
-        EpochRandomWaypointModel(params.velocity, epoch=1.0),
-        seed=seed,
-        timer=timer,
-        connectivity="tree",
-    )
+    region = SquareRegion(params.side, Boundary.TORUS)
+    mobility = EpochRandomWaypointModel(params.velocity, epoch=1.0)
+    mobility.reset(params.n_nodes, region, seed)
+    dt = recommended_step(params.tx_range, params.velocity)
+    edges = compute_edges(region, mobility.positions, params.tx_range)
     start = perf_counter()
     for _ in range(steps):
-        sim.step()
+        t0 = perf_counter()
+        positions = mobility.advance(dt)
+        t1 = perf_counter()
+        new_edges = compute_edges(region, positions, params.tx_range)
+        t2 = perf_counter()
+        diff_edge_sets(edges, new_edges)
+        t3 = perf_counter()
+        timer.add("mobility", t1 - t0)
+        timer.add("adjacency", t2 - t1)
+        timer.add("link_diff", t3 - t2)
+        edges = new_edges
     elapsed = perf_counter() - start
     return {
         "mode": "edge-engine",
         "n_nodes": params.n_nodes,
-        "connectivity": sim.connectivity,
+        "connectivity": "tree",
         "steps": steps,
         "elapsed_s": elapsed,
         "steps_per_sec": steps / elapsed,
@@ -142,7 +155,7 @@ def _bench_edge_engine(
 def _bench_incremental_engine(
     params: NetworkParameters, steps: int, seed: int = 0
 ) -> dict:
-    """The temporal-coherence kernel, forced on regardless of auto.
+    """The temporal-coherence kernel through :meth:`Simulation.step`.
 
     ``engine_stats`` counts the full validations and incremental steps;
     ``mean_at_risk`` is the mean number of candidate pairs whose
@@ -154,7 +167,6 @@ def _bench_incremental_engine(
         EpochRandomWaypointModel(params.velocity, epoch=1.0),
         seed=seed,
         timer=timer,
-        connectivity="incremental",
     )
     start = perf_counter()
     for _ in range(steps):
@@ -164,7 +176,7 @@ def _bench_incremental_engine(
     return {
         "mode": "incremental-engine",
         "n_nodes": params.n_nodes,
-        "connectivity": sim.connectivity,
+        "connectivity": "incremental",
         "steps": steps,
         "elapsed_s": elapsed,
         "steps_per_sec": steps / elapsed,
@@ -185,29 +197,27 @@ def _bench_incremental_engine(
 def check_equivalence(
     params: NetworkParameters, steps: int = 10, seed: int = 0
 ) -> str:
-    """Run the incremental engine against the batch engine in lockstep.
+    """Check a simulation's edge sets against a fresh sweep every step.
 
-    The reference re-sweeps every step (``connectivity="tree"``), which
-    the test suite pins equal to the dense metric.  Compares the sorted
-    edge set and the link events after every step.  Runs at least
-    ``steps`` steps and on until the incremental engine has done
-    :data:`EQUIVALENCE_VALIDATIONS` full validations after its initial
-    one (at most ``EQUIVALENCE_MAX_STEPS`` steps), so the check crosses
-    validations and is not confined to one validation cycle.  Returns ``"ok"`` or a
-    description of the first mismatch, or of a run too short to reach
-    the validations.
+    The reference is :func:`~repro.spatial.compute_edges` (the KD-tree
+    sweep, which the test suite pins equal to the dense metric) on the
+    simulation's own positions, and its link events are the
+    :func:`~repro.spatial.diff_edge_sets` of consecutive references.
+    Runs at least ``steps`` steps and on until the incremental engine
+    has done :data:`EQUIVALENCE_VALIDATIONS` full validations after its
+    initial one (at most ``EQUIVALENCE_MAX_STEPS`` steps), so the check
+    crosses validations and is not confined to one validation cycle.
+    Returns ``"ok"`` or a description of the first mismatch, or of a
+    run too short to reach the validations.
     """
-    sims = [
-        Simulation(
-            params,
-            EpochRandomWaypointModel(params.velocity, epoch=1.0),
-            seed=seed,
-            connectivity=connectivity,
-        )
-        for connectivity in ("incremental", "tree")
-    ]
-    engine = sims[0]._incremental
-    if not np.array_equal(sims[0].edges, sims[1].edges):
+    sim = Simulation(
+        params,
+        EpochRandomWaypointModel(params.velocity, epoch=1.0),
+        seed=seed,
+    )
+    engine = sim._incremental
+    reference = compute_edges(sim.region, sim.positions, params.tx_range)
+    if not np.array_equal(sim.edges, reference):
         return "initial edge sets differ (vs tree)"
     step = 0
     while step < steps or engine.full_rebuilds <= EQUIVALENCE_VALIDATIONS:
@@ -217,12 +227,15 @@ def check_equivalence(
                 f"steps, expected {EQUIVALENCE_VALIDATIONS}"
             )
         step += 1
-        events = [sim.step() for sim in sims]
-        if not np.array_equal(sims[0].edges, sims[1].edges):
+        events = sim.step()
+        previous = reference
+        reference = compute_edges(sim.region, sim.positions, params.tx_range)
+        if not np.array_equal(sim.edges, reference):
             return f"edge sets differ at step {step} (vs tree)"
+        expected = diff_edge_sets(previous, reference)
         for field in ("generated", "broken"):
             if not np.array_equal(
-                getattr(events[0], field), getattr(events[1], field)
+                getattr(events, field), getattr(expected, field)
             ):
                 return (
                     f"{field} link events differ at step {step} "
@@ -356,8 +369,9 @@ def run_bench(
             "modes": list(modes),
         },
         "notes": [
-            "incremental-engine rows are preceded by a dual-engine "
-            "equivalence check (see the equivalence table)",
+            "incremental-engine rows are preceded by an equivalence "
+            "check against a fresh pair sweep every step (see the "
+            "equivalence table)",
             "peak_rss_kb is process-monotone (getrusage); modes run "
             "smallest-N-first",
         ],

@@ -49,7 +49,8 @@ history and exits 1 when a point regresses more than the threshold
 against the best prior entry (regressions come with a per-phase
 attribution table when phase data is available).  ``bench --modes``
 picks which kernels run; whenever the incremental engine is among
-them, its dual-engine equivalence check gates the exit code too.
+them, its equivalence check against a fresh pair sweep gates the
+exit code too.
 
 Timeline tooling (see README, "Timelines & run comparison"):
 ``timeline`` exports a trace as Chrome trace-event JSON for

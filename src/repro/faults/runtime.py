@@ -174,8 +174,6 @@ class FaultInjector:
             effective = ~(self.crashed | self.outaged)
             if not np.array_equal(effective, sim.active):
                 sim.active[:] = effective
-                if sim._incremental is not None:
-                    sim._incremental.invalidate()
 
 
 def attach_faults(sim, plan: FaultPlan) -> FaultInjector:

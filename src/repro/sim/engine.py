@@ -2,19 +2,24 @@
 
 The paper validated its analysis with GloMoSim; this kernel is the
 Python substitute (see DESIGN.md, substitutions).  It advances a
-mobility model in fixed steps, maintains the exact unit-disk
+mobility model in fixed steps and keeps the exact unit-disk
 connectivity after every step as a sorted **edge set** (an ``(E, 2)``
-pair array — ``O(E)`` state instead of an ``O(N^2)`` matrix), diffs
-consecutive edge sets into link generation/break events in
-``O(E log E)``, and delivers those events — in deterministic order — to
-attached protocols (HELLO beaconing, clustering maintenance, routing).
+pair array — ``O(E)`` state instead of an ``O(N^2)`` matrix).  One
+connectivity path produces it: the temporal-coherence engine
+(:class:`~repro.spatial.IncrementalConnectivityEngine`), whose status
+flips are the step's link generation/break events.  On the engine's
+validation steps, and while a radio is failed on either side of a
+step, the (masked) edge sets are diffed instead
+(:func:`~repro.spatial.diff_edge_sets`).  The kernel delivers
+those events — in deterministic order — to attached protocols (HELLO
+beaconing, clustering maintenance, routing).
 Neighbor views are derived from the edge set lazily and cached until
 the next step: the :attr:`Simulation.neighbor_csr` ``(indptr, indices)``
 pair of ascending neighbor rows (backbone route discovery builds its
 flood graph from it), and :attr:`Simulation.adjacency_lists`, the same
 rows as Python lists, for ``O(degree)`` walks and bulk table builds.
 Point queries (:meth:`Simulation.neighbors_of`) return the same rows;
-on the incremental path they read the engine's pair index until some
+while no radio is masked they read the engine's pair index until some
 bulk reader builds the CSR, so a step with a few queries sorts nothing.
 No step builds an ``N x N`` matrix.
 Message accounting flows into a shared
@@ -52,17 +57,18 @@ from ..spatial import (
     IncrementalConnectivityEngine,
     LinkEvents,
     SquareRegion,
-    compute_edges,
+    # Neither is called here: the perfbench probes wrap
+    # ``repro.sim.engine.compute_edges`` (full sweeps) and
+    # ``repro.sim.engine.edges_to_adjacency`` (dense builds), so both
+    # stay importable from this module.
+    compute_edges,  # noqa: F401
     csr_to_lists,
     degree_counts_from_edges,
     diff_edge_sets,
     edge_key,
     edge_keys,
-    # Not called here: the perfbench probes count dense builds by
-    # wrapping ``repro.sim.engine.edges_to_adjacency``, so it stays.
     edges_to_adjacency,  # noqa: F401
     edges_to_csr,
-    select_connectivity_method,
 )
 from .stats import MessageStats
 
@@ -196,6 +202,10 @@ def _msg_tx_mirror(sim_ref):
 class Simulation:
     """Synchronous time-stepped simulation of ``N`` mobile nodes.
 
+    The per-step edge set comes from the temporal-coherence engine
+    (:class:`~repro.spatial.IncrementalConnectivityEngine`), bit-equal
+    to a fresh :func:`~repro.spatial.compute_edges` of the positions.
+
     Parameters
     ----------
     params:
@@ -215,16 +225,6 @@ class Simulation:
     timer:
         Phase timer; defaults to the ambient context's shared timer,
         or a private one when none is configured.
-    connectivity:
-        How the per-step edge set is computed: ``"auto"`` (default)
-        lets :func:`~repro.spatial.select_connectivity_method` pick,
-        ``"tree"`` forces the KD-tree pair sweep every step, ``"dense"``
-        forces the dense metric, and ``"incremental"`` forces the
-        temporal-coherence engine
-        (:class:`~repro.spatial.IncrementalConnectivityEngine`).  All
-        methods produce identical edge sets and link events; the knob
-        exists for benchmarking and for densities where the model's
-        assumptions break down.
     """
 
     _instance_ids = itertools.count()
@@ -238,7 +238,6 @@ class Simulation:
         seed: int | None = 0,
         tracer=None,
         timer: PhaseTimer | None = None,
-        connectivity: str = "auto",
     ) -> None:
         self.params = params
         self.region = SquareRegion(params.side, boundary)
@@ -292,42 +291,20 @@ class Simulation:
         self._signal_taps: list = []
 
         self.mobility.reset(params.n_nodes, self.region, seed)
-        if connectivity == "auto":
-            connectivity = select_connectivity_method(
-                params.n_nodes,
-                params.tx_range,
-                self.region.side,
-                velocity=params.velocity,
-                dt=self.dt,
-            )
-        if connectivity not in ("tree", "dense", "incremental"):
-            raise ValueError(
-                "connectivity must be 'auto', 'tree', 'dense' or "
-                f"'incremental', got {connectivity!r}"
-            )
-        self.connectivity = connectivity
-        self._incremental: IncrementalConnectivityEngine | None = None
-        if connectivity == "incremental":
-            self._incremental = IncrementalConnectivityEngine(
-                self.region, params.tx_range
-            )
+        self._incremental = IncrementalConnectivityEngine(
+            self.region, params.tx_range
+        )
         #: Radio state per node; failed nodes keep moving but hold no links.
         self.active = np.ones(params.n_nodes, dtype=bool)
         #: Whether every radio was active at the end of the previous
-        #: step; the incremental fast-path events are only valid when no
-        #: external masking happened on either side of the diff.
+        #: step; the engine's events are only valid when no external
+        #: masking happened on either side of the diff.
         self._prev_all_active = True
-        if self._incremental is not None:
-            initial = self._incremental.step(self.mobility.positions).edges
-        else:
-            initial = compute_edges(
-                self.region,
-                self.mobility.positions,
-                params.tx_range,
-                method=connectivity,
-            )
         # No radio has failed yet, so nothing is masked.
-        self._set_edges(initial, self._incremental)
+        self._set_edges(
+            self._incremental.step(self.mobility.positions).edges,
+            unmasked=True,
+        )
         logger.debug(
             "sim %d: N=%d side=%.4g r=%.4g v=%.4g dt=%.4g seed=%s",
             self.sim_id,
@@ -449,7 +426,7 @@ class Simulation:
         (:func:`~repro.spatial.edges_to_csr`) on first use and cached
         until the next step; bulk readers (:attr:`adjacency_lists`,
         which is sliced from it, and the backbone flood graph) pay for
-        it, point queries on the incremental path do not (see
+        it, point queries on unmasked steps do not (see
         :meth:`neighbors_of`).  Both arrays are read-only, because
         :meth:`neighbors_of` hands out views.
         """
@@ -484,8 +461,8 @@ class Simulation:
         """Ascending neighbors of ``node``, read-only.
 
         Row ``node`` of :attr:`neighbor_csr`.  While no CSR is cached
-        for this step and the live edge set is the incremental engine's
-        unmasked one, the row comes from the engine's pair index
+        for this step and the live edge set is the engine's unmasked
+        one, the row comes from the engine's pair index
         (:meth:`~repro.spatial.IncrementalConnectivityEngine.neighbors`),
         so a few point queries per step cost ``O(degree)`` each instead
         of one sort of the whole edge set.
@@ -566,14 +543,10 @@ class Simulation:
         special crash handling is required of them.
         """
         self.active[node] = False
-        if self._incremental is not None:
-            self._incremental.invalidate()
 
     def recover_node(self, node: int) -> None:
         """Bring ``node``'s radio back; links re-form at the next step."""
         self.active[node] = True
-        if self._incremental is not None:
-            self._incremental.invalidate()
 
     @property
     def failed_nodes(self) -> np.ndarray:
@@ -587,20 +560,16 @@ class Simulation:
         alive = self.active[edges[:, 0]] & self.active[edges[:, 1]]
         return edges[alive]
 
-    def _set_edges(
-        self,
-        edges: np.ndarray,
-        engine: IncrementalConnectivityEngine | None = None,
-    ) -> None:
+    def _set_edges(self, edges: np.ndarray, unmasked: bool = False) -> None:
         """Commit ``edges`` as the live edge set and drop the derived views.
 
-        ``engine`` is the incremental engine whose last step produced
-        exactly ``edges`` (no radio masked), or ``None``; while it is
-        set, :meth:`neighbors_of` reads its pair index.
+        ``unmasked`` says that ``edges`` is exactly the engine's last
+        step (no radio masked); while it holds, :meth:`neighbors_of`
+        reads the engine's pair index.
         """
         #: Primary connectivity state: sorted (E, 2) edge array, i < j.
         self.edges = edges
-        self._pair_index = engine
+        self._pair_index = self._incremental if unmasked else None
         self._neighbor_csr: tuple[np.ndarray, np.ndarray] | None = None
         self._adjacency_lists: list[list[int]] | None = None
         #: :func:`~repro.spatial.edge_keys` of the live edge set (sorted),
@@ -651,46 +620,26 @@ class Simulation:
             timer.add("faults", t1b - t1)
             t1 = t1b
         all_active = bool(self.active.all())
-        if self._incremental is not None:
-            result = self._incremental.step(positions)
-            new_edges = self._mask_failed(result.edges)
-            t2 = perf_counter()
-            # The engine's mask-diff events describe the *unmasked*
-            # connectivity; they stand in for diff_edge_sets only while
-            # no radio was failed on either side of the diff.
-            if (
-                result.events is not None
-                and all_active
-                and self._prev_all_active
-            ):
-                events = result.events
-            else:
-                events = diff_edge_sets(self.edges, new_edges)
-            t3 = perf_counter()
-            # Keep the sub-phases disjoint: "adjacency" is the engine
-            # step minus the revalidation portion, which gets its own
-            # label so the attribution stays honest.
-            timer.add("adjacency", (t2 - t1) - result.revalidate_seconds)
-            if not result.rebuilt:
-                timer.add(
-                    "incremental_revalidate", result.revalidate_seconds
-                )
+        result = self._incremental.step(positions)
+        new_edges = self._mask_failed(result.edges)
+        t2 = perf_counter()
+        # The engine's mask-diff events describe the *unmasked*
+        # connectivity; they stand in for diff_edge_sets only while no
+        # radio was failed on either side of the diff.
+        if result.events is not None and all_active and self._prev_all_active:
+            events = result.events
         else:
-            new_edges = self._mask_failed(
-                compute_edges(
-                    self.region,
-                    positions,
-                    self.params.tx_range,
-                    method=self.connectivity,
-                )
-            )
-            t2 = perf_counter()
             events = diff_edge_sets(self.edges, new_edges)
-            t3 = perf_counter()
-            timer.add("adjacency", t2 - t1)
+        t3 = perf_counter()
+        # Keep the sub-phases disjoint: "adjacency" is the engine step
+        # minus the revalidation portion, which gets its own label so
+        # the attribution stays honest.
+        timer.add("adjacency", (t2 - t1) - result.revalidate_seconds)
+        if not result.rebuilt:
+            timer.add("incremental_revalidate", result.revalidate_seconds)
         timer.add("link_diff", t3 - t2)
         self._prev_all_active = all_active
-        self._set_edges(new_edges, self._incremental if all_active else None)
+        self._set_edges(new_edges, unmasked=all_active)
         self.time += self.dt
         self.stats.advance_time(self.dt)
 

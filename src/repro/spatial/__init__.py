@@ -1,11 +1,12 @@
 """Spatial substrate: square regions, metrics and the unit-disk pair sweep."""
 
 from .region import Boundary, SquareRegion
-from .incremental import IncrementalConnectivityEngine, IncrementalStepResult
-from .neighbors import (
+from .incremental import (
     INCREMENTAL_MARGIN_FRACTION,
-    INCREMENTAL_MIN_AMORTIZED_STEPS,
-    INCREMENTAL_MIN_NODES,
+    IncrementalConnectivityEngine,
+    IncrementalStepResult,
+)
+from .neighbors import (
     LinkEvents,
     adjacency_to_edges,
     compute_edges,
@@ -20,7 +21,6 @@ from .neighbors import (
     edges_to_csr,
     edges_to_lists,
     pairs_within,
-    select_connectivity_method,
 )
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "IncrementalConnectivityEngine",
     "IncrementalStepResult",
     "INCREMENTAL_MARGIN_FRACTION",
-    "INCREMENTAL_MIN_AMORTIZED_STEPS",
-    "INCREMENTAL_MIN_NODES",
     "LinkEvents",
     "adjacency_to_edges",
     "compute_edges",
@@ -45,5 +43,4 @@ __all__ = [
     "edges_to_csr",
     "edges_to_lists",
     "pairs_within",
-    "select_connectivity_method",
 ]

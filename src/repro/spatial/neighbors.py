@@ -1,9 +1,13 @@
 """Neighbor-set computation and link-event extraction.
 
-The simulator's core loop needs two operations: compute the unit-disk
-connectivity of the current node positions, and diff two consecutive
-snapshots into link *generation* and *break* events (the event stream
-that drives HELLO, CLUSTER and ROUTE accounting).
+Two operations underlie the simulator's core loop: compute the
+unit-disk connectivity of the current node positions, and diff two
+consecutive snapshots into link *generation* and *break* events (the
+event stream that drives HELLO, CLUSTER and ROUTE accounting).  The
+simulation steps with the incremental engine
+(:mod:`repro.spatial.incremental`), which builds on the sweep below and
+reports its own events; edge sets are diffed (:func:`diff_edge_sets`)
+only on its validation steps and while a radio is failed.
 
 The spatial layer's only connectivity output is the sorted **edge
 set** — an ``(E, 2)`` integer array of pairs with ``i < j`` in
@@ -19,9 +23,10 @@ as the flood graph of backbone route discovery.
 
 Every batch pair search is one function, :func:`pairs_within`: a
 KD-tree sweep (periodic on the torus) at a slightly inflated radius,
-trimmed by the bit-exact :func:`_pair_distances`.  :func:`compute_edges`
-calls it at the transmission range, and the incremental engine's full
-validation at its candidate radius.  The dense ``N x N`` metric
+trimmed by the bit-exact :func:`_pair_distances`.  The incremental
+engine's full validation calls it at its candidate radius, and
+:func:`compute_edges`, for one-shot snapshots and bare benchmark
+loops, at the transmission range.  The dense ``N x N`` metric
 (``method="dense"``) stays as the test reference.
 
 :func:`_pair_distances` replaces the round-based torus wrap of
@@ -42,10 +47,6 @@ from scipy.spatial import cKDTree
 from .region import Boundary, SquareRegion
 
 __all__ = [
-    "INCREMENTAL_MARGIN_FRACTION",
-    "INCREMENTAL_MIN_AMORTIZED_STEPS",
-    "INCREMENTAL_MIN_NODES",
-    "INCREMENTAL_MIN_RADII_PER_SIDE",
     "LinkEvents",
     "adjacency_to_edges",
     "compute_edges",
@@ -60,38 +61,7 @@ __all__ = [
     "edges_to_csr",
     "edges_to_lists",
     "pairs_within",
-    "select_connectivity_method",
 ]
-
-#: Networks of at most this many nodes re-sweep every step instead of
-#: running the incremental engine: one KD-tree sweep at N=100, r = 0.1a
-#: takes under 0.2 ms (torus, 2-vCPU x86-64 VM), so the engine's state
-#: has little to save.
-INCREMENTAL_MIN_NODES = 100
-
-#: The incremental engine needs the square's side to span at least this
-#: many candidate radii ``(1 + margin_fraction) * tx_range``; denser
-#: networks cache most of the ``N^2`` pairs as candidates.
-INCREMENTAL_MIN_RADII_PER_SIDE = 4
-
-#: Default candidate-cache margin of the incremental engine, as a
-#: fraction of ``tx_range``: candidates are cached out to
-#: ``(1 + fraction) * tx_range``.  A wider margin amortizes full
-#: validations over more steps but inflates the per-step candidate set;
-#: 0.5 balances the two at the paper's default velocities (see the
-#: README Performance section).  Re-measured with per-pair recheck
-#: budgets (bare engine, N=2000, r = 0.1a, v = 0.05a, 300 steps, three
-#: interleaved repeats on a 2-vCPU x86-64 VM): 0.25, 0.5 and 0.75 run
-#: 3.7-5.5 ms/step and sit within the repeat-to-repeat noise of each
-#: other (61, 31 and 20 validations; 23 k, 31 k and 36 k pairs
-#: recomputed per step), while 1.0 is 1-1.5 ms/step slower in every
-#: repeat (251 k candidates).
-INCREMENTAL_MARGIN_FRACTION = 0.5
-
-#: The incremental engine only pays off if the margin buys at least
-#: this many steps between full validations (worst case every pair
-#: closes at ``2 * velocity`` per unit time).
-INCREMENTAL_MIN_AMORTIZED_STEPS = 4
 
 #: Relative inflation of the KD-tree query radius: the tree's distances
 #: may round differently from :func:`_pair_distances`, so it must return
@@ -124,37 +94,6 @@ class LinkEvents:
     def change_count(self) -> int:
         """Total number of link changes."""
         return self.generation_count + self.break_count
-
-
-def select_connectivity_method(
-    n_nodes: int,
-    tx_range: float,
-    side: float,
-    velocity: float | None = None,
-    dt: float | None = None,
-) -> str:
-    """Pick ``"incremental"`` or ``"tree"`` connectivity.
-
-    The incremental engine needs the mobility kwargs (the simulation
-    passes them; one-shot recomputes do not), more than
-    :data:`INCREMENTAL_MIN_NODES` nodes, a candidate radius that the
-    side spans at least :data:`INCREMENTAL_MIN_RADII_PER_SIDE` times,
-    and a per-step displacement bound ``2 * velocity * dt`` small enough
-    that the candidate margin amortizes a full validation over at least
-    :data:`INCREMENTAL_MIN_AMORTIZED_STEPS` steps.  Static networks
-    (``velocity == 0``) always meet the last condition.  Every other
-    network re-sweeps its pairs each step (``"tree"``).
-    """
-    mobile = velocity is not None and dt is not None
-    if mobile and n_nodes > INCREMENTAL_MIN_NODES:
-        margin = INCREMENTAL_MARGIN_FRACTION * tx_range
-        step_churn = 2.0 * velocity * dt
-        if (
-            (tx_range + margin) * INCREMENTAL_MIN_RADII_PER_SIDE <= side
-            and step_churn * INCREMENTAL_MIN_AMORTIZED_STEPS <= margin
-        ):
-            return "incremental"
-    return "tree"
 
 
 def _pair_distances(

@@ -19,7 +19,6 @@ from repro.core.params import NetworkParameters
 from repro.mobility import EpochRandomWaypointModel
 from repro.sim import Simulation
 from repro.spatial import (
-    INCREMENTAL_MIN_NODES,
     Boundary,
     SquareRegion,
     adjacency_to_edges,
@@ -30,7 +29,6 @@ from repro.spatial import (
     diff_edge_sets,
     edges_to_adjacency,
     pairs_within,
-    select_connectivity_method,
 )
 from repro.spatial.neighbors import _pair_distances
 
@@ -223,112 +221,13 @@ class TestComputeEdges:
             compute_edges(unit_torus, positions, 0.1, method="fancy")
 
 
-class TestConnectivitySelection:
-    def test_small_network_uses_tree(self):
-        assert select_connectivity_method(50, 0.1, 1.0) == "tree"
-        assert (
-            select_connectivity_method(50, 0.1, 1.0, velocity=0.0, dt=0.1)
-            == "tree"
-        )
-
-    def test_large_sparse_uses_tree(self):
-        # Without the mobility kwargs the incremental engine is never
-        # picked.
-        assert (
-            select_connectivity_method(INCREMENTAL_MIN_NODES + 1, 0.1, 1.0)
-            == "tree"
-        )
-
-    def test_at_min_nodes_stays_batch(self):
-        assert (
-            select_connectivity_method(
-                INCREMENTAL_MIN_NODES, 0.05, 1.0, velocity=0.0, dt=0.1
-            )
-            == "tree"
-        )
-        assert (
-            select_connectivity_method(
-                INCREMENTAL_MIN_NODES + 1, 0.05, 1.0, velocity=0.0, dt=0.1
-            )
-            == "incremental"
-        )
-
-    def test_large_but_dense_range_uses_tree(self):
-        assert select_connectivity_method(5000, 0.3, 1.0) == "tree"
-        assert (
-            select_connectivity_method(5000, 0.3, 1.0, velocity=0.0, dt=0.1)
-            == "tree"
-        )
-
-    def test_engine_resolves_auto(self):
-        small = NetworkParameters.from_fractions(
-            n_nodes=40, range_fraction=0.1, velocity_fraction=0.05
-        )
-        sim = Simulation(
-            small, EpochRandomWaypointModel(small.velocity, 1.0), seed=0
-        )
-        assert sim.connectivity == "tree"
-        # A large sparse network with the recommended step's small
-        # per-step displacement qualifies for the incremental engine.
-        large = NetworkParameters.from_fractions(
-            n_nodes=300, range_fraction=0.05, velocity_fraction=0.05
-        )
-        sim = Simulation(
-            large, EpochRandomWaypointModel(large.velocity, 1.0), seed=0
-        )
-        assert sim.connectivity == "incremental"
-
-    def test_fast_steps_fall_back_to_tree(self):
-        # A step so large that nodes cross a sizable fraction of the
-        # candidate margin each step cannot amortize validations; the
-        # mobility-aware selection must fall back to the tree sweep.
-        assert (
-            select_connectivity_method(
-                300, 0.05, 1.0, velocity=0.05, dt=10.0
-            )
-            == "tree"
-        )
-
-    def test_static_network_prefers_incremental(self):
-        assert (
-            select_connectivity_method(300, 0.05, 1.0, velocity=0.0, dt=0.1)
-            == "incremental"
-        )
-
-    def test_expanded_radius_density_guard(self):
-        # The side spans 5 ranges but only 3.3 candidate radii.
-        assert (
-            select_connectivity_method(500, 0.2, 1.0, velocity=0.0, dt=0.1)
-            == "tree"
-        )
-        assert (
-            select_connectivity_method(500, 0.16, 1.0, velocity=0.0, dt=0.1)
-            == "incremental"
-        )
-
-    def test_engine_rejects_unknown_connectivity(self):
-        params = NetworkParameters.from_fractions(
-            n_nodes=30, range_fraction=0.1, velocity_fraction=0.05
-        )
-        with pytest.raises(ValueError):
-            Simulation(
-                params,
-                EpochRandomWaypointModel(params.velocity, 1.0),
-                seed=0,
-                connectivity="sparse",
-            )
-
-
 class TestEngineEdgeState:
-    def _sim(self, n_nodes=80, connectivity="auto", seed=0):
+    def _sim(self, n_nodes=80, seed=0):
         params = NetworkParameters.from_fractions(
             n_nodes=n_nodes, range_fraction=0.12, velocity_fraction=0.05
         )
         return Simulation(
-            params,
-            EpochRandomWaypointModel(params.velocity, 1.0),
-            seed=seed,
-            connectivity=connectivity,
+            params, EpochRandomWaypointModel(params.velocity, 1.0), seed=seed
         )
 
     def test_adjacency_view_matches_edges(self):
@@ -362,20 +261,6 @@ class TestEngineEdgeState:
                     assert sim.has_link(u, v) == oracle[u, v]
             # The sorted edge keys answer it: no neighbor view is built.
             assert sim._neighbor_csr is None
-
-    def test_dense_and_tree_engines_agree(self):
-        dense = self._sim(connectivity="dense")
-        tree = self._sim(connectivity="tree")
-        for _ in range(5):
-            dense_events = dense.step()
-            tree_events = tree.step()
-            np.testing.assert_array_equal(dense.edges, tree.edges)
-            np.testing.assert_array_equal(
-                dense_events.generated, tree_events.generated
-            )
-            np.testing.assert_array_equal(
-                dense_events.broken, tree_events.broken
-            )
 
     def test_edge_count_and_degrees(self):
         sim = self._sim()

@@ -294,27 +294,6 @@ class TestRun:
         with pytest.raises(ValueError):
             sim.run(duration=1.0, warmup=-1.0)
 
-    def test_tree_used_for_large_sparse(self):
-        params = NetworkParameters.from_fractions(
-            n_nodes=500, range_fraction=0.05, velocity_fraction=0.02
-        )
-        sim = Simulation(
-            params,
-            EpochRandomWaypointModel(params.velocity, 1.0),
-            seed=7,
-            connectivity="tree",
-        )
-        assert sim.connectivity == "tree"
-        expected = sim.region.adjacency(sim.positions, params.tx_range)
-        np.testing.assert_array_equal(
-            edges_to_adjacency(sim.edges, sim.n_nodes), expected
-        )
-        sim.step()
-        expected = sim.region.adjacency(sim.positions, params.tx_range)
-        np.testing.assert_array_equal(
-            edges_to_adjacency(sim.edges, sim.n_nodes), expected
-        )
-
     def test_incremental_engine_used_for_auto_large_sparse(self):
         params = NetworkParameters.from_fractions(
             n_nodes=500, range_fraction=0.05, velocity_fraction=0.02
@@ -322,8 +301,6 @@ class TestRun:
         sim = Simulation(
             params, EpochRandomWaypointModel(params.velocity, 1.0), seed=7
         )
-        assert sim.connectivity == "incremental"
-        assert sim._incremental is not None
         expected = sim.region.adjacency(sim.positions, params.tx_range)
         np.testing.assert_array_equal(
             edges_to_adjacency(sim.edges, sim.n_nodes), expected

@@ -3,8 +3,8 @@
 The contract is exactness: every step must return the bit-identical
 sorted edge set — and, via the fast mask-diff path, bit-identical
 ``LinkEvents`` — that a full batch rebuild would produce.  These tests
-pin that equivalence across boundaries, mobility models, teleports, and
-node failure, and additionally pin the internal invariants the speedup
+pin that equivalence across boundaries, mobility models, teleports,
+node failure, and a grid of tiny, dense and fast networks, and additionally pin the internal invariants the speedup
 rests on (rebuild fallbacks, the bitwise-equal fast distance kernel).
 The reference is the dense ``N x N`` metric, which shares no pair
 search with the engine's KD-tree validation.
@@ -54,22 +54,39 @@ def _assert_same_events(a, b):
     np.testing.assert_array_equal(a.broken, b.broken)
 
 
-def _assert_sims_lockstep(incremental, reference, steps):
-    np.testing.assert_array_equal(incremental.edges, reference.edges)
-    for _ in range(steps):
-        events = incremental.step()
-        expected = reference.step()
-        np.testing.assert_array_equal(incremental.edges, reference.edges)
-        _assert_same_events(events, expected)
-
-
-def _sim_pair(params, model_factory, seed=0):
-    """The incremental engine and a dense-metric reference: the dense
-    path shares no pair search with the engine's validation."""
-    return tuple(
-        Simulation(params, model_factory(), seed=seed, connectivity=mode)
-        for mode in ("incremental", "dense")
+def _dense_edges(sim):
+    """The dense-metric edge set of ``sim``'s positions with failed
+    radios masked: the dense path shares no pair search with the
+    engine's validation."""
+    edges = compute_edges(
+        sim.region, sim.positions, sim.params.tx_range, method="dense"
     )
+    return edges[sim.active[edges[:, 0]] & sim.active[edges[:, 1]]]
+
+
+class DenseLockstep:
+    """Steps ``sim`` and checks it against the dense reference.
+
+    After every step the live edge set must equal :func:`_dense_edges`
+    and the step's events the :func:`~repro.spatial.diff_edge_sets` of
+    consecutive references.  ``fail_node``/``recover_node`` calls
+    between steps go to ``sim`` directly: the reference is taken after
+    each step, so it sees the mask the step saw.
+    """
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.reference = _dense_edges(sim)
+        np.testing.assert_array_equal(sim.edges, self.reference)
+
+    def step(self, steps=1):
+        for _ in range(steps):
+            events = self.sim.step()
+            previous, self.reference = self.reference, _dense_edges(self.sim)
+            np.testing.assert_array_equal(self.sim.edges, self.reference)
+            _assert_same_events(
+                events, diff_edge_sets(previous, self.reference)
+            )
 
 
 class TeleportingModel(MobilityModel):
@@ -127,69 +144,122 @@ MODEL_FACTORIES = {
 
 
 class TestSimulationEquivalence:
-    """Engine-level lockstep equality against the dense batch engine."""
+    """Simulation-level lockstep equality against the dense metric."""
 
     @pytest.mark.parametrize("model_name", sorted(MODEL_FACTORIES))
     def test_every_mobility_model(self, model_name):
         params = _incremental_params()
-        factory = MODEL_FACTORIES[model_name]
-        incremental, reference = _sim_pair(
-            params, lambda: factory(params.velocity), seed=9
+        sim = Simulation(
+            params, MODEL_FACTORIES[model_name](params.velocity), seed=9
         )
-        assert incremental.connectivity == "incremental"
-        _assert_sims_lockstep(incremental, reference, steps=40)
+        DenseLockstep(sim).step(40)
         if model_name != "group-fast":
-            assert incremental._incremental.incremental_steps > 0
+            assert sim._incremental.incremental_steps > 0
 
     def test_static_positions(self):
         params = _incremental_params()
-        incremental, reference = _sim_pair(
-            params, lambda: ConstantVelocityModel(0.0), seed=2
-        )
-        _assert_sims_lockstep(incremental, reference, steps=10)
-        assert incremental._incremental.full_rebuilds == 1
+        sim = Simulation(params, ConstantVelocityModel(0.0), seed=2)
+        DenseLockstep(sim).step(10)
+        assert sim._incremental.full_rebuilds == 1
 
     def test_fail_and_recover_mid_run(self):
         params = _incremental_params()
-        incremental, reference = _sim_pair(
-            params,
-            lambda: EpochRandomWaypointModel(params.velocity, epoch=1.0),
-            seed=3,
+        sim = Simulation(
+            params, EpochRandomWaypointModel(params.velocity, epoch=1.0), seed=3
         )
-        _assert_sims_lockstep(incremental, reference, steps=5)
-        victims = [int(incremental.degrees().argmax()), 0]
-        for sim in (incremental, reference):
-            for node in victims:
-                sim.fail_node(node)
-        _assert_sims_lockstep(incremental, reference, steps=8)
+        lockstep = DenseLockstep(sim)
+        lockstep.step(5)
+        victims = [int(sim.degrees().argmax()), 0]
         for node in victims:
-            assert not np.any(incremental.edges == node)
-        for sim in (incremental, reference):
-            sim.recover_node(victims[0])
-        _assert_sims_lockstep(incremental, reference, steps=8)
+            sim.fail_node(node)
+        lockstep.step(8)
+        for node in victims:
+            assert not np.any(sim.edges == node)
+        sim.recover_node(victims[0])
+        lockstep.step(8)
 
     def test_long_run_with_teleports_and_failures(self):
         params = _incremental_params(150)
-        incremental, reference = _sim_pair(
-            params, lambda: TeleportingModel(params.velocity), seed=4
-        )
-        np.testing.assert_array_equal(incremental.edges, reference.edges)
+        sim = Simulation(params, TeleportingModel(params.velocity), seed=4)
+        lockstep = DenseLockstep(sim)
         for step in range(60):
             if step in (11, 29):
-                for sim in (incremental, reference):
-                    sim.fail_node(step % params.n_nodes)
+                sim.fail_node(step % params.n_nodes)
             if step == 41:
-                for sim in (incremental, reference):
-                    sim.recover_node(11)
-            events = incremental.step()
-            expected = reference.step()
-            np.testing.assert_array_equal(
-                incremental.edges, reference.edges
-            )
-            _assert_same_events(events, expected)
-        engine = incremental._incremental
+                sim.recover_node(11)
+            lockstep.step()
+        engine = sim._incremental
         assert engine.full_rebuilds > 1  # teleports forced validations
         assert engine.incremental_steps > 0
+
+    def test_fault_transitions_keep_the_engine_state(self):
+        # The engine's state depends on positions alone: a faulted run
+        # validates exactly when an unfaulted twin on the same motion
+        # does, while its masked edges and events still match the dense
+        # reference.
+        params = _incremental_params()
+        faulted, twin = (
+            Simulation(
+                params,
+                EpochRandomWaypointModel(params.velocity, epoch=1.0),
+                seed=15,
+            )
+            for _ in range(2)
+        )
+        lockstep = DenseLockstep(faulted)
+        victim = int(faulted.degrees().argmax())
+        plan = {
+            2: ("fail", victim),
+            3: ("fail", 0),
+            6: ("recover", victim),
+            9: ("recover", 0),
+            12: ("fail", 0),
+            13: ("recover", 0),
+        }
+        for step in range(30):
+            if step in plan:
+                action, node = plan[step]
+                getattr(faulted, f"{action}_node")(node)
+            lockstep.step()
+            twin.step()
+            assert (
+                faulted._incremental.full_rebuilds
+                == twin._incremental.full_rebuilds
+            ), step
+        assert faulted._incremental.incremental_steps > 0
+
+
+#: The paper's Fig 1 range axis and Fig 3 density axis need small and
+#: dense networks as well as large sparse ones: the grid runs tiny,
+#: crowded, near-saturated and fast networks on every boundary.
+GRID_NODES = (2, 5, 30, 80)
+GRID_RANGE_FRACTIONS = (0.1, 0.3, 0.45, 0.6, 0.9)
+GRID_VELOCITY_FRACTIONS = (0.0, 0.05, 0.5)
+
+
+class TestInputGrid:
+    """Every grid network stays equal to the dense reference for 30
+    steps."""
+
+    @pytest.mark.parametrize(
+        "boundary", [Boundary.TORUS, Boundary.REFLECT, Boundary.OPEN]
+    )
+    @pytest.mark.parametrize("n_nodes", GRID_NODES)
+    def test_lockstep(self, boundary, n_nodes):
+        for range_fraction in GRID_RANGE_FRACTIONS:
+            for velocity_fraction in GRID_VELOCITY_FRACTIONS:
+                params = NetworkParameters.from_fractions(
+                    n_nodes=n_nodes,
+                    range_fraction=range_fraction,
+                    velocity_fraction=velocity_fraction,
+                )
+                sim = Simulation(
+                    params,
+                    EpochRandomWaypointModel(params.velocity, epoch=1.0),
+                    boundary=boundary,
+                    seed=n_nodes,
+                )
+                DenseLockstep(sim).step(30)
 
 
 #: Non-uniform motion for the long runs.
@@ -206,20 +276,10 @@ class TestLongRunLockstep:
     def test_spans_six_validations(self, model_name):
         params = _incremental_params(300)
         sim = Simulation(
-            params,
-            LONG_RUN_FACTORIES[model_name](params.velocity),
-            seed=11,
-            connectivity="incremental",
+            params, LONG_RUN_FACTORIES[model_name](params.velocity), seed=11
         )
         engine = sim._incremental
-        for _ in range(80):
-            previous = sim.edges
-            events = sim.step()
-            expected = compute_edges(
-                sim.region, sim.positions, params.tx_range, method="dense"
-            )
-            np.testing.assert_array_equal(sim.edges, expected)
-            _assert_same_events(events, diff_edge_sets(previous, expected))
+        DenseLockstep(sim).step(80)
         # The initial validation plus at least six mid-run ones.
         assert engine.full_rebuilds >= 7
         assert engine.incremental_steps >= 3 * engine.full_rebuilds
@@ -253,10 +313,7 @@ class TestNeighborRows:
     def test_rows_track_the_csr_across_validations(self, model_name):
         params = _incremental_params(300)
         sim = Simulation(
-            params,
-            MODEL_FACTORIES[model_name](params.velocity),
-            seed=13,
-            connectivity="incremental",
+            params, MODEL_FACTORIES[model_name](params.velocity), seed=13
         )
         engine = sim._incremental
         steps = 0
@@ -275,10 +332,7 @@ class TestNeighborRows:
     def test_csr_takes_over_around_failures(self):
         params = _incremental_params(300)
         sim = Simulation(
-            params,
-            EpochRandomWaypointModel(params.velocity, epoch=1.0),
-            seed=14,
-            connectivity="incremental",
+            params, EpochRandomWaypointModel(params.velocity, epoch=1.0), seed=14
         )
         victim = int(sim.degrees().argmax())
         plan = {
@@ -307,7 +361,6 @@ class TestNeighborRows:
         sim = Simulation(
             params, EpochRandomWaypointModel(params.velocity, epoch=1.0), seed=5
         )
-        assert sim.connectivity == "incremental"
         sim.attach(HelloProtocol(mode="event"))
         maintenance = ClusterMaintenanceProtocol(LowestIdClustering())
         sim.attach(IntraClusterRoutingProtocol(maintenance))
@@ -380,7 +433,11 @@ class TestRecheckBudget:
             positions[1, 0] += self.STEP if step % 2 == 0 else -self.STEP
             assert not engine.step(positions).rebuilt
         assert engine.at_risk_total > 0
-        engine.invalidate()
+        # Jump node 1 to the mirror position across node 0: the jump
+        # exceeds the margin, so the engine validates, and the pair
+        # keeps its gap and thus its budget.
+        positions = positions.copy()
+        positions[1, 0] = 0.5 - self.TX_RANGE - self.GAP
         assert engine.step(positions).rebuilt
         for _ in range(5):
             assert engine.step(positions).at_risk == 0
@@ -478,17 +535,6 @@ class TestBareEngineEquivalence:
                 positions = np.clip(positions, 0.0, side)
         assert engine.incremental_steps > 0
 
-    def test_invalidate_forces_rebuild(self, unit_torus):
-        engine = IncrementalConnectivityEngine(unit_torus, 0.1)
-        positions = unit_torus.uniform_positions(120, 1)
-        assert engine.step(positions).rebuilt
-        assert not engine.step(positions).rebuilt
-        engine.invalidate()
-        result = engine.step(positions)
-        assert result.rebuilt
-        assert result.events is None
-        assert engine.full_rebuilds == 2
-
     def test_rebuild_cadence_amortizes(self, unit_torus):
         # recommended_step-scale motion must run many incremental steps
         # per validation, or the design has no speedup to offer.
@@ -505,14 +551,10 @@ class TestBareEngineEquivalence:
     def test_rejects_bad_parameters(self, unit_torus):
         with pytest.raises(ValueError):
             IncrementalConnectivityEngine(unit_torus, 0.0)
-        with pytest.raises(ValueError):
-            IncrementalConnectivityEngine(
-                unit_torus, 0.1, margin_fraction=0.0
-            )
 
 
 class TestBenchEquivalenceCheck:
-    """``repro-manet bench`` runs its dual-engine check across
+    """``repro-manet bench`` runs its equivalence check across
     validations, not inside one validation cycle."""
 
     def test_crosses_three_validations(self, monkeypatch):
@@ -579,7 +621,6 @@ class TestPhaseTiming:
             EpochRandomWaypointModel(params.velocity, epoch=1.0),
             seed=8,
             timer=timer,
-            connectivity="incremental",
         )
         for _ in range(10):
             sim.step()
@@ -601,14 +642,6 @@ class TestParallelDeterminism:
         from repro.analysis.sweep import measure_point
 
         params = _incremental_params(120)
-        # The sweep resolves connectivity="auto" with the recommended
-        # step; confirm that resolution actually lands on the new mode.
-        probe = Simulation(
-            params,
-            EpochRandomWaypointModel(params.velocity, epoch=1.0),
-            seed=0,
-        )
-        assert probe.connectivity == "incremental"
         kwargs = dict(seeds=3, duration=2.0, warmup=0.5)
         serial = measure_point(params, params.tx_range, **kwargs, jobs=1)
         parallel = measure_point(params, params.tx_range, **kwargs, jobs=2)
