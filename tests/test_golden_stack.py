@@ -12,8 +12,9 @@ reduces the outcome to a digest:
 
 The matrix is LID / HCC (``dynamic_priority=True``) / DMAC x event /
 periodic HELLO x faults off / on (crash + loss) x 2 seeds, LID with
-adaptive (staleness-bounded) HELLO x faults off / on x 2 seeds, plus one
-run with non-integer message sizes and a full-table, star-topology
+adaptive (staleness-bounded) HELLO x faults off / on x 2 seeds, LID
+with event HELLO x faults off / on at a third seed (2), plus one run
+with non-integer message sizes and a full-table, star-topology
 intra-cluster router.
 
 Two mobility rows run LID with event HELLO under non-uniform motion:
@@ -149,6 +150,9 @@ def _cases() -> dict[str, dict]:
             cases[name] = dict(
                 algorithm="lid", hello="adaptive", faults=faults, seed=seed
             )
+    for faults in (False, True):
+        name = f"lid-event-{'faults' if faults else 'clean'}-s2"
+        cases[name] = dict(algorithm="lid", hello="event", faults=faults, seed=2)
     cases["lid-event-clean-s0-odd-sizes-star-full"] = dict(
         algorithm="lid",
         hello="event",
