@@ -23,8 +23,8 @@ Three operating modes, matching the paper's HELLO analysis (Section
   interval.  ``{"mode": "adaptive", "policy": "fixed"}`` is the same
   code as ``periodic``.
 
-In every mode the protocol maintains per-node neighbor lists, which
-downstream protocols may consume instead of the oracle adjacency.
+The beacon modes keep per-node heard-time tables for their soft timers;
+event mode keeps only the announces that a loss plan dropped.
 """
 
 from __future__ import annotations
@@ -61,6 +61,11 @@ class HelloProtocol(Protocol):
     The two beacon modes share one timer path: ``periodic`` runs it
     under ``FixedPeriodPolicy(interval)``, ``adaptive`` under the given
     policy.  ``policy`` is ``None`` only in event mode.
+
+    ``neighbor_lists`` (one ``{neighbor: heard_time}`` dict per node) is
+    beacon-mode state and stays empty in event mode, where a node
+    believes its live row minus the senders it has not heard, so
+    :meth:`detection_errors` is the number of unheard announces.
 
     Parameters
     ----------
@@ -166,10 +171,10 @@ class HelloProtocol(Protocol):
         self._pair_bits = 0.0
         self._next_beacon: np.ndarray | None = None
         # Loss degradation state: per-receiver consecutive-miss counts
-        # (miss_limit modes) and the event-mode announce-retry queue of
-        # ``(sender, learner, attempts)`` entries.
+        # (miss_limit modes) and the event-mode announces a loss dropped,
+        # ``{(sender, learner): failed_retransmits}`` in loss order.
         self._miss_counts: list[dict[int, int]] = []
-        self._pending_retx: list[tuple[int, int, int]] = []
+        self._unheard: dict[tuple[int, int], int] = {}
         # Beacon-mode state (see on_attach).
         self.signals: ControlSignals | None = None
         self._advertised_timeout: np.ndarray | None = None
@@ -186,14 +191,14 @@ class HelloProtocol(Protocol):
     def on_attach(self, sim: Simulation) -> None:
         n = sim.n_nodes
         self._pair_bits = 2 * sim.params.messages.p_hello
-        # Seed neighbor lists from the initial adjacency: the paper does
-        # not measure the initial discovery phase.
-        self.neighbor_lists = [
-            dict.fromkeys(row, 0.0) for row in sim.adjacency_lists
-        ]
         if self.miss_limit is not None:
             self._miss_counts = [{} for _ in range(n)]
         if self.policy is not None:
+            # Seed the tables from the initial adjacency: the paper does
+            # not measure the initial discovery phase.
+            self.neighbor_lists = [
+                dict.fromkeys(row, 0.0) for row in sim.adjacency_lists
+            ]
             if self.policy.max_interval < sim.dt:
                 raise ValueError(
                     f"beacon policy max_interval ({self.policy.max_interval}) "
@@ -269,56 +274,44 @@ class HelloProtocol(Protocol):
         faults = sim.faults
         if faults is not None and faults.loss_rate > 0.0:
             # Each direction's announce is its own reception; a lost one
-            # is retransmitted from on_step_begin until it lands or the
-            # link is gone (the sender keeps announcing while unheard).
-            for sender, learner in ((u, v), (v, u)):
+            # stays unheard until a retransmission from on_step_begin
+            # lands or the link is gone.
+            for key in ((u, v), (v, u)):
                 if faults.drop():
                     faults.count("hello_losses_total")
-                    self._pending_retx.append((sender, learner, 0))
-                else:
-                    self.neighbor_lists[learner][sender] = time
-            return
-        self.neighbor_lists[u][v] = time
-        self.neighbor_lists[v][u] = time
+                    self._unheard[key] = 0
 
     def on_step_begin(self, sim: Simulation, time: float) -> None:
-        if self.mode != "event" or not self._pending_retx:
+        unheard = self._unheard
+        if not unheard:
             return
         faults = sim.faults
-        pending = self._pending_retx
-        self._pending_retx = []
-        for sender, learner, attempts in pending:
-            if (
-                not sim.has_link(sender, learner)
-                or sender in self.neighbor_lists[learner]
-            ):
-                # Link vanished, or a later announce already landed.
+        for key, failed in list(unheard.items()):
+            if failed >= self._RETX_CAP:
+                # Budget spent: the sender stays unheard while the link lives.
                 continue
-            with attributed(sim, CAUSE_LOSS_RETRANSMIT, node=sender):
+            if not sim.has_link(*key):
+                del unheard[key]
+                continue
+            with attributed(sim, CAUSE_LOSS_RETRANSMIT, node=key[0]):
                 sim.stats.record("hello", 1, sim.params.messages.p_hello)
             faults.count("hello_retransmits_total")
             if faults.drop():
                 faults.count("hello_losses_total")
-                if attempts + 1 < self._RETX_CAP:
-                    self._pending_retx.append((sender, learner, attempts + 1))
+                unheard[key] = failed + 1
             else:
-                self.neighbor_lists[learner][sender] = time
+                del unheard[key]
 
     #: Event-mode announce-retransmission budget per lost link-up.
     _RETX_CAP = 8
 
     def on_link_down(self, sim: Simulation, u: int, v: int, time: float) -> None:
-        if self.mode != "event":
-            return
         # Soft-timer detection: free, immediate in the lower-bound model.
-        self.neighbor_lists[u].pop(v, None)
-        self.neighbor_lists[v].pop(u, None)
-        if self._pending_retx:
-            self._pending_retx = [
-                entry
-                for entry in self._pending_retx
-                if {entry[0], entry[1]} != {u, v}
-            ]
+        # Only event mode ever holds unheard announces.
+        unheard = self._unheard
+        if unheard:
+            unheard.pop((u, v), None)
+            unheard.pop((v, u), None)
 
     # ------------------------------------------------------------------
     # Crash handling (fault plans)
@@ -326,17 +319,14 @@ class HelloProtocol(Protocol):
     def on_node_fail(self, sim: Simulation, node: int, time: float) -> None:
         # State wipe: the crashed node forgets every neighbor it knew.
         # Its former neighbors still hold entries for it; those expire
-        # through the ordinary paths (link_down in event mode, the soft
-        # timer otherwise) once the engine drops the node's links.
+        # through the soft timer once the engine drops the node's links.
+        # In event mode the crash breaks the node's links this step, so
+        # on_step_begin / on_link_down drop its unheard announces.
+        if self.policy is None:
+            return
         self.neighbor_lists[node].clear()
         if self._miss_counts:
             self._miss_counts[node].clear()
-        if self._pending_retx:
-            self._pending_retx = [
-                entry
-                for entry in self._pending_retx
-                if node not in (entry[0], entry[1])
-            ]
 
     # ------------------------------------------------------------------
     # Beacon modes (periodic and adaptive)
@@ -438,9 +428,18 @@ class HelloProtocol(Protocol):
         self._window_interval_max = 0.0
 
     # ------------------------------------------------------------------
-    def known_neighbors(self, node: int) -> set[int]:
-        """The neighbor set node ``node`` currently believes in."""
-        return set(self.neighbor_lists[node])
+    def known_neighbors(self, sim: Simulation, node: int) -> set[int]:
+        """The neighbor set node ``node`` currently believes in.
+
+        In event mode: its live row minus the senders it has not heard."""
+        if self.policy is not None:
+            return set(self.neighbor_lists[node])
+        unheard = self._unheard
+        return {
+            other
+            for other in sim.neighbors_of(node).tolist()
+            if (other, node) not in unheard
+        }
 
     def detection_error_counts(self, sim: Simulation) -> np.ndarray:
         """Per-node count of neighbor-table discrepancies vs the truth.
@@ -450,15 +449,16 @@ class HelloProtocol(Protocol):
         """
         counts = np.zeros(sim.n_nodes, dtype=np.int64)
         for node, row in enumerate(sim.adjacency_lists):
-            believed = self.known_neighbors(node)
+            believed = self.known_neighbors(sim, node)
             counts[node] = len(believed.symmetric_difference(row))
         return counts
 
     def detection_errors(self, sim: Simulation) -> int:
         """Number of (node, neighbor) discrepancies vs the true adjacency.
 
-        Zero in event mode; grows with ``interval`` in periodic mode —
-        the quantity the detection-latency ablation reports.
+        In event mode, the number of unheard announces (zero without
+        loss); grows with ``interval`` in periodic mode — the quantity
+        the detection-latency ablation reports.
         """
         return int(self.detection_error_counts(sim).sum())
 

@@ -7,7 +7,13 @@ import pytest
 
 from repro.control.policies import FixedPeriodPolicy
 from repro.core.params import NetworkParameters
+from repro.faults import FaultConfig, attach_faults, build_plan
 from repro.mobility import EpochRandomWaypointModel
+from repro.obs.attribution import (
+    CAUSE_EVENT_HELLO,
+    CAUSE_LOSS_RETRANSMIT,
+    attributed,
+)
 from repro.sim import HelloProtocol, Simulation
 
 
@@ -37,10 +43,10 @@ class TestConstruction:
 
 
 class TestEventMode:
-    def test_initial_neighbor_lists_seeded(self, mobile_sim):
+    def test_initial_beliefs_are_the_live_rows(self, mobile_sim):
         hello = mobile_sim.attach(HelloProtocol("event"))
         for node in range(0, mobile_sim.n_nodes, 13):
-            assert hello.known_neighbors(node) == set(
+            assert hello.known_neighbors(mobile_sim, node) == set(
                 int(v) for v in mobile_sim.neighbors_of(node)
             )
 
@@ -78,6 +84,178 @@ class TestEventMode:
         f_hello = sim.stats.per_node_frequency("hello")
         lambda_gen = 2 * generations / (params.n_nodes * steps * sim.dt)
         assert f_hello == pytest.approx(lambda_gen, rel=1e-9)
+
+
+class TableEventHello(HelloProtocol):
+    """Reference: event HELLO with a heard-time table per node.
+
+    The design before the unheard-announce dict: every link event writes
+    a ``{neighbor: heard_time}`` dict per node, and lost announces wait
+    in a ``(sender, learner, attempts)`` retransmit queue.
+    """
+
+    def on_attach(self, sim):
+        super().on_attach(sim)
+        self.tables = [dict.fromkeys(row, 0.0) for row in sim.adjacency_lists]
+        self.pending = []
+
+    def on_link_up(self, sim, u, v, time):
+        with attributed(sim, CAUSE_EVENT_HELLO, nodes=(u, v)):
+            sim.stats.record("hello", 2, self._pair_bits)
+        faults = sim.faults
+        if faults is not None and faults.loss_rate > 0.0:
+            for sender, learner in ((u, v), (v, u)):
+                if faults.drop():
+                    faults.count("hello_losses_total")
+                    self.pending.append((sender, learner, 0))
+                else:
+                    self.tables[learner][sender] = time
+            return
+        self.tables[u][v] = time
+        self.tables[v][u] = time
+
+    def on_step_begin(self, sim, time):
+        faults = sim.faults
+        pending, self.pending = self.pending, []
+        for sender, learner, attempts in pending:
+            if (
+                not sim.has_link(sender, learner)
+                or sender in self.tables[learner]
+            ):
+                continue
+            with attributed(sim, CAUSE_LOSS_RETRANSMIT, node=sender):
+                sim.stats.record("hello", 1, sim.params.messages.p_hello)
+            faults.count("hello_retransmits_total")
+            if faults.drop():
+                faults.count("hello_losses_total")
+                if attempts + 1 < self._RETX_CAP:
+                    self.pending.append((sender, learner, attempts + 1))
+            else:
+                self.tables[learner][sender] = time
+
+    def on_link_down(self, sim, u, v, time):
+        self.tables[u].pop(v, None)
+        self.tables[v].pop(u, None)
+        self.pending = [e for e in self.pending if {e[0], e[1]} != {u, v}]
+
+    def on_node_fail(self, sim, node, time):
+        self.tables[node].clear()
+        self.pending = [e for e in self.pending if node not in e[:2]]
+
+    def known_neighbors(self, sim, node):
+        return set(self.tables[node])
+
+
+def _lockstep_sim(hello, loss_rate, attach_faults_after):
+    params = NetworkParameters.from_fractions(
+        n_nodes=120, range_fraction=0.15, velocity_fraction=0.05
+    )
+    sim = Simulation(
+        params, EpochRandomWaypointModel(params.velocity, 1.0), seed=21
+    )
+    config = FaultConfig(
+        crash_rate=0.02, crash_recover_after=0.5, loss_rate=loss_rate
+    )
+    plan = build_plan(config, params.n_nodes, horizon=8.0, seed=21)
+    if attach_faults_after == 0:
+        attach_faults(sim, plan)
+    sim.attach(hello)
+    return sim, plan
+
+
+class TestEventModeLockstep:
+    """Unheard announces reproduce the table design's beliefs exactly.
+
+    The golden stack digests never read HELLO's beliefs, so this is the
+    gate on ``known_neighbors`` and ``detection_error_counts``.
+    """
+
+    @pytest.mark.parametrize(
+        "loss_rate, attach_faults_after",
+        [(0.3, 0), (0.9, 0), (0.3, 5)],
+        ids=["loss-0.3", "loss-0.9", "loss-0.3-attached-mid-run"],
+    )
+    def test_beliefs_match_the_table_design(
+        self, loss_rate, attach_faults_after
+    ):
+        ref = TableEventHello("event")
+        hello = HelloProtocol("event")
+        ref_sim, ref_plan = _lockstep_sim(ref, loss_rate, attach_faults_after)
+        sim, plan = _lockstep_sim(hello, loss_rate, attach_faults_after)
+        unheard_steps = 0
+        for step in range(100):
+            if step == attach_faults_after and step > 0:
+                attach_faults(ref_sim, ref_plan)
+                attach_faults(sim, plan)
+            ref_sim.step()
+            sim.step()
+            assert np.array_equal(ref_sim.edges, sim.edges)
+            for node in range(sim.n_nodes):
+                assert hello.known_neighbors(sim, node) == (
+                    ref.known_neighbors(ref_sim, node)
+                ), (step, node)
+            errors = hello.detection_error_counts(sim)
+            assert np.array_equal(
+                errors, ref.detection_error_counts(ref_sim)
+            )
+            assert errors.sum() == len(hello._unheard)
+            unheard_steps += bool(hello._unheard)
+            # A crash drops the crashed node's unheard announces.
+            for sender, learner in hello._unheard:
+                assert sim.active[sender] and sim.active[learner]
+        assert hello.neighbor_lists == []
+        for counter in ("hello_losses_total", "hello_retransmits_total"):
+            assert getattr(sim.faults, counter) == getattr(
+                ref_sim.faults, counter
+            )
+        assert sim.stats.totals == ref_sim.stats.totals
+        # The run exercised what it gates.
+        assert sim.faults.crashes_total > 0
+        assert sim.faults.hello_retransmits_total > 0
+        assert unheard_steps > 0
+
+
+class _AlwaysDrop:
+    """A loss injector that loses every reception."""
+
+    loss_rate = 1.0
+
+    def __init__(self):
+        self.hello_losses_total = 0
+        self.hello_retransmits_total = 0
+
+    def drop(self):
+        return True
+
+    def count(self, attribute, amount=1):
+        setattr(self, attribute, getattr(self, attribute) + amount)
+
+
+class TestRetransmitCap:
+    def test_each_lost_direction_retransmits_the_cap(self, mobile_sim):
+        hello = mobile_sim.attach(HelloProtocol("event"))
+        mobile_sim.faults = faults = _AlwaysDrop()
+        u, v = (int(x) for x in mobile_sim.edges[0])
+        hello.on_link_up(mobile_sim, u, v, 0.0)
+        assert hello._unheard == {(u, v): 0, (v, u): 0}
+        for step in range(3 * HelloProtocol._RETX_CAP):
+            hello.on_step_begin(mobile_sim, float(step))
+            # The senders stay unknown as long as the link lives.
+            assert v not in hello.known_neighbors(mobile_sim, u)
+            assert u not in hello.known_neighbors(mobile_sim, v)
+        assert faults.hello_retransmits_total == 2 * HelloProtocol._RETX_CAP
+        assert faults.hello_losses_total == 2 * (HelloProtocol._RETX_CAP + 1)
+        assert hello.detection_errors(mobile_sim) == 2
+
+        hello.on_link_down(mobile_sim, u, v, 1.0)
+        assert hello._unheard == {}
+
+        hello.on_link_up(mobile_sim, u, v, 2.0)
+        assert hello._unheard == {(u, v): 0, (v, u): 0}
+        assert faults.hello_losses_total == 2 * (HelloProtocol._RETX_CAP + 2)
+        hello.on_step_begin(mobile_sim, 3.0)
+        assert hello._unheard == {(u, v): 1, (v, u): 1}
+        assert hello.neighbor_lists == []
 
 
 class TestPeriodicMode:
