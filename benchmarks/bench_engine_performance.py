@@ -47,6 +47,37 @@ def test_neighbor_rows_cost(benchmark):
     assert sim._neighbor_csr is None
 
 
+def test_validation_step_cost(benchmark):
+    """One ``Simulation.step`` at N=2000 whose engine step is a full
+    validation.  The validation returns its own link events, so the
+    step diffs no edge sets."""
+    params = NetworkParameters.from_fractions(
+        n_nodes=2000, range_fraction=0.1, velocity_fraction=0.05
+    )
+    sim = Simulation(
+        params, EpochRandomWaypointModel(params.velocity, 1.0), seed=0
+    )
+    sim.step()
+    engine = sim._incremental
+    results = []
+    engine_step = engine.step
+
+    def recorded(positions):
+        results.append(engine_step(positions))
+        return results[-1]
+
+    engine.step = recorded
+
+    def force_validation():
+        # A validation reference one margin away from every node makes
+        # the next step validate; the motion itself stays ordinary.
+        engine._ref = engine._ref + engine.margin
+
+    benchmark.pedantic(sim.step, setup=force_validation, rounds=5)
+    assert results
+    assert all(r.rebuilt and r.events is not None for r in results)
+
+
 def test_compute_edges_tree_cost(benchmark):
     region = SquareRegion(1.0, Boundary.TORUS)
     positions = region.uniform_positions(2000, 0)

@@ -109,6 +109,10 @@ def _phase_dict(timer: PhaseTimer) -> dict[str, float]:
     return {p.phase: p.seconds for p in timer.report().phases}
 
 
+def _median(values: list[float]) -> float | None:
+    return float(np.median(values)) if values else None
+
+
 def _bench_edge_engine(
     params: NetworkParameters, steps: int, seed: int = 0
 ) -> dict:
@@ -159,7 +163,10 @@ def _bench_incremental_engine(
 
     ``engine_stats`` counts the full validations and incremental steps;
     ``mean_at_risk`` is the mean number of candidate pairs whose
-    distance an incremental step recomputed.
+    distance an incremental step recomputed.  ``validation_ms_p50`` and
+    ``incremental_ms_p50`` are the median step wall times of the steps
+    whose engine step was a validation and of the rest (``None`` when
+    the run had no such step).
     """
     timer = PhaseTimer()
     sim = Simulation(
@@ -168,11 +175,17 @@ def _bench_incremental_engine(
         seed=seed,
         timer=timer,
     )
+    engine = sim._incremental
+    step_ms: dict[bool, list[float]] = {True: [], False: []}
     start = perf_counter()
     for _ in range(steps):
+        rebuilds = engine.full_rebuilds
+        before = perf_counter()
         sim.step()
+        step_ms[engine.full_rebuilds != rebuilds].append(
+            (perf_counter() - before) * 1e3
+        )
     elapsed = perf_counter() - start
-    engine = sim._incremental
     return {
         "mode": "incremental-engine",
         "n_nodes": params.n_nodes,
@@ -190,6 +203,8 @@ def _bench_incremental_engine(
                 if engine.incremental_steps
                 else 0.0
             ),
+            "validation_ms_p50": _median(step_ms[True]),
+            "incremental_ms_p50": _median(step_ms[False]),
         },
     }
 

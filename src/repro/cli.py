@@ -815,6 +815,15 @@ def _run_bench(args) -> int:
                 f"{stats['mean_at_risk']:.0f} pairs recomputed per "
                 "incremental step (mean_at_risk)"
             )
+            validation = stats.get("validation_ms_p50")
+            incremental = stats.get("incremental_ms_p50")
+            if validation is not None and incremental:
+                print(
+                    f"  N={row['n_nodes']:>5d}  note: a validation step "
+                    f"(p50 {validation:.2f} ms) costs "
+                    f"{validation / incremental:.1f}x an incremental "
+                    f"step (p50 {incremental:.2f} ms)"
+                )
     for size, per_mode in payload.get("speedup_vs_edge", {}).items():
         for mode, speedup in per_mode.items():
             print(f"  N={size:>5s}  {mode} vs edge: {speedup:.1f}x")

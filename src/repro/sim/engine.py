@@ -7,9 +7,9 @@ connectivity after every step as a sorted **edge set** (an ``(E, 2)``
 pair array — ``O(E)`` state instead of an ``O(N^2)`` matrix).  One
 connectivity path produces it: the temporal-coherence engine
 (:class:`~repro.spatial.IncrementalConnectivityEngine`), whose status
-flips are the step's link generation/break events.  On the engine's
-validation steps, and while a radio is failed on either side of a
-step, the (masked) edge sets are diffed instead
+flips are the step's link generation/break events; its full validations
+return exact events too.  Only while a radio is failed on either side
+of a step are the (masked) edge sets diffed instead
 (:func:`~repro.spatial.diff_edge_sets`).  The kernel delivers
 those events — in deterministic order — to attached protocols (HELLO
 beaconing, clustering maintenance, routing).
@@ -558,7 +558,7 @@ class Simulation:
         if self.active.all():
             return edges
         alive = self.active[edges[:, 0]] & self.active[edges[:, 1]]
-        return edges[alive]
+        return edges.compress(alive, axis=0)
 
     def _set_edges(self, edges: np.ndarray, unmasked: bool = False) -> None:
         """Commit ``edges`` as the live edge set and drop the derived views.
@@ -599,7 +599,12 @@ class Simulation:
     # Main loop
     # ------------------------------------------------------------------
     def step(self) -> LinkEvents:
-        """Advance one step and deliver link events; returns the events."""
+        """Advance one step and deliver link events; returns the events.
+
+        The events are the engine's own, on validation steps too; the
+        masked edge sets are diffed only on masked steps, those with a
+        failed radio before or after the step.
+        """
         if self.attribution is not None:
             # Rows the ledger buffered since its last fold were recorded
             # at the current positions: fold them before the nodes move.
@@ -623,9 +628,9 @@ class Simulation:
         result = self._incremental.step(positions)
         new_edges = self._mask_failed(result.edges)
         t2 = perf_counter()
-        # The engine's mask-diff events describe the *unmasked*
-        # connectivity; they stand in for diff_edge_sets only while no
-        # radio was failed on either side of the diff.
+        # The engine's events describe the *unmasked* connectivity; they
+        # stand in for diff_edge_sets only while no radio was failed on
+        # either side of the diff.
         if result.events is not None and all_active and self._prev_all_active:
             events = result.events
         else:

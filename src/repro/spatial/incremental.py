@@ -20,6 +20,18 @@ follows the pairs near the range boundary:
   key-sorted with their bit-exact distances.  Each candidate gets its
   edge status ``d0 <= r`` and a recheck budget ``due = |d0 - r| - eps``;
   every node's odometer resets to 0.
+* A validation also returns the exact **link events** since the
+  previous step, without diffing two edge sets.  The previous edge set
+  is exactly the pairs with ``d_prev <= r``, measured at the previous
+  positions.  No separation changed by more than ``2 * s`` in one
+  step, ``s`` the largest step displacement, so a candidate whose
+  ``|d0 - r|`` exceeds ``2 * s + eps`` kept its status; only the
+  candidates in that shell are measured at the previous positions.
+  Every previous edge is still a candidate exactly when the candidates
+  with a previous status of "up" are as many as the previous edges.
+  When they are fewer (a teleport or a reset moved a node past the
+  margin), the missing previous edges are looked up by key: they left
+  the candidate radius, so they are broken links too.
 * Each **incremental step** adds every node's step displacement (under
   the region metric) to its odometer.  A pair ``(i, j)`` is recomputed
   only once ``odo[i] + odo[j] >= due``.  Proof sketch: if the pair was
@@ -36,8 +48,9 @@ follows the pairs near the range boundary:
   since the validation, so while their sum stays below ``margin`` no
   non-candidate can have entered range — once it no longer does, the
   engine falls back to a full validation.
-* A float-safety slack ``eps`` shrinks every budget so borderline
-  classifications always take the recompute path, where the distance
+* A float-safety slack ``eps`` shrinks every budget, and widens the
+  validation's shell, so borderline classifications always take the
+  recompute path, where the distance
   is evaluated bit-identically to the batch engine (see below), so the
   resulting edge status can never disagree with a full rebuild.  The
   slack is far above the ulp-scale error the odometer sums accumulate.
@@ -74,7 +87,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .neighbors import LinkEvents, _pair_distances, pairs_within
+from .neighbors import LinkEvents, _pair_distances, edge_keys, pairs_within
 from .region import SquareRegion
 
 __all__ = [
@@ -102,9 +115,10 @@ class IncrementalStepResult:
     """Outcome of one engine step.
 
     ``edges`` is the canonical sorted ``(E, 2)`` edge set.  ``events``
-    carries the link changes since the previous step when the
-    incremental path produced them, and is ``None`` on validation steps
-    (the caller diffs edge sets itself there).  ``at_risk`` is the
+    carries the exact link changes since the previous step, on
+    incremental and validation steps alike; it is ``None`` only on the
+    engine's first step and when the node count changed, where there
+    is no previous step of the same nodes to compare.  ``at_risk`` is the
     number of candidate pairs whose distance this step recomputed.
     ``revalidate_seconds`` is the time spent on the odometers and on
     classifying and recomputing pairs, kept separate so the simulation
@@ -157,6 +171,7 @@ class IncrementalConnectivityEngine:
         self._cj_bounds: list[int] | None = None
         self._due: np.ndarray | None = None
         self._mask: np.ndarray | None = None
+        self._edges: np.ndarray | None = None
         # Grown-on-demand scratch (keyed by role) so steady-state steps
         # allocate almost nothing.
         self._buffers: dict[str, np.ndarray] = {}
@@ -173,38 +188,85 @@ class IncrementalConnectivityEngine:
             self._buffers[name] = buf
         return buf[:size]
 
-    def _validate(self, pos: np.ndarray) -> np.ndarray:
-        """Full candidate sweep at the expanded radius; reseeds all state."""
+    def _validate(
+        self, pos: np.ndarray
+    ) -> tuple[np.ndarray, LinkEvents | None]:
+        """Full candidate sweep at the expanded radius; reseeds all state.
+
+        Returns the edge set and, when the engine holds a previous step
+        of as many nodes, the exact link events since that step.
+        """
         n = len(pos)
         ci, cj, dist = pairs_within(self.region, pos, self._r_cand)
+        cand = np.column_stack((ci, cj))
+        up = dist <= self.tx_range
+        dist -= self.tx_range
+        gap = np.abs(dist, out=dist)
+        edges = cand.compress(up, axis=0)
+        events = None
+        if self._prev is not None and len(self._prev) == n:
+            events = self._validation_events(pos, cand, up, gap, len(edges))
         self._ci = ci
         self._cj = cj
-        # ci ascends, so gathering per-node values over ci is a repeat.
-        self._ci_counts = np.bincount(ci, minlength=n)
-        # Pair index (module docstring).  Row pointers are Python ints:
+        # Pair index (module docstring).  ci ascends, so its row
+        # pointer is a binary search, and gathering per-node values
+        # over ci is a repeat.  Row pointers are Python ints:
         # neighbors() reads two of each per call.  Argsorting the
         # smallest unsigned type that holds every id gives the same
         # stable order, and numpy radix-sorts keys of up to 16 bits.
-        self._ci_bounds = [0, *np.cumsum(self._ci_counts).tolist()]
+        ci_bounds = np.searchsorted(ci, np.arange(n + 1))
+        self._ci_counts = ci_bounds[1:] - ci_bounds[:-1]
+        self._ci_bounds = ci_bounds.tolist()
         self._cj_order = np.argsort(
             cj.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable"
         )
         self._cj_bounds = [
             0, *np.cumsum(np.bincount(cj, minlength=n)).tolist()
         ]
-        self._cand = np.column_stack((ci, cj))
-        self._mask = dist <= self.tx_range
-        dist -= self.tx_range
-        self._due = np.abs(dist, out=dist)
-        self._due -= self._eps
+        self._cand = cand
+        self._mask = up
+        gap -= self._eps
+        self._due = gap
         # The mobility model mutates its position buffer in place, so
         # the snapshots must be owned copies.
         self._ref = pos.copy()
         self._prev = pos.copy()
         self._odo = np.zeros(n)
+        self._edges = edges
         self.full_rebuilds += 1
         self.last_at_risk = 0
-        return self._cand[self._mask]
+        return edges, events
+
+    def _validation_events(
+        self,
+        pos: np.ndarray,
+        cand: np.ndarray,
+        up: np.ndarray,
+        gap: np.ndarray,
+        n_edges: int,
+    ) -> LinkEvents:
+        """Exact link events from the previous step to a fresh sweep.
+
+        ``cand`` are the new candidates, ``up`` their edge status,
+        ``gap`` their ``|d - r|`` and ``n_edges`` the new edge count
+        (module docstring).
+        """
+        region, r = self.region, self.tx_range
+        prev = self._prev
+        moved = region.distance(prev, pos)
+        reach = 2.0 * float(moved.max()) if moved.size else 0.0
+        shell = (gap <= reach + self._eps).nonzero()[0]
+        pairs = cand.take(shell, axis=0)
+        was = _pair_distances(region, prev, pairs[:, 0], pairs[:, 1]) <= r
+        now = up.take(shell)
+        generated = pairs.compress(now > was, axis=0)
+        broken = pairs.compress(was > now, axis=0)
+        old = self._edges
+        if n_edges - len(generated) + len(broken) != len(old):
+            lost = ~np.isin(edge_keys(old), edge_keys(cand), assume_unique=True)
+            broken = np.concatenate((broken, old.compress(lost, axis=0)))
+            broken = broken.take(np.argsort(edge_keys(broken)), axis=0)
+        return LinkEvents(generated=generated, broken=broken)
 
     def neighbors(self, node: int) -> np.ndarray:
         """Ascending neighbors of ``node`` in the last step's edge set.
@@ -242,10 +304,10 @@ class IncrementalConnectivityEngine:
             or self._needs_validation(self.region.distance(self._ref, pos))
         )
         if rebuild:
-            edges = self._validate(pos)
+            edges, events = self._validate(pos)
             return IncrementalStepResult(
                 edges=edges,
-                events=None,
+                events=events,
                 rebuilt=True,
                 at_risk=0,
                 revalidate_seconds=0.0,
@@ -282,6 +344,7 @@ class IncrementalConnectivityEngine:
         generated = self._cand[flip_idx[up]]
         broken = self._cand[flip_idx[~up]]
         edges = self._cand.compress(self._mask, axis=0)
+        self._edges = edges
         self.incremental_steps += 1
         self.last_at_risk = int(risk_idx.size)
         self.at_risk_total += self.last_at_risk

@@ -6,8 +6,9 @@ consecutive snapshots into link *generation* and *break* events (the
 event stream that drives HELLO, CLUSTER and ROUTE accounting).  The
 simulation steps with the incremental engine
 (:mod:`repro.spatial.incremental`), which builds on the sweep below and
-reports its own events; edge sets are diffed (:func:`diff_edge_sets`)
-only on its validation steps and while a radio is failed.
+reports its own exact events on every step after its first, validation
+steps included; edge sets are diffed (:func:`diff_edge_sets`) only
+while a radio is failed.
 
 The spatial layer's only connectivity output is the sorted **edge
 set** — an ``(E, 2)`` integer array of pairs with ``i < j`` in
@@ -151,12 +152,16 @@ def pairs_within(
         radius * (1.0 + _QUERY_SLACK), output_type="ndarray"
     )
     # query_pairs emits i < j, so the keys are canonical and unique: a
-    # plain (unstable) sort is deterministic.
+    # plain (unstable) sort is deterministic.  The smallest unsigned
+    # type that holds n * n sorts and divides faster than int64.
     keys = pairs[:, 0] * n
     keys += pairs[:, 1]
+    keys = keys.astype(np.min_scalar_type(max(n * n - 1, 0)))
     keys.sort()
     i = keys // n
     j = keys - i * n
+    i = i.astype(np.int64)
+    j = j.astype(np.int64)
     dist = _pair_distances(region, pos, i, j)
     keep = dist <= radius
     if not keep.all():
@@ -283,8 +288,12 @@ def diff_edge_sets(previous: np.ndarray, current: np.ndarray) -> LinkEvents:
     curr = _as_edge_array(current)
     prev_keys = edge_keys(prev)
     curr_keys = edge_keys(curr)
-    generated = curr[~np.isin(curr_keys, prev_keys, assume_unique=True)]
-    broken = prev[~np.isin(prev_keys, curr_keys, assume_unique=True)]
+    generated = curr.compress(
+        ~np.isin(curr_keys, prev_keys, assume_unique=True), axis=0
+    )
+    broken = prev.compress(
+        ~np.isin(prev_keys, curr_keys, assume_unique=True), axis=0
+    )
     return LinkEvents(generated=generated, broken=broken)
 
 

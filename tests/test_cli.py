@@ -195,6 +195,10 @@ class TestMain:
             if row["mode"] == "incremental-engine"
         )
         assert stats["full_rebuilds"] >= 1
+        # Step wall time split on whether the engine validated: three
+        # steps at N=60 are all incremental.
+        assert stats["validation_ms_p50"] is None
+        assert stats["incremental_ms_p50"] > 0
 
     def test_bench_modes_subset(self, capsys, tmp_path):
         import json

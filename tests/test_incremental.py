@@ -1,8 +1,9 @@
 """Tests for the incremental connectivity engine (repro.spatial.incremental).
 
 The contract is exactness: every step must return the bit-identical
-sorted edge set — and, via the fast mask-diff path, bit-identical
-``LinkEvents`` — that a full batch rebuild would produce.  These tests
+sorted edge set — and, from its incremental and validation paths
+alike, bit-identical ``LinkEvents`` — that a full batch rebuild would
+produce.  These tests
 pin that equivalence across boundaries, mobility models, teleports,
 node failure, and a grid of tiny, dense and fast networks, and additionally pin the internal invariants the speedup
 rests on (rebuild fallbacks, the bitwise-equal fast distance kernel).
@@ -390,6 +391,141 @@ class TestNeighborRows:
         assert calls["edges_to_csr"] == 0
 
 
+def _counting_diff(monkeypatch):
+    """Count the simulation's edge-set diffs; returns the call list."""
+    calls = []
+    diff = engine_module.diff_edge_sets
+
+    def counted(previous, current):
+        calls.append(len(current))
+        return diff(previous, current)
+
+    monkeypatch.setattr(engine_module, "diff_edge_sets", counted)
+    return calls
+
+
+class TestValidationEvents:
+    """A full validation returns the exact link events itself, so an
+    unmasked step never diffs two edge sets."""
+
+    def test_stack_steps_diff_no_edge_sets(self, monkeypatch):
+        # Event HELLO + LID maintenance + intra-cluster routing across
+        # three validations after the initial one.
+        params = _incremental_params(300)
+        sim = Simulation(
+            params, EpochRandomWaypointModel(params.velocity, epoch=1.0), seed=5
+        )
+        sim.attach(HelloProtocol(mode="event"))
+        maintenance = ClusterMaintenanceProtocol(LowestIdClustering())
+        sim.attach(IntraClusterRoutingProtocol(maintenance))
+        sim.attach(maintenance)
+        calls = _counting_diff(monkeypatch)
+        engine = sim._incremental
+        for _ in range(200):
+            sim.step()
+            if engine.full_rebuilds >= 4:
+                break
+        assert engine.full_rebuilds >= 4
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "boundary", [Boundary.TORUS, Boundary.REFLECT, Boundary.OPEN]
+    )
+    @pytest.mark.parametrize("model_name", sorted(MODEL_FACTORIES))
+    def test_events_match_the_dense_diff(
+        self, monkeypatch, model_name, boundary
+    ):
+        params = _incremental_params()
+        sim = Simulation(
+            params,
+            MODEL_FACTORIES[model_name](params.velocity),
+            boundary=boundary,
+            seed=17,
+        )
+        engine = sim._incremental
+        calls = _counting_diff(monkeypatch)
+        # DenseLockstep compares every step's events, validation steps
+        # included, with the diff of the masked dense references.
+        DenseLockstep(sim).step(30)
+        assert engine.full_rebuilds >= 3
+        assert calls == []
+
+    def test_edges_leaving_the_candidate_radius(self, unit_torus):
+        # Node 1 jumps from next to nodes 0 and 2 to the far side of the
+        # torus: its two old edges are no longer candidates, so the
+        # count check must find them by key.  Edge (0, 2) stretches past
+        # the range but stays a candidate, and (0, 3) forms, so the
+        # lost edges have to be merged into key order.
+        engine = IncrementalConnectivityEngine(unit_torus, 0.1)
+        before = np.array(
+            [[0.2, 0.2], [0.25, 0.2], [0.29, 0.2], [0.2, 0.32]]
+        )
+        after = np.array(
+            [[0.2, 0.2], [0.7, 0.7], [0.31, 0.2], [0.2, 0.28]]
+        )
+        first = engine.step(before)
+        np.testing.assert_array_equal(first.edges, [[0, 1], [0, 2], [1, 2]])
+        result = engine.step(after)
+        assert result.rebuilt
+        assert unit_torus.distance(after[0], after[1]) > engine._r_cand
+        assert unit_torus.distance(after[2], after[1]) > engine._r_cand
+        np.testing.assert_array_equal(
+            result.edges,
+            compute_edges(unit_torus, after, 0.1, method="dense"),
+        )
+        np.testing.assert_array_equal(result.events.generated, [[0, 3]])
+        np.testing.assert_array_equal(
+            result.events.broken, [[0, 1], [0, 2], [1, 2]]
+        )
+        _assert_same_events(
+            result.events, diff_edge_sets(first.edges, result.edges)
+        )
+
+    @pytest.mark.parametrize("boundary", [Boundary.TORUS, Boundary.OPEN])
+    def test_pair_on_the_shell_boundary(self, boundary):
+        # Nodes 0 and 1 sit at the range and each move STEP straight
+        # away from the other, so their separation grows by the whole
+        # shell width 2 * s in the validation step.  Rounding can put
+        # the new gap |d - r| just above 2 * s: only the eps slack
+        # keeps such a pair in the shell.  Node 2, far away, moves a
+        # little less each step and triggers the validation.
+        region = SquareRegion(1.0, boundary)
+        tx_range, step = 0.1, 0.0135
+        rng = np.random.default_rng(31)
+        for _ in range(1000):
+            u = rng.normal(size=2)
+            u /= np.hypot(*u)
+            a1 = 0.3 + 0.1 * rng.random(2)
+            b1 = a1 + tx_range * u
+            a0, b0 = a1 - step * u, b1 - step * u
+            b2 = b1 + step * u
+            c0 = np.array([0.8, 0.8])
+            c1 = c0 + 0.9 * step * u
+            c2 = c1 + 0.9 * step * u
+            frames = [
+                np.array(frame)
+                for frame in ((a0, b0, c0), (a1, b1, c1), (a0, b2, c2))
+            ]
+            pair = np.array([0]), np.array([1])
+            d_prev = _pair_distances(region, frames[1], *pair)[0]
+            d_now = _pair_distances(region, frames[2], *pair)[0]
+            moved = region.distance(frames[1], frames[2])
+            if (
+                d_prev <= tx_range < d_now
+                and abs(d_now - tx_range) > 2.0 * moved.max()
+            ):
+                break
+        else:
+            pytest.fail("no pair rounds past the shell boundary")
+        engine = IncrementalConnectivityEngine(region, tx_range)
+        results = [engine.step(frame) for frame in frames]
+        assert [result.rebuilt for result in results] == [True, False, True]
+        np.testing.assert_array_equal(results[1].edges, [[0, 1]])
+        assert results[2].edges.shape == (0, 2)
+        np.testing.assert_array_equal(results[2].events.broken, [[0, 1]])
+        assert results[2].events.generated.shape == (0, 2)
+
+
 class TestRecheckBudget:
     """A pair is recomputed only once its two odometers have used up the
     budget of its last measurement, and every validation restarts it.
@@ -517,8 +653,9 @@ class TestBareEngineEquivalence:
                 region, positions, tx_range, method="dense"
             )
             np.testing.assert_array_equal(result.edges, expected)
-            if result.events is not None:
-                assert prev_edges is not None
+            # Every step after the first carries its own events.
+            assert (result.events is None) == (prev_edges is None)
+            if prev_edges is not None:
                 _assert_same_events(
                     result.events, diff_edge_sets(prev_edges, result.edges)
                 )
