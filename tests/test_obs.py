@@ -238,6 +238,16 @@ class TestTracers:
         with pytest.raises(ValueError, match="unknown trace events"):
             JsonlTracer(tmp_path / "t.jsonl", events={"bogus"})
 
+    @pytest.mark.parametrize("event", ["link_up", "link_down"])
+    def test_schema_1_link_event_filter_rejected(self, tmp_path, event):
+        # Schema 2 writes no per-pair link records: such a filter would
+        # drop every link event without a word.
+        with pytest.raises(ValueError, match="'links'"):
+            JsonlTracer(tmp_path / "t.jsonl", events={"msg_tx", event})
+        with JsonlTracer(tmp_path / "t.jsonl", events={"links"}) as tracer:
+            tracer.emit("links", 0.1, sim=0, up=[0, 1], down=[])
+        assert [r["event"] for r in read_trace(tmp_path / "t.jsonl")] == ["links"]
+
     def test_step_sampling(self, tmp_path):
         path = tmp_path / "t.jsonl"
         with JsonlTracer(path, step_every=3) as tracer:

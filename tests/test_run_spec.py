@@ -16,6 +16,10 @@ must reproduce them byte for byte:
   cut) and for the ``dsdv``, ``none`` and faulted ``aodv`` stacks under
   strict audit.
 
+Trace bytes are hashed in their schema-1 form
+(:func:`trace_schema1.as_schema_1`, a byte-exact rewrite of the
+``links`` records), so the literals pinned under schema 1 still hold.
+
 Tasks are captured from what :func:`measure_point` hands to
 ``run_tasks``, so the file reads the same whatever type a task is.
 Sim and span ids are process counters; traced runs restart both at
@@ -40,6 +44,7 @@ from repro.obs import spans as obs_spans
 from repro.scenario import ScenarioConfig, run_scenario
 from repro.sim import Simulation
 from repro.store import fingerprint, task_identity
+from trace_schema1 import as_schema_1
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
 
@@ -146,7 +151,7 @@ def _json_bytes(value) -> bytes:
 
 
 def _traced(run) -> bytes:
-    """``run()``'s JSON result followed by its trace bytes.
+    """``run()``'s JSON result followed by its schema-1 trace bytes.
 
     Sim and span counters restart at zero so the trace does not depend
     on what ran earlier in the process.
@@ -161,7 +166,7 @@ def _traced(run) -> bytes:
                 tracer=tracer, registry=MetricsRegistry()
             ):
                 result = run()
-            return _json_bytes(result) + path.read_bytes()
+            return _json_bytes(result) + as_schema_1(path)
     finally:
         Simulation._instance_ids, obs_spans._span_ids = saved
 

@@ -1,16 +1,19 @@
-"""The fixed-key trace encoders write exactly the bytes ``json.dumps`` does.
+"""The trace encoders write exactly the bytes ``json.dumps`` does.
 
-``JsonlTracer.emit`` encodes ``msg_tx``, ``link_up`` and ``link_down``
-records with f-strings when their field keys are exactly the ones the
-engine emits and every value is a plain ``int`` / ``str`` / finite
-``float``.  Every record, on the fast path or not, must come out as
-``json.dumps(record, separators=(",", ":"), default=_jsonable)``.
+``JsonlTracer.emit`` encodes ``msg_tx`` records with an f-string when
+their field keys are exactly the ones the engine emits and every value
+is a plain ``int`` / ``str`` / finite ``float``; the engine's keyword
+call (``_msg_tx_mirror``) takes that path.  A step's ``links`` record
+goes through the JSON encoder.  Every record, on the fast path or not,
+must come out as ``json.dumps(record, separators=(",", ":"),
+default=_jsonable)``.
 """
 
 from __future__ import annotations
 
 import io
 import json
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.obs import tracer as tracer_module
 from repro.obs.tracer import TRACE_SCHEMA_VERSION, JsonlTracer, _jsonable
+from repro.sim.engine import _msg_tx_mirror
 
 SPECIAL_FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e22, 1e-7, 0.1)
 
@@ -88,22 +92,76 @@ class TestFastPath:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        event=st.sampled_from(("link_up", "link_down")),
+        records=st.lists(
+            st.tuples(
+                floats,
+                msg_tx_fields(category=st.one_of(plain_text, needs_escape)),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_msg_tx_category_cache_keeps_bytes(self, records):
+        """One tracer, repeated and mixed categories: the cached
+        plainness of each category never changes a record's bytes."""
+        records = records + records[:3]
+        sink = io.StringIO()
+        tracer = JsonlTracer(sink)
+        for time, fields in records:
+            tracer.emit("msg_tx", time, **fields)
+        tracer.close()
+        assert sink.getvalue() == "".join(
+            _expected("msg_tx", time, fields) for time, fields in records
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
         time=floats,
         sim=ints,
-        u=ints,
-        v=ints,
+        category=plain_text,
+        messages=ints,
+        bits=floats,
+        span=st.none() | ints,
     )
-    def test_link_bytes_match_json(self, event, time, sim, u, v):
-        fields = {"sim": sim, "u": u, "v": v}
+    def test_engine_keyword_path_matches_json(
+        self, time, sim, category, messages, bits, span
+    ):
+        """``_msg_tx_mirror``'s keyword call is a fast-path record."""
+        sink = io.StringIO()
+        tracer = JsonlTracer(sink)
+        # The attributes the mirror reads from a simulation.
+        simulation = SimpleNamespace(
+            tracer=tracer,
+            sim_id=sim,
+            time=time,
+            spans=SimpleNamespace(current=span),
+        )
+        mirror = _msg_tx_mirror(lambda: simulation)
         with _fast_path_only():
-            written = _written(event, time, fields)
-        assert written == _expected(event, time, fields)
+            mirror(category, messages, bits)
+        tracer.close()
+        fields = {"sim": sim, "category": category, "messages": messages,
+                  "bits": bits}
+        if span is not None:
+            fields["span"] = span
+        assert sink.getvalue() == _expected("msg_tx", time, fields)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        time=floats,
+        sim=ints,
+        up=st.lists(ints, max_size=40),
+        down=st.lists(ints, max_size=40),
+    )
+    def test_link_bytes_match_json(self, time, sim, up, down):
+        """A step's ``links`` record, empty lists and huge ids included."""
+        fields = {"sim": sim, "up": up, "down": down}
+        assert _written("links", time, fields) == _expected("links", time, fields)
 
     def test_integer_time_is_written_as_float(self):
-        fields = {"sim": 0, "u": 1, "v": 2}
+        fields = {"sim": 0, "category": "hello", "messages": 1, "bits": 8.0}
         with _fast_path_only():
-            assert _written("link_up", 3, fields) == _expected("link_up", 3, fields)
+            assert _written("msg_tx", 3, fields) == _expected("msg_tx", 3, fields)
 
 
 class TestFallback:
@@ -160,21 +218,26 @@ class TestFallback:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        event=st.sampled_from(("link_up", "link_down")),
-        u=ints,
-        v=ints,
-        variant=st.sampled_from(("reordered", "extra", "numpy", "float")),
+        up=st.lists(ints, max_size=6),
+        down=st.lists(ints, max_size=6),
+        variant=st.sampled_from(("reordered", "extra", "numpy", "time")),
     )
-    def test_link_variants(self, event, u, v, variant):
+    def test_link_variants(self, up, down, variant):
+        time = 0.25
         if variant == "reordered":
-            fields = {"u": u, "sim": 0, "v": v}
+            fields = {"up": up, "sim": 0, "down": down}
         elif variant == "extra":
-            fields = {"sim": 0, "u": u, "v": v, "w": 1}
+            fields = {"sim": 0, "up": up, "down": down, "w": 1}
         elif variant == "numpy":
-            fields = {"sim": 0, "u": np.int64(u % 100), "v": v}
+            fields = {
+                "sim": np.int64(3),
+                "up": [np.int64(x % 100) for x in up],
+                "down": down,
+            }
         else:
-            fields = {"sim": 0, "u": u, "v": float(v % 100)}
-        assert _written(event, 0.25, fields) == _expected(event, 0.25, fields)
+            time = float("nan")
+            fields = {"sim": 0, "up": up, "down": down}
+        assert _written("links", time, fields) == _expected("links", time, fields)
 
     def test_reserved_key_still_rejected(self):
         sink = io.StringIO()
