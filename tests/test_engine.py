@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -276,6 +277,42 @@ class TestDispatchTiming:
             timer.seconds("protocol:first") + timer.seconds("protocol:second")
             == span
         )
+
+
+class TestDispatchAllocation:
+    def test_no_container_per_link_event(self):
+        """Hooks get Python ints without a pair object per event, so the
+        cyclic GC's allocation count does not grow with the events."""
+
+        class GcCount(Protocol):
+            name = "gc-count"
+
+            def tap(self, sim, events):
+                # Taps run after the step's events are final and before
+                # the dispatch code touches them.
+                self.begin = gc.get_count()[0]
+
+            def on_step_end(self, sim, time):
+                self.end = gc.get_count()[0]
+
+        params = NetworkParameters.from_fractions(
+            n_nodes=300, range_fraction=0.15, velocity_fraction=0.2
+        )
+        sim = Simulation(
+            params, EpochRandomWaypointModel(params.velocity, 1.0), seed=2
+        )
+        probe = sim.attach(GcCount())
+        sim.add_signal_tap(probe.tap)
+        enabled = gc.isenabled()
+        gc.disable()  # a collection would reset the count mid-step
+        try:
+            events = sim.step()
+        finally:
+            if enabled:
+                gc.enable()
+        assert events.break_count and events.generation_count
+        assert events.change_count >= 100
+        assert probe.end - probe.begin < events.change_count // 10
 
 
 class TestRun:
