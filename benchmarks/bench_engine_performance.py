@@ -13,7 +13,13 @@ from repro.clustering import LowestIdClustering
 from repro.core.params import NetworkParameters
 from repro.mobility import EpochRandomWaypointModel
 from repro.sim import Simulation
-from repro.spatial import Boundary, SquareRegion, compute_edges, diff_edge_sets
+from repro.spatial import (
+    Boundary,
+    SquareRegion,
+    compute_edges,
+    diff_edge_sets,
+    edges_to_csr,
+)
 
 
 def test_simulation_step_cost(benchmark):
@@ -100,9 +106,9 @@ def test_diff_edge_sets_cost(benchmark):
 def test_lid_formation_cost(benchmark):
     region = SquareRegion(1.0, Boundary.OPEN)
     positions = region.uniform_positions(400, 0)
-    adjacency = region.adjacency(positions, 0.1)
+    csr = edges_to_csr(compute_edges(region, positions, 0.1), 400)
     algorithm = LowestIdClustering()
-    state = benchmark(algorithm.form, adjacency)
+    state = benchmark(algorithm.form, csr)
     assert state.cluster_count() > 0
 
 

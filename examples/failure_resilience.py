@@ -30,7 +30,6 @@ from repro.core.params import NetworkParameters
 from repro.mobility import EpochRandomWaypointModel
 from repro.routing import HybridRoutingProtocol, IntraClusterRoutingProtocol
 from repro.sim import HelloProtocol, Simulation
-from repro.spatial import edges_to_adjacency
 
 N_NODES = 150
 
@@ -87,9 +86,7 @@ def main() -> None:
         # Let the repair play out.
         for _ in range(20):
             sim.step()
-        violations = check_properties(
-            maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
-        )
+        violations = check_properties(maintenance.state, sim.neighbor_csr)
         repair_msgs = sim.stats.message_count("cluster") - before_msgs
         rate = delivery_probe(sim, hybrid, rng)
         print(
@@ -104,9 +101,7 @@ def main() -> None:
         sim.recover_node(int(node))
     for _ in range(30):
         sim.step()
-    violations = check_properties(
-        maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
-    )
+    violations = check_properties(maintenance.state, sim.neighbor_csr)
     rate = delivery_probe(sim, hybrid, rng)
     print(
         f"\nafter full recovery: structure "

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from ..clustering.base import ClusterState, Role
-from ..routing.inter_cluster import is_gateway
+from ..clustering.base import MEMBER, ClusterState
+from ..routing.inter_cluster import backbone_mask
+from ..spatial import Csr, csr_rows
 
 __all__ = [
     "gateway_nodes",
@@ -31,42 +32,40 @@ __all__ = [
 ]
 
 
-def gateway_nodes(state: ClusterState, adjacency: np.ndarray) -> np.ndarray:
-    """Indices of all gateways (members with out-of-cluster neighbors)."""
-    adjacency = np.asarray(adjacency, dtype=bool)
-    return np.array(
-        [
-            node
-            for node in range(state.n_nodes)
-            if is_gateway(state, adjacency, node)
-        ],
-        dtype=int,
-    )
+def _edges(csr: Csr) -> np.ndarray:
+    """Sorted ``(E, 2)`` edge set of a CSR ``(indptr, indices)`` pair."""
+    indptr, indices = csr
+    rows = csr_rows(indptr)
+    upper = rows < indices
+    return np.column_stack((rows[upper], indices[upper]))
 
 
-def backbone_nodes(state: ClusterState, adjacency: np.ndarray) -> np.ndarray:
-    """Heads plus gateways — the nodes that forward inter-cluster floods."""
-    gateways = gateway_nodes(state, adjacency)
-    return np.union1d(state.heads(), gateways)
-
-
-def backbone_graph(state: ClusterState, adjacency: np.ndarray) -> nx.Graph:
-    """The subgraph induced by the backbone nodes."""
-    adjacency = np.asarray(adjacency, dtype=bool)
-    nodes = backbone_nodes(state, adjacency)
+def _graph(csr: Csr) -> nx.Graph:
+    """The whole topology as a graph, isolated nodes included."""
     graph = nx.Graph()
-    graph.add_nodes_from(int(n) for n in nodes)
-    node_set = set(int(n) for n in nodes)
-    for u in node_set:
-        for v in np.flatnonzero(adjacency[u]):
-            v = int(v)
-            if v in node_set and u < v:
-                graph.add_edge(u, v)
+    graph.add_nodes_from(range(len(csr[0]) - 1))
+    graph.add_edges_from(_edges(csr).tolist())
     return graph
 
 
+def gateway_nodes(state: ClusterState, csr: Csr) -> np.ndarray:
+    """Indices of all gateways: the members of :func:`backbone_mask`."""
+    mask = backbone_mask(state, _edges(csr))
+    return np.flatnonzero(mask & (state.roles == MEMBER))
+
+
+def backbone_nodes(state: ClusterState, csr: Csr) -> np.ndarray:
+    """Heads plus gateways — the nodes that forward inter-cluster floods."""
+    return np.flatnonzero(backbone_mask(state, _edges(csr)))
+
+
+def backbone_graph(state: ClusterState, csr: Csr) -> nx.Graph:
+    """The subgraph induced by the backbone nodes."""
+    return _graph(csr).subgraph(backbone_nodes(state, csr).tolist()).copy()
+
+
 def backbone_reachability(
-    state: ClusterState, adjacency: np.ndarray, samples: int = 200, rng=None
+    state: ClusterState, csr: Csr, samples: int = 200, rng=None
 ) -> float:
     """Fraction of connected node pairs also connected via the backbone.
 
@@ -76,9 +75,8 @@ def backbone_reachability(
     cluster-based flood, so values near 1 certify that restricting
     forwarding to the backbone loses (almost) nothing.
     """
-    adjacency = np.asarray(adjacency, dtype=bool)
-    full = nx.from_numpy_array(adjacency)
-    node_set = set(int(n) for n in backbone_nodes(state, adjacency))
+    full = _graph(csr)
+    node_set = set(backbone_nodes(state, csr).tolist())
     rng = np.random.default_rng(rng)
     n = state.n_nodes
     connected = reachable = 0
@@ -96,7 +94,7 @@ def backbone_reachability(
     return reachable / connected
 
 
-def cluster_diameters(state: ClusterState, adjacency: np.ndarray) -> np.ndarray:
+def cluster_diameters(state: ClusterState, csr: Csr) -> np.ndarray:
     """Hop diameter of each cluster's induced subgraph (head order).
 
     For a valid one-hop structure every member is adjacent to the head,
@@ -104,8 +102,7 @@ def cluster_diameters(state: ClusterState, adjacency: np.ndarray) -> np.ndarray:
     Disconnected cluster subgraphs (possible for d-hop schemes whose
     members route through other clusters) report ``inf``.
     """
-    adjacency = np.asarray(adjacency, dtype=bool)
-    graph = nx.from_numpy_array(adjacency)
+    graph = _graph(csr)
     diameters = []
     for head in state.heads():
         nodes = [int(x) for x in state.cluster_nodes(int(head))]
@@ -152,7 +149,7 @@ class StructureSummary:
 
 def summarize_structure(
     state: ClusterState,
-    adjacency: np.ndarray,
+    csr: Csr,
     positions: np.ndarray,
     region,
     samples: int = 200,
@@ -160,9 +157,9 @@ def summarize_structure(
 ) -> StructureSummary:
     """Compute the full structural summary for one snapshot."""
     n = state.n_nodes
-    gateways = gateway_nodes(state, adjacency)
-    backbone = backbone_nodes(state, adjacency)
-    diameters = cluster_diameters(state, adjacency)
+    gateways = gateway_nodes(state, csr)
+    backbone = backbone_nodes(state, csr)
+    diameters = cluster_diameters(state, csr)
     separations = head_separations(state, positions, region)
     return StructureSummary(
         n_nodes=n,
@@ -171,7 +168,7 @@ def summarize_structure(
         gateway_ratio=len(gateways) / n,
         backbone_ratio=len(backbone) / n,
         backbone_reachability=backbone_reachability(
-            state, adjacency, samples=samples, rng=rng
+            state, csr, samples=samples, rng=rng
         ),
         max_cluster_diameter=float(np.max(diameters)) if len(diameters) else 0.0,
         min_head_separation=(

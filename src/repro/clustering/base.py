@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..spatial import Csr
+
 __all__ = [
     "HEAD",
     "MEMBER",
@@ -175,15 +177,14 @@ class ClusteringAlgorithm:
 
     name: str = "clustering"
 
-    def form(self, adjacency: np.ndarray, rng=None) -> ClusterState:
-        """Run cluster formation on a boolean adjacency matrix.
+    def form(self, csr: Csr, rng=None) -> ClusterState:
+        """Run cluster formation on the neighbor rows ``csr``.
 
         The default is :func:`sequential_formation` ranked by
-        :meth:`head_priority` of the matrix's degrees.
+        :meth:`head_priority` of the row lengths, the degrees.
         """
-        adjacency = np.asarray(adjacency, dtype=bool)
-        priority = self.head_priority(adjacency.sum(axis=1))
-        return sequential_formation(adjacency, priority)
+        priority = self.head_priority(np.diff(csr[0]))
+        return sequential_formation(csr, priority)
 
     def head_priority(self, degrees: np.ndarray) -> np.ndarray:
         """Per-node priority from the degree vector: larger values win.
@@ -198,10 +199,8 @@ class ClusteringAlgorithm:
         )
 
 
-def sequential_formation(
-    adjacency: np.ndarray, priority: np.ndarray
-) -> ClusterState:
-    """Shared one-hop formation skeleton.
+def sequential_formation(csr: Csr, priority: np.ndarray) -> ClusterState:
+    """Shared one-hop formation skeleton over the neighbor rows ``csr``.
 
     Nodes are processed from highest to lowest ``priority`` (which must
     contain no ties — compose tie-breaks into the values).  An
@@ -209,8 +208,8 @@ def sequential_formation(
     exists, else becomes a head.  The resulting structure satisfies P1
     and P2 by construction.
     """
-    adjacency = np.asarray(adjacency, dtype=bool)
-    n = len(adjacency)
+    indptr, indices = csr
+    n = len(indptr) - 1
     priority = np.asarray(priority, dtype=float)
     if priority.shape != (n,):
         raise ValueError(
@@ -220,10 +219,9 @@ def sequential_formation(
         raise ValueError("priority values must be unique (compose tie-breaks)")
 
     state = ClusterState.unassigned(n)
-    order = np.argsort(-priority, kind="stable")
-    for node in order:
-        node = int(node)
-        neighbor_idx = np.flatnonzero(adjacency[node])
+    bounds = np.asarray(indptr).tolist()
+    for node in np.argsort(-priority, kind="stable").tolist():
+        neighbor_idx = indices[bounds[node] : bounds[node + 1]]
         head_neighbors = neighbor_idx[state.roles[neighbor_idx] == HEAD]
         if len(head_neighbors):
             best = int(head_neighbors[np.argmax(priority[head_neighbors])])

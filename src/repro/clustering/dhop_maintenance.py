@@ -28,7 +28,6 @@ import numpy as np
 
 from ..obs.attribution import CAUSE_REAFFILIATION, attributed
 from ..sim.engine import Protocol, Simulation
-from ..spatial import edges_to_adjacency
 from .base import ClusteringAlgorithm, ClusterState, Role
 
 __all__ = ["DHopClusterMaintenanceProtocol"]
@@ -58,9 +57,7 @@ class DHopClusterMaintenanceProtocol(Protocol):
 
     # ------------------------------------------------------------------
     def on_attach(self, sim: Simulation) -> None:
-        self.state = self.algorithm.form(
-            edges_to_adjacency(sim.edges, sim.n_nodes)
-        )
+        self.state = self.algorithm.form(sim.neighbor_csr)
 
     # ------------------------------------------------------------------
     # Distance bookkeeping

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..spatial import Csr, csr_rows
 from .base import ClusteringAlgorithm, ClusterState
 
 __all__ = ["LinkedClusterArchitecture"]
@@ -28,32 +29,26 @@ class LinkedClusterArchitecture(ClusteringAlgorithm):
 
     name = "lca"
 
-    def form(self, adjacency: np.ndarray, rng=None) -> ClusterState:
-        adjacency = np.asarray(adjacency, dtype=bool)
-        n = len(adjacency)
-        closed = adjacency | np.eye(n, dtype=bool)
+    def form(self, csr: Csr, rng=None) -> ClusterState:
+        indptr, indices = csr
+        n = len(indptr) - 1
+        rows = csr_rows(indptr)
         ids = np.arange(n)
 
         # Highest id of each closed neighborhood.
-        neighborhood_max = np.array(
-            [ids[closed[i]].max() for i in range(n)], dtype=np.int64
-        )
-        is_head = np.zeros(n, dtype=bool)
+        neighborhood_max = ids.copy()
+        np.maximum.at(neighborhood_max, rows, indices)
         # Rule 1: locally highest.
-        is_head |= neighborhood_max == ids
+        is_head = neighborhood_max == ids
         # Rule 2: highest in some neighbor's closed neighborhood.
-        for node in range(n):
-            for neighbor in np.flatnonzero(adjacency[node]):
-                if neighborhood_max[neighbor] == node:
-                    is_head[node] = True
-                    break
+        is_head[rows[neighborhood_max[indices] == rows]] = True
 
         state = ClusterState.unassigned(n)
         for head in np.flatnonzero(is_head):
             state.make_head(int(head))
         for node in np.flatnonzero(~is_head):
             node = int(node)
-            head_neighbors = np.flatnonzero(adjacency[node] & is_head)
+            row = indices[indptr[node] : indptr[node + 1]]
             # Rule 2 guarantees at least one neighboring head exists.
-            state.make_member(node, int(head_neighbors.max()))
+            state.make_member(node, int(row[is_head[row]].max()))
         return state

@@ -48,7 +48,6 @@ from ..obs.attribution import (
     attributed,
 )
 from ..sim.engine import Protocol, Simulation
-from ..spatial import edges_to_adjacency
 from .base import HEAD, MEMBER, ClusteringAlgorithm, ClusterState
 
 __all__ = ["ClusterMaintenanceProtocol"]
@@ -107,9 +106,7 @@ class ClusterMaintenanceProtocol(Protocol):
         self._priority = np.asarray(
             self.algorithm.head_priority(sim.degrees()), dtype=float
         )
-        self.state = self.algorithm.form(
-            edges_to_adjacency(sim.edges, sim.n_nodes)
-        )
+        self.state = self.algorithm.form(sim.neighbor_csr)
 
     # ------------------------------------------------------------------
     # Repair primitives

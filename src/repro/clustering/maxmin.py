@@ -29,6 +29,7 @@ from collections import deque
 
 import numpy as np
 
+from ..spatial import Csr, csr_rows
 from .base import HEAD, ClusteringAlgorithm, ClusterState
 
 __all__ = ["MaxMinDCluster"]
@@ -50,23 +51,27 @@ class MaxMinDCluster(ClusteringAlgorithm):
             raise ValueError(f"d must be at least 1, got {d}")
         self.d = d
 
-    def form(self, adjacency: np.ndarray, rng=None) -> ClusterState:
-        adjacency = np.asarray(adjacency, dtype=bool)
-        n = len(adjacency)
-        closed = adjacency | np.eye(n, dtype=bool)
-        ids = np.arange(n)
+    def form(self, csr: Csr, rng=None) -> ClusterState:
+        indptr, indices = csr
+        n = len(indptr) - 1
+        rows = csr_rows(indptr)
+
+        def flood(reduce, value):  # one round over closed neighborhoods
+            heard = value.copy()
+            reduce.at(heard, rows, value[indices])
+            return heard
 
         # Floodmax: d synchronous rounds, logging each round's values.
-        value = ids.astype(np.int64)
+        value = np.arange(n, dtype=np.int64)
         max_log = [value.copy()]
         for _ in range(self.d):
-            value = np.array([value[closed[i]].max() for i in range(n)])
+            value = flood(np.maximum, value)
             max_log.append(value.copy())
 
         # Floodmin: d more rounds from the floodmax outcome.
         min_log = [value.copy()]
         for _ in range(self.d):
-            value = np.array([value[closed[i]].min() for i in range(n)])
+            value = flood(np.minimum, value)
             min_log.append(value.copy())
 
         # Election rules.
@@ -105,8 +110,8 @@ class MaxMinDCluster(ClusteringAlgorithm):
             queue.append(head)
         while queue:
             current = queue.popleft()
-            for neighbor in np.flatnonzero(adjacency[current]):
-                neighbor = int(neighbor)
+            row = indices[indptr[current] : indptr[current + 1]]
+            for neighbor in row.tolist():
                 if owner[neighbor] < 0:
                     owner[neighbor] = owner[current]
                     distance[neighbor] = distance[current] + 1

@@ -11,8 +11,9 @@ minus radio noise — see DESIGN.md substitutions).
 Implementation (documented simplification of the original's three
 phases, preserving its head-selection criterion and the d-hop growth):
 
-1. **Relative mobility estimation** — for each adjacent pair, the
-   variation of their distance across the supplied position snapshots;
+1. **Relative mobility estimation** — for each adjacent pair (each
+   entry of the neighbor rows), the variation of their distance across
+   the supplied position snapshots;
    a node's *stability* is the negated mean variation over its
    neighbors (stabler = higher).
 2. **Head selection & growth** — nodes are processed from most to
@@ -27,35 +28,34 @@ from collections import deque
 
 import numpy as np
 
+from ..spatial import Csr, csr_rows
 from .base import ClusteringAlgorithm, ClusterState, Role
 
 __all__ = ["MobDHopClustering", "relative_mobility"]
 
 
-def relative_mobility(
-    snapshots: list[np.ndarray], adjacency: np.ndarray
-) -> np.ndarray:
-    """Pairwise relative-mobility matrix from position snapshots.
+def relative_mobility(snapshots: list[np.ndarray], csr: Csr) -> np.ndarray:
+    """Relative mobility of every entry of the neighbor rows ``csr``.
 
-    Entry ``(i, j)`` is the mean absolute change of the ``i``–``j``
-    distance across consecutive snapshots (0 for non-adjacent pairs).
-    At least two snapshots are required.
+    Entry ``k`` is the mean absolute change, across consecutive
+    snapshots, of the distance between node ``csr_rows(indptr)[k]`` and
+    node ``indices[k]``.  At least two snapshots are required.
     """
     if len(snapshots) < 2:
         raise ValueError("need at least two position snapshots")
-    adjacency = np.asarray(adjacency, dtype=bool)
-    n = len(adjacency)
-    total = np.zeros((n, n))
+    indptr, indices = csr
+    rows = csr_rows(indptr)
+    total = np.zeros(len(indices))
     previous = None
     for snapshot in snapshots:
         snapshot = np.asarray(snapshot, dtype=float)
-        diff = snapshot[:, None, :] - snapshot[None, :, :]
+        diff = snapshot[rows] - snapshot[indices]
         dist = np.sqrt(np.sum(diff * diff, axis=-1))
         if previous is not None:
             total += np.abs(dist - previous)
         previous = dist
     total /= len(snapshots) - 1
-    return np.where(adjacency, total, 0.0)
+    return total
 
 
 class MobDHopClustering(ClusteringAlgorithm):
@@ -89,30 +89,21 @@ class MobDHopClustering(ClusteringAlgorithm):
         self.snapshots = snapshots
         self.merge_threshold = merge_threshold
 
-    def form(self, adjacency: np.ndarray, rng=None) -> ClusterState:
-        adjacency = np.asarray(adjacency, dtype=bool)
-        n = len(adjacency)
+    def form(self, csr: Csr, rng=None) -> ClusterState:
+        indptr, indices = csr
+        n = len(indptr) - 1
+        stability = np.zeros(n)
         if self.snapshots is not None:
-            mobility = relative_mobility(self.snapshots, adjacency)
-            stability = np.where(
-                adjacency.any(axis=1),
-                -np.array(
-                    [
-                        mobility[i, adjacency[i]].mean() if adjacency[i].any() else 0.0
-                        for i in range(n)
-                    ]
-                ),
-                0.0,
-            )
+            mobility = relative_mobility(self.snapshots, csr)
+            for i in np.flatnonzero(np.diff(indptr)):
+                stability[i] = -mobility[indptr[i] : indptr[i + 1]].mean()
         else:
-            mobility = np.zeros((n, n))
-            stability = np.zeros(n)
+            mobility = np.zeros(len(indices))
         # Unique processing order: stability major, low id minor.
         order = np.lexsort((np.arange(n), -stability))
 
         state = ClusterState.unassigned(n)
-        for node in order:
-            node = int(node)
+        for node in order.tolist():
             if state.roles[node] != Role.UNASSIGNED:
                 continue
             state.make_head(node)
@@ -123,15 +114,15 @@ class MobDHopClustering(ClusteringAlgorithm):
                 current = queue.popleft()
                 if depth[current] >= self.d:
                     continue
-                for neighbor in np.flatnonzero(adjacency[current]):
-                    neighbor = int(neighbor)
+                for entry in range(indptr[current], indptr[current + 1]):
+                    neighbor = int(indices[entry])
                     if neighbor in depth:
                         continue
                     if state.roles[neighbor] != Role.UNASSIGNED:
                         continue
                     if (
                         self.merge_threshold is not None
-                        and mobility[current, neighbor] > self.merge_threshold
+                        and mobility[entry] > self.merge_threshold
                     ):
                         continue
                     depth[neighbor] = depth[current] + 1

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..spatial import Csr, csr_rows
 from .base import HEAD, MEMBER, UNASSIGNED, ClusterState
 
 __all__ = ["PropertyViolations", "check_properties", "assert_valid"]
@@ -58,41 +59,42 @@ class PropertyViolations:
         return "; ".join(parts)
 
 
-def check_properties(
-    state: ClusterState, adjacency: np.ndarray
-) -> PropertyViolations:
-    """Check P1 and P2 of ``state`` against ``adjacency``."""
-    adjacency = np.asarray(adjacency, dtype=bool)
+def check_properties(state: ClusterState, csr: Csr) -> PropertyViolations:
+    """Check P1 and P2 of ``state`` against the neighbor rows ``csr``.
+
+    ``adjacent_heads`` is in sorted-edge order, the node lists ascend.
+    """
+    if isinstance(csr, np.ndarray) and csr.ndim == 2:
+        # Only perfbench/workloads.py's check_structure passes a dense
+        # matrix; this branch goes when that benchmark next changes.
+        rows, indices = np.nonzero(csr)
+        csr = np.searchsorted(rows, np.arange(len(csr) + 1)), indices
+    indptr, indices = csr
     n = state.n_nodes
-    if adjacency.shape != (n, n):
+    if len(indptr) != n + 1:
         raise ValueError(
-            f"adjacency shape {adjacency.shape} does not match {n} nodes"
+            f"CSR has {len(indptr) - 1} rows, the state covers {n} nodes"
         )
-    violations = PropertyViolations()
-
-    heads = state.heads()
-    head_adjacency = adjacency[np.ix_(heads, heads)]
-    for i, j in zip(*np.nonzero(np.triu(head_adjacency, k=1))):
-        violations.adjacent_heads.append((int(heads[i]), int(heads[j])))
-
-    for node in range(n):
-        role = state.roles[node]
-        head = state.head_of[node]
-        if role == UNASSIGNED or head < 0:
-            violations.unaffiliated.append(node)
-            continue
-        if role == MEMBER:
-            if state.roles[head] != HEAD:
-                violations.dangling_members.append(node)
-            elif not adjacency[node, head]:
-                violations.detached_members.append(node)
-        elif role == HEAD and head != node:
-            violations.dangling_members.append(node)
-    return violations
+    roles, head_of = state.roles, state.head_of
+    rows = csr_rows(indptr)
+    is_head = roles == HEAD
+    p1 = (rows < indices) & is_head[rows] & is_head[indices]
+    unaffiliated = (roles == UNASSIGNED) | (head_of < 0)
+    members = (roles == MEMBER) & ~unaffiliated
+    dangling = is_head & ~unaffiliated & (head_of != np.arange(n))
+    dangling[members] = roles[head_of[members]] != HEAD
+    detached = members & ~dangling
+    detached[rows[indices == head_of[rows]]] = False
+    return PropertyViolations(
+        adjacent_heads=list(zip(rows[p1].tolist(), indices[p1].tolist())),
+        unaffiliated=np.flatnonzero(unaffiliated).tolist(),
+        detached_members=np.flatnonzero(detached).tolist(),
+        dangling_members=np.flatnonzero(dangling).tolist(),
+    )
 
 
-def assert_valid(state: ClusterState, adjacency: np.ndarray) -> None:
+def assert_valid(state: ClusterState, csr: Csr) -> None:
     """Raise ``AssertionError`` when the structure violates P1 or P2."""
-    violations = check_properties(state, adjacency)
+    violations = check_properties(state, csr)
     if not violations.ok:
         raise AssertionError(violations.describe())

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..routing.inter_cluster import backbone_mask
 from ..sim.engine import Protocol, Simulation
 from .base import HEAD, MEMBER
 from .maintenance import ClusterMaintenanceProtocol
@@ -204,20 +205,11 @@ class ClusterDynamicsCollector(Protocol):
 
     # ------------------------------------------------------------------
     def _gateway_set(self, sim: Simulation) -> frozenset[int]:
-        """Current gateways: members with a cross-cluster link.
-
-        Matches :func:`repro.routing.inter_cluster.is_gateway`, but
-        computed for all nodes at once from the live edge set.
-        """
+        """Current gateways: the members among the live edge set's
+        :func:`~repro.routing.inter_cluster.backbone_mask`."""
         state = self.maintenance.state
-        edges = sim.edges
-        if len(edges) == 0:
-            return frozenset()
-        head_of = state.head_of
-        cross = head_of[edges[:, 0]] != head_of[edges[:, 1]]
-        endpoints = edges[cross].ravel()
-        members = endpoints[state.roles[endpoints] == MEMBER]
-        return frozenset(int(n) for n in np.unique(members))
+        gateways = backbone_mask(state, sim.edges) & (state.roles == MEMBER)
+        return frozenset(np.flatnonzero(gateways).tolist())
 
     def _mean_diameter(self, sim: Simulation) -> float:
         """Mean over clusters of the max intra-cluster node distance."""

@@ -16,7 +16,7 @@ from ..analysis import Table
 from ..analysis.parallel import run_tasks
 from ..analysis.topology import summarize_structure
 from ..clustering import LowestIdClustering
-from ..spatial import Boundary, SquareRegion
+from ..spatial import Boundary, SquareRegion, compute_edges, edges_to_csr
 from .config import scale_for
 
 __all__ = ["run_backbone"]
@@ -27,10 +27,10 @@ def _structure_task(task):
     n_nodes, fraction, samples, seed = task
     region = SquareRegion(1.0, Boundary.OPEN)
     positions = region.uniform_positions(n_nodes, seed)
-    adjacency = region.adjacency(positions, fraction)
-    state = LowestIdClustering().form(adjacency)
+    csr = edges_to_csr(compute_edges(region, positions, fraction), n_nodes)
+    state = LowestIdClustering().form(csr)
     return summarize_structure(
-        state, adjacency, positions, region, samples=samples, rng=seed
+        state, csr, positions, region, samples=samples, rng=seed
     )
 
 

@@ -35,12 +35,13 @@ def _window_degree_task(task) -> float | None:
     in_window = np.all(
         (positions >= offset) & (positions <= offset + 1.0), axis=1
     )
-    window_nodes = np.flatnonzero(in_window)
-    if not len(window_nodes):
+    window_nodes = np.count_nonzero(in_window)
+    if not window_nodes:
         return None
-    adjacency = region.adjacency(positions, tx_range)
-    sub = adjacency[np.ix_(window_nodes, window_nodes)]
-    return float(sub.sum(axis=1).mean())
+    edges = compute_edges(region, positions, tx_range)
+    inner = in_window[edges[:, 0]] & in_window[edges[:, 1]]
+    # Each in-window edge adds one to the degree of both its ends.
+    return 2 * int(np.count_nonzero(inner)) / window_nodes
 
 
 def measure_window_degree(

@@ -30,7 +30,7 @@ from ..clustering import (
 from ..core.params import NetworkParameters
 from ..mobility import EpochRandomWaypointModel
 from ..sim import Simulation
-from ..spatial import Boundary, SquareRegion
+from ..spatial import Boundary, SquareRegion, compute_edges, edges_to_csr
 from .config import scale_for
 
 __all__ = ["run_clustering_comparison", "ONE_HOP_ALGORITHMS", "ALL_ALGORITHMS"]
@@ -71,9 +71,10 @@ def _formation_task(task) -> tuple[float, float, float, bool]:
     name, n_nodes, range_fraction, seed = task
     region = SquareRegion(1.0, Boundary.OPEN)
     positions = region.uniform_positions(n_nodes, seed)
-    adjacency = region.adjacency(positions, range_fraction)
-    state = _FACTORIES[name]().form(adjacency)
-    violations = check_properties(state, adjacency)
+    edges = compute_edges(region, positions, range_fraction)
+    csr = edges_to_csr(edges, n_nodes)
+    state = _FACTORIES[name]().form(csr)
+    violations = check_properties(state, csr)
     return (
         float(state.head_ratio()),
         float(state.cluster_count()),

@@ -31,7 +31,7 @@ from ..core.lid_analysis import (
     lid_head_probability_exact,
     lid_member_mass,
 )
-from ..spatial import Boundary, SquareRegion
+from ..spatial import Boundary, SquareRegion, compute_edges, edges_to_csr
 from .config import scale_for
 
 __all__ = [
@@ -77,9 +77,9 @@ def _head_ratio_task(task) -> float:
     n_nodes, tx_range, side, seed = task
     region = SquareRegion(side, Boundary.OPEN)
     positions = region.uniform_positions(n_nodes, seed)
-    adjacency = region.adjacency(positions, tx_range)
+    csr = edges_to_csr(compute_edges(region, positions, tx_range), n_nodes)
     ids = np.random.default_rng(seed + 10_000).permutation(n_nodes)
-    state = LowestIdClustering(ids).form(adjacency)
+    state = LowestIdClustering(ids).form(csr)
     return float(state.head_ratio())
 
 

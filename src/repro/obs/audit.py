@@ -108,14 +108,11 @@ class InvariantAuditor:
         # Imported lazily: obs must not pull the clustering package (and
         # through it the simulation engine) at import time.
         from ..clustering.properties import check_properties
-        from ..spatial import edges_to_adjacency
 
         state = self.maintenance.state
         if state is None:
             return True
-        found = check_properties(
-            state, edges_to_adjacency(sim.edges, sim.n_nodes)
-        )
+        found = check_properties(state, sim.neighbor_csr)
         unbalanced = _unbalanced_traffic(sim)
         self.audits += 1
         ok = found.ok and not unbalanced

@@ -42,6 +42,7 @@ from ..obs.attribution import (
 )
 from ..sim.engine import Simulation
 from ..clustering.base import HEAD, MEMBER, ClusterState
+from ..spatial import Csr
 from .messages import rrep_bits, rreq_bits
 
 __all__ = [
@@ -78,12 +79,13 @@ class DiscoveryResult:
         return self.rreq_transmissions + self.rrep_transmissions
 
 
-def is_gateway(state: ClusterState, adjacency: np.ndarray, node: int) -> bool:
+def is_gateway(state: ClusterState, csr: Csr, node: int) -> bool:
     """Whether ``node`` is a gateway (member with out-of-cluster neighbors)."""
     if state.roles[node] != MEMBER:
         return False
     my_head = state.head_of[node]
-    neighbors = np.flatnonzero(adjacency[node])
+    indptr, indices = csr
+    neighbors = indices[indptr[node] : indptr[node + 1]]
     return bool(np.any(state.head_of[neighbors] != my_head))
 
 

@@ -57,10 +57,10 @@ from ..spatial import (
     IncrementalConnectivityEngine,
     LinkEvents,
     SquareRegion,
-    # Neither is called here: the perfbench probes wrap
-    # ``repro.sim.engine.compute_edges`` (full sweeps) and
-    # ``repro.sim.engine.edges_to_adjacency`` (dense builds), so both
-    # stay importable from this module.
+    # Neither is called here (no module calls ``edges_to_adjacency``):
+    # the perfbench probes wrap ``repro.sim.engine.compute_edges`` and
+    # ``repro.sim.engine.edges_to_adjacency``, so both stay importable
+    # from this module until that benchmark next changes.
     compute_edges,  # noqa: F401
     csr_to_lists,
     degree_counts_from_edges,

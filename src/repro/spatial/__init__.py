@@ -7,9 +7,11 @@ from .incremental import (
     IncrementalStepResult,
 )
 from .neighbors import (
+    Csr,
     LinkEvents,
     adjacency_to_edges,
     compute_edges,
+    csr_rows,
     csr_to_lists,
     degree_counts,
     degree_counts_from_edges,
@@ -29,9 +31,11 @@ __all__ = [
     "IncrementalConnectivityEngine",
     "IncrementalStepResult",
     "INCREMENTAL_MARGIN_FRACTION",
+    "Csr",
     "LinkEvents",
     "adjacency_to_edges",
     "compute_edges",
+    "csr_rows",
     "csr_to_lists",
     "degree_counts",
     "degree_counts_from_edges",

@@ -14,13 +14,14 @@ The spatial layer's only connectivity output is the sorted **edge
 set** — an ``(E, 2)`` integer array of pairs with ``i < j`` in
 lexicographic order, as produced by :func:`compute_edges`.  Edge sets
 cost ``O(E)`` memory instead of ``O(N^2)`` and diff in ``O(E log E)``
-(:func:`diff_edge_sets`).  The converters below build the simulation
-engine's views from it: the dense boolean adjacency matrix
-(:func:`edges_to_adjacency`) for clustering consumers that index into a
-matrix, and the ascending per-node neighbor rows of a CSR pair
-(:func:`edges_to_csr`), which serve both as Python lists
-(:func:`edges_to_lists`) for the routing layer's ``O(degree)`` walks and
-as the flood graph of backbone route discovery.
+(:func:`diff_edge_sets`).  The neighbor view built from it is the
+ascending per-node rows of a CSR ``(indptr, indices)`` pair
+(:func:`edges_to_csr`): the static-snapshot API (formation, the P1/P2
+check, gateways and the structure metrics) reads them directly, the
+routing layer's ``O(degree)`` walks read them as Python lists
+(:func:`edges_to_lists`), and backbone route discovery builds its flood
+graph from them.  The dense boolean matrix (:func:`edges_to_adjacency`)
+stays only as a test reference.
 
 Every batch pair search is one function, :func:`pairs_within`: a
 KD-tree sweep (periodic on the torus) at a slightly inflated radius,
@@ -48,9 +49,11 @@ from scipy.spatial import cKDTree
 from .region import Boundary, SquareRegion
 
 __all__ = [
+    "Csr",
     "LinkEvents",
     "adjacency_to_edges",
     "compute_edges",
+    "csr_rows",
     "csr_to_lists",
     "degree_counts",
     "degree_counts_from_edges",
@@ -68,6 +71,11 @@ __all__ = [
 #: may round differently from :func:`_pair_distances`, so it must return
 #: a superset, which the bit-exact filter then trims.
 _QUERY_SLACK = 1e-9
+
+#: A CSR ``(indptr, indices)`` pair: row ``i``,
+#: ``indices[indptr[i]:indptr[i + 1]]``, holds the ascending neighbors
+#: of node ``i`` (:func:`edges_to_csr`).
+Csr = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -188,7 +196,7 @@ def edges_to_adjacency(edges: np.ndarray, n_nodes: int) -> np.ndarray:
     return adj
 
 
-def edges_to_csr(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def edges_to_csr(edges: np.ndarray, n_nodes: int) -> Csr:
     """``(indptr, indices)`` CSR form of a sorted edge set, both directions.
 
     Row ``i`` is ``indices[indptr[i]:indptr[i + 1]]``, the ascending
@@ -208,6 +216,12 @@ def edges_to_csr(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarra
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(owners, minlength=n_nodes), out=indptr[1:])
     return indptr, indices
+
+
+def csr_rows(indptr: np.ndarray) -> np.ndarray:
+    """Row of every CSR entry: entry ``k`` links it to ``indices[k]``."""
+    indptr = np.asarray(indptr)
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
 def csr_to_lists(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:

@@ -11,7 +11,18 @@ from repro.spatial import (
     SquareRegion,
     adjacency_to_edges,
     edges_to_adjacency,
+    edges_to_csr,
 )
+
+
+def csr(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` pair of a boolean adjacency matrix.
+
+    The static-snapshot API (formation, the P1/P2 check, gateways and
+    the structure metrics) reads CSR rows; hand-built test topologies
+    are easiest to write as matrices.
+    """
+    return edges_to_csr(adjacency_to_edges(matrix), len(matrix))
 
 
 @pytest.fixture

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.clustering import ClusterMaintenanceProtocol, LowestIdClustering
 from repro.clustering.base import Role
+from repro.core.params import NetworkParameters
 from repro.mobility import EpochRandomWaypointModel
 from repro.obs import AuditError, CollectingTracer, InvariantAuditor
 from repro.routing import HybridRoutingProtocol, IntraClusterRoutingProtocol
@@ -165,3 +168,36 @@ class TestTrafficConservation:
         traffic._in_flight.append(Packet(10**6, 0, 50, sim.time, current=0))
         with pytest.raises(AuditError, match="packets in flight"):
             auditor.audit(sim, sim.time)
+
+
+class TestSnapshotMemory:
+    """Formation at attach and an audit read CSR rows, not an N x N matrix."""
+
+    def test_attach_and_audit_peak_below_a_dense_matrix(self):
+        n = 3000
+        params = NetworkParameters.from_fractions(
+            n_nodes=n, range_fraction=0.03, velocity_fraction=0.05
+        )
+        sim = Simulation(
+            params, EpochRandomWaypointModel(params.velocity, 1.0), seed=0
+        )
+        maintenance = ClusterMaintenanceProtocol(LowestIdClustering())
+        auditor = InvariantAuditor(maintenance)
+
+        def peak(action) -> int:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            action()
+            return tracemalloc.get_traced_memory()[1] - before
+
+        tracemalloc.start()
+        try:
+            attach = peak(lambda: sim.attach(maintenance))
+            # A step drops the neighbor rows formation built, so the
+            # audit builds its own.
+            sim.step()
+            audit = peak(lambda: auditor.audit(sim, sim.time))
+        finally:
+            tracemalloc.stop()
+        assert auditor.ok
+        assert max(attach, audit) < n * n / 4, (attach, audit)

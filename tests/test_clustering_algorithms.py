@@ -20,6 +20,8 @@ from repro.clustering import (
 )
 from repro.spatial import Boundary, SquareRegion
 
+from conftest import csr
+
 
 def _random_topology(n=150, r=0.14, seed=0):
     region = SquareRegion(1.0, Boundary.OPEN)
@@ -30,22 +32,22 @@ def _random_topology(n=150, r=0.14, seed=0):
 class TestLowestId:
     def test_lowest_id_in_component_is_head(self):
         adjacency, _ = _random_topology(seed=1)
-        state = LowestIdClustering().form(adjacency)
+        state = LowestIdClustering().form(csr(adjacency))
         # Node 0 has the globally lowest id: always a head.
         assert state.is_head(0)
 
     def test_satisfies_p1_p2(self):
         for seed in range(5):
             adjacency, _ = _random_topology(seed=seed)
-            state = LowestIdClustering().form(adjacency)
-            assert check_properties(state, adjacency).ok
+            state = LowestIdClustering().form(csr(adjacency))
+            assert check_properties(state, csr(adjacency)).ok
 
     def test_member_joins_lowest_id_head(self):
         # Star: center 2 with leaves 0, 1, 3 — 0 and 1 not adjacent.
         adjacency = np.zeros((4, 4), dtype=bool)
         for leaf in (0, 1, 3):
             adjacency[2, leaf] = adjacency[leaf, 2] = True
-        state = LowestIdClustering().form(adjacency)
+        state = LowestIdClustering().form(csr(adjacency))
         # 0 is head; 2 joins 0; 1 and 3 have no head neighbor -> heads.
         assert state.is_head(0)
         assert state.head_of[2] == 0
@@ -54,9 +56,9 @@ class TestLowestId:
     def test_custom_ids_change_outcome(self):
         adjacency = np.zeros((2, 2), dtype=bool)
         adjacency[0, 1] = adjacency[1, 0] = True
-        default = LowestIdClustering().form(adjacency)
+        default = LowestIdClustering().form(csr(adjacency))
         assert default.is_head(0)
-        swapped = LowestIdClustering(ids=np.array([5, 1])).form(adjacency)
+        swapped = LowestIdClustering(ids=np.array([5, 1])).form(csr(adjacency))
         assert swapped.is_head(1)
         assert swapped.head_of[0] == 1
 
@@ -67,13 +69,13 @@ class TestLowestId:
     def test_id_count_mismatch(self):
         algorithm = LowestIdClustering(ids=np.arange(5))
         with pytest.raises(ValueError):
-            algorithm.form(np.zeros((3, 3), dtype=bool))
+            algorithm.form(csr(np.zeros((3, 3), dtype=bool)))
 
     def test_matches_paper_head_criterion(self):
         """A node is a head iff every lower-id closed-neighbor is a
         member of another cluster (the Section 5 criterion)."""
         adjacency, _ = _random_topology(n=80, seed=3)
-        state = LowestIdClustering().form(adjacency)
+        state = LowestIdClustering().form(csr(adjacency))
         for node in range(80):
             lower_neighbors = [
                 v for v in np.flatnonzero(adjacency[node]) if v < node
@@ -88,20 +90,20 @@ class TestHighestConnectivity:
     def test_satisfies_p1_p2(self):
         for seed in range(5):
             adjacency, _ = _random_topology(seed=seed)
-            state = HighestConnectivityClustering().form(adjacency)
-            assert check_properties(state, adjacency).ok
+            state = HighestConnectivityClustering().form(csr(adjacency))
+            assert check_properties(state, csr(adjacency)).ok
 
     def test_max_degree_node_is_head(self):
         adjacency, _ = _random_topology(seed=7)
         degrees = adjacency.sum(axis=1)
         best = int(np.argmax(degrees))
-        state = HighestConnectivityClustering().form(adjacency)
+        state = HighestConnectivityClustering().form(csr(adjacency))
         assert state.is_head(best)
 
     def test_star_center_wins(self):
         adjacency = np.zeros((5, 5), dtype=bool)
         adjacency[4, :4] = adjacency[:4, 4] = True
-        state = HighestConnectivityClustering().form(adjacency)
+        state = HighestConnectivityClustering().form(csr(adjacency))
         assert state.is_head(4)
         assert state.cluster_count() == 1
 
@@ -110,34 +112,34 @@ class TestHighestConnectivity:
         adjacency = np.zeros((4, 4), dtype=bool)
         adjacency[0, 1] = adjacency[1, 0] = True
         adjacency[2, 3] = adjacency[3, 2] = True
-        state = HighestConnectivityClustering().form(adjacency)
+        state = HighestConnectivityClustering().form(csr(adjacency))
         assert state.is_head(0) and state.is_head(2)
 
 
 class TestDmac:
     def test_satisfies_p1_p2(self):
         adjacency, _ = _random_topology(seed=2)
-        state = DmacClustering(seed=3).form(adjacency)
-        assert check_properties(state, adjacency).ok
+        state = DmacClustering(seed=3).form(csr(adjacency))
+        assert check_properties(state, csr(adjacency)).ok
 
     def test_highest_weight_is_head(self):
         adjacency = np.zeros((3, 3), dtype=bool)
         adjacency[0, 1] = adjacency[1, 0] = True
         adjacency[1, 2] = adjacency[2, 1] = True
         weights = np.array([0.1, 0.9, 0.5])
-        state = DmacClustering(weights=weights).form(adjacency)
+        state = DmacClustering(weights=weights).form(csr(adjacency))
         assert state.is_head(1)
         assert state.head_of[0] == 1 and state.head_of[2] == 1
 
     def test_weight_count_mismatch(self):
         algorithm = DmacClustering(weights=np.array([0.1, 0.2]))
         with pytest.raises(ValueError):
-            algorithm.form(np.zeros((3, 3), dtype=bool))
+            algorithm.form(csr(np.zeros((3, 3), dtype=bool)))
 
     def test_deterministic_for_seed(self):
         adjacency, _ = _random_topology(seed=4)
-        a = DmacClustering(seed=9).form(adjacency)
-        b = DmacClustering(seed=9).form(adjacency)
+        a = DmacClustering(seed=9).form(csr(adjacency))
+        b = DmacClustering(seed=9).form(csr(adjacency))
         np.testing.assert_array_equal(a.roles, b.roles)
         np.testing.assert_array_equal(a.head_of, b.head_of)
 
@@ -149,7 +151,7 @@ class TestMaxMin:
 
     def test_everyone_assigned(self):
         adjacency, _ = _random_topology(seed=5)
-        state = MaxMinDCluster(2).form(adjacency)
+        state = MaxMinDCluster(2).form(csr(adjacency))
         assert np.all(state.head_of >= 0)
         assert not np.any(state.roles == Role.UNASSIGNED)
 
@@ -158,7 +160,7 @@ class TestMaxMin:
 
         adjacency, _ = _random_topology(n=100, seed=6)
         d = 2
-        state = MaxMinDCluster(d).form(adjacency)
+        state = MaxMinDCluster(d).form(csr(adjacency))
         graph = nx.from_numpy_array(adjacency)
         for node in range(100):
             head = int(state.head_of[node])
@@ -167,27 +169,27 @@ class TestMaxMin:
 
     def test_fewer_clusters_than_one_hop(self):
         adjacency, _ = _random_topology(n=200, r=0.1, seed=7)
-        one_hop = LowestIdClustering().form(adjacency).cluster_count()
-        two_hop = MaxMinDCluster(2).form(adjacency).cluster_count()
+        one_hop = LowestIdClustering().form(csr(adjacency)).cluster_count()
+        two_hop = MaxMinDCluster(2).form(csr(adjacency)).cluster_count()
         assert two_hop <= one_hop
 
     def test_isolated_node_is_its_own_head(self):
         adjacency = np.zeros((4, 4), dtype=bool)
         adjacency[0, 1] = adjacency[1, 0] = True
-        state = MaxMinDCluster(2).form(adjacency)
+        state = MaxMinDCluster(2).form(csr(adjacency))
         assert state.is_head(2) and state.is_head(3)
 
 
 class TestLca:
     def test_highest_id_is_head(self):
         adjacency, _ = _random_topology(seed=8)
-        state = LinkedClusterArchitecture().form(adjacency)
+        state = LinkedClusterArchitecture().form(csr(adjacency))
         assert state.is_head(len(adjacency) - 1)
 
     def test_everyone_assigned_and_members_adjacent(self):
         adjacency, _ = _random_topology(seed=9)
-        state = LinkedClusterArchitecture().form(adjacency)
-        violations = check_properties(state, adjacency)
+        state = LinkedClusterArchitecture().form(csr(adjacency))
+        violations = check_properties(state, csr(adjacency))
         # LCA guarantees P2-style affiliation but not P1.
         assert not violations.unaffiliated
         assert not violations.detached_members
@@ -199,7 +201,7 @@ class TestLca:
         adjacency = np.zeros((3, 3), dtype=bool)
         adjacency[0, 1] = adjacency[1, 0] = True
         adjacency[1, 2] = adjacency[2, 1] = True
-        state = LinkedClusterArchitecture().form(adjacency)
+        state = LinkedClusterArchitecture().form(csr(adjacency))
         assert state.is_head(2)
         assert state.is_head(1)
         assert state.head_of[0] == 1
@@ -212,14 +214,14 @@ class TestMobDHop:
 
     def test_everyone_assigned(self):
         adjacency, _ = _random_topology(seed=10)
-        state = MobDHopClustering(2).form(adjacency)
+        state = MobDHopClustering(2).form(csr(adjacency))
         assert np.all(state.head_of >= 0)
 
     def test_members_within_d_hops(self):
         import networkx as nx
 
         adjacency, _ = _random_topology(n=100, seed=11)
-        state = MobDHopClustering(3).form(adjacency)
+        state = MobDHopClustering(3).form(csr(adjacency))
         graph = nx.from_numpy_array(adjacency)
         for node in range(100):
             head = int(state.head_of[node])
@@ -234,7 +236,7 @@ class TestMobDHop:
             np.array([[0.0, 0.0], [0.05, 0.0], [0.1, 0.0]]),
             np.array([[0.0, 0.0], [0.05, 0.0], [0.4, 0.0]]),
         ]
-        state = MobDHopClustering(1, snapshots=snapshots).form(adjacency)
+        state = MobDHopClustering(1, snapshots=snapshots).form(csr(adjacency))
         # The most stable node (0 or 1) heads; both 0 and 1 have equal
         # stability... node 2's movement makes it least stable.
         head = int(state.heads()[0])
@@ -249,13 +251,13 @@ class TestMobDHop:
         ]
         state = MobDHopClustering(
             1, snapshots=snapshots, merge_threshold=0.1
-        ).form(adjacency)
+        ).form(csr(adjacency))
         # Relative mobility 0.4 exceeds the threshold: two singletons.
         assert state.cluster_count() == 2
 
     def test_relative_mobility_requires_two_snapshots(self):
         with pytest.raises(ValueError):
-            relative_mobility([np.zeros((2, 2))], np.ones((2, 2), dtype=bool))
+            relative_mobility([np.zeros((2, 2))], csr(np.ones((2, 2), dtype=bool)))
 
     def test_relative_mobility_values(self):
         adjacency = np.ones((2, 2), dtype=bool)
@@ -265,9 +267,10 @@ class TestMobDHop:
             np.array([[0.0, 0.0], [0.3, 0.0]]),
             np.array([[0.0, 0.0], [0.2, 0.0]]),
         ]
-        mobility = relative_mobility(snapshots, adjacency)
-        # Mean |distance change| = (0.2 + 0.1) / 2.
-        assert mobility[0, 1] == pytest.approx(0.15)
+        mobility = relative_mobility(snapshots, csr(adjacency))
+        # One value per CSR entry: (0, 1) then (1, 0).  Mean |distance
+        # change| = (0.2 + 0.1) / 2.
+        assert mobility == pytest.approx([0.15, 0.15])
 
 
 @settings(max_examples=20, deadline=None)
@@ -286,5 +289,5 @@ def test_one_hop_algorithms_always_valid_property(n, r, seed):
         HighestConnectivityClustering(),
         DmacClustering(seed=seed),
     ):
-        state = algorithm.form(adjacency)
-        assert check_properties(state, adjacency).ok
+        state = algorithm.form(csr(adjacency))
+        assert check_properties(state, csr(adjacency)).ok

@@ -7,6 +7,8 @@ import pytest
 
 from repro.clustering import ClusterState, Role, sequential_formation
 
+from conftest import csr
+
 
 class TestClusterState:
     def test_unassigned_fresh(self):
@@ -123,7 +125,7 @@ class TestClusterSizes:
     def test_formation_sizes_match_cluster_nodes(self, unit_open, rng):
         positions = unit_open.uniform_positions(80, rng)
         adjacency = unit_open.adjacency(positions, 0.2)
-        state = sequential_formation(adjacency, -np.arange(80, dtype=float))
+        state = sequential_formation(csr(adjacency), -np.arange(80, dtype=float))
         for head in state.heads():
             assert state.sizes[head] == len(state.cluster_nodes(int(head)))
 
@@ -132,7 +134,7 @@ class TestSequentialFormation:
     def test_path_topology(self, small_adjacency):
         # Priorities = -index: node 0 first.
         priority = -np.arange(6, dtype=float)
-        state = sequential_formation(small_adjacency, priority)
+        state = sequential_formation(csr(small_adjacency), priority)
         # 0 heads {0,1}; 2 heads {2,3}; 4 heads {4,5}.
         assert state.is_head(0) and state.head_of[1] == 0
         assert state.is_head(2) and state.head_of[3] == 2
@@ -143,21 +145,21 @@ class TestSequentialFormation:
         adjacency = np.zeros((n, n), dtype=bool)
         adjacency[0, 1:] = adjacency[1:, 0] = True
         priority = np.array([10.0, 1.0, 2.0, 3.0, 4.0])
-        state = sequential_formation(adjacency, priority)
+        state = sequential_formation(csr(adjacency), priority)
         assert state.cluster_count() == 1
         assert state.is_head(0)
         np.testing.assert_array_equal(np.sort(state.members_of(0)), [1, 2, 3, 4])
 
     def test_isolated_nodes_become_heads(self):
         adjacency = np.zeros((3, 3), dtype=bool)
-        state = sequential_formation(adjacency, np.array([3.0, 2.0, 1.0]))
+        state = sequential_formation(csr(adjacency), np.array([3.0, 2.0, 1.0]))
         assert state.cluster_count() == 3
 
     def test_everyone_assigned(self, unit_open, rng):
         positions = unit_open.uniform_positions(120, rng)
         adjacency = unit_open.adjacency(positions, 0.15)
         state = sequential_formation(
-            adjacency, -rng.permutation(120).astype(float)
+            csr(adjacency), -rng.permutation(120).astype(float)
         )
         assert not np.any(state.roles == Role.UNASSIGNED)
         assert np.all(state.head_of >= 0)
@@ -170,14 +172,14 @@ class TestSequentialFormation:
         # Node 3 processed last, sees heads... 0 heads first, 1 and 2
         # join 0; 3 has no neighboring head (1,2 members) -> head.
         priority = np.array([4.0, 3.0, 2.0, 1.0])
-        state = sequential_formation(adjacency, priority)
+        state = sequential_formation(csr(adjacency), priority)
         assert state.is_head(0)
         assert state.is_head(3)
 
     def test_duplicate_priorities_rejected(self, small_adjacency):
         with pytest.raises(ValueError, match="unique"):
-            sequential_formation(small_adjacency, np.ones(6))
+            sequential_formation(csr(small_adjacency), np.ones(6))
 
     def test_priority_shape_mismatch(self, small_adjacency):
         with pytest.raises(ValueError):
-            sequential_formation(small_adjacency, np.arange(4, dtype=float))
+            sequential_formation(csr(small_adjacency), np.arange(4, dtype=float))

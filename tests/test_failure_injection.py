@@ -26,7 +26,6 @@ from repro.routing import (
     IntraClusterRoutingProtocol,
 )
 from repro.sim import HelloProtocol, Simulation
-from repro.spatial import edges_to_adjacency
 
 
 def _clustered_stack(n=80, vf=0.02, seed=0):
@@ -93,9 +92,7 @@ class TestClusteringUnderFailure:
         assert orphans, "pick a head with members"
         sim.fail_node(victim)
         sim.step()
-        violations = check_properties(
-            maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
-        )
+        violations = check_properties(maintenance.state, sim.neighbor_csr)
         assert violations.ok, violations.describe()
         for orphan in orphans:
             assert state.head_of[orphan] != victim or state.is_head(orphan)
@@ -110,9 +107,7 @@ class TestClusteringUnderFailure:
             sim.fail_node(int(victim))
         for _ in range(30):
             sim.step()
-            assert check_properties(
-                maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
-            ).ok
+            assert check_properties(maintenance.state, sim.neighbor_csr).ok
 
     def test_crash_recover_cycle_invariants(self):
         sim, maintenance, *_ = _clustered_stack(vf=0.02, seed=3)
@@ -125,8 +120,9 @@ class TestClusteringUnderFailure:
                 sim.recover_node(node)
             for _ in range(5):
                 sim.step()
-                adjacency = edges_to_adjacency(sim.edges, sim.n_nodes)
-                violations = check_properties(maintenance.state, adjacency)
+                violations = check_properties(
+                    maintenance.state, sim.neighbor_csr
+                )
                 assert violations.ok, violations.describe()
 
     def test_recovered_head_rejoins_cleanly(self):
@@ -137,9 +133,7 @@ class TestClusteringUnderFailure:
         sim.step()
         sim.recover_node(victim)
         sim.step()
-        assert check_properties(
-            maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
-        ).ok
+        assert check_properties(maintenance.state, sim.neighbor_csr).ok
 
 
 class TestRoutingUnderFailure:

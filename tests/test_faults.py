@@ -36,7 +36,6 @@ from repro.obs.audit import InvariantAuditor
 from repro.obs.tracer import CollectingTracer
 from repro.routing import AodvProtocol, IntraClusterRoutingProtocol
 from repro.sim import HelloProtocol, Simulation
-from repro.spatial import edges_to_adjacency
 
 
 def _params(n=60, vf=0.03):
@@ -405,9 +404,7 @@ class TestGracefulDegradation:
             sim.step()
         from repro.clustering import check_properties
 
-        assert check_properties(
-            maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
-        ).ok
+        assert check_properties(maintenance.state, sim.neighbor_csr).ok
 
 
 # ---------------------------------------------------------------------

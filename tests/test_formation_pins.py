@@ -36,7 +36,7 @@ from repro.spatial import (
     Boundary,
     SquareRegion,
     compute_edges,
-    edges_to_adjacency,
+    edges_to_csr,
 )
 
 #: ``name -> (boundary, n_nodes, range, seed)`` of each pinned snapshot.
@@ -50,7 +50,7 @@ GRAPHS = {
 
 def _snapshot(edges: np.ndarray, n: int):
     """The topology argument the static-snapshot API takes."""
-    return edges_to_adjacency(edges, n)
+    return edges_to_csr(edges, n)
 
 
 def _graph(name: str):

@@ -25,7 +25,6 @@ from repro.routing import (
     IntraClusterRoutingProtocol,
 )
 from repro.sim import HelloProtocol, Simulation
-from repro.spatial import edges_to_adjacency
 
 
 @pytest.fixture(scope="module")
@@ -88,9 +87,7 @@ class TestFrequencyAgreement:
 class TestStructuralInvariants:
     def test_structure_valid_at_end(self, measured_stack):
         _, sim, maintenance, _ = measured_stack
-        assert check_properties(
-            maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
-        ).ok
+        assert check_properties(maintenance.state, sim.neighbor_csr).ok
 
     def test_head_ratio_in_sane_band(self, measured_stack):
         _, _, maintenance, _ = measured_stack

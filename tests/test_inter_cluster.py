@@ -31,9 +31,7 @@ class TestGateway:
         sim, maintenance = clustered_sim
         state = maintenance.state
         head = int(state.heads()[0])
-        assert not is_gateway(
-            state, edges_to_adjacency(sim.edges, sim.n_nodes), head
-        )
+        assert not is_gateway(state, sim.neighbor_csr, head)
 
     def test_member_with_foreign_neighbor_is_gateway(self, clustered_sim):
         sim, maintenance = clustered_sim
@@ -45,9 +43,7 @@ class TestGateway:
                 v for v in neighbors if state.head_of[v] != state.head_of[node]
             ]
             expected = bool(foreign)
-            assert is_gateway(
-                state, edges_to_adjacency(sim.edges, sim.n_nodes), int(node)
-            ) == expected
+            assert is_gateway(state, sim.neighbor_csr, int(node)) == expected
             found = found or expected
         assert found, "topology should contain at least one gateway"
 
@@ -79,9 +75,7 @@ class TestDiscovery:
         for node in result.path[1:-1]:
             assert (
                 state.roles[node] == Role.HEAD
-                or is_gateway(
-                    state, edges_to_adjacency(sim.edges, sim.n_nodes), node
-                )
+                or is_gateway(state, sim.neighbor_csr, node)
             )
 
     def test_fewer_transmissions_than_full_flood(self, clustered_sim):

@@ -15,7 +15,6 @@ from repro.clustering import (
 from repro.core.params import NetworkParameters
 from repro.mobility import EpochRandomWaypointModel
 from repro.sim import Simulation
-from repro.spatial import edges_to_adjacency
 
 
 def _sim_with_maintenance(n=80, rf=0.18, vf=0.05, seed=0, algorithm=None):
@@ -33,9 +32,7 @@ def _sim_with_maintenance(n=80, rf=0.18, vf=0.05, seed=0, algorithm=None):
 class TestFormationOnAttach:
     def test_initial_state_valid(self):
         sim, maintenance = _sim_with_maintenance()
-        assert check_properties(
-            maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
-        ).ok
+        assert check_properties(maintenance.state, sim.neighbor_csr).ok
 
     def test_head_ratio_accessors(self):
         sim, maintenance = _sim_with_maintenance()
@@ -52,9 +49,7 @@ class TestInvariantPreservation:
         sim, maintenance = _sim_with_maintenance(seed=seed)
         for _ in range(150):
             sim.step()
-            violations = check_properties(
-                maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
-            )
+            violations = check_properties(maintenance.state, sim.neighbor_csr)
             assert violations.ok, violations.describe()
 
     def test_hcc_stays_valid_under_mobility(self):
@@ -63,18 +58,14 @@ class TestInvariantPreservation:
         )
         for _ in range(100):
             sim.step()
-            violations = check_properties(
-                maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
-            )
+            violations = check_properties(maintenance.state, sim.neighbor_csr)
             assert violations.ok, violations.describe()
 
     def test_fast_mobility_stress(self):
         sim, maintenance = _sim_with_maintenance(vf=0.2, seed=4)
         for _ in range(100):
             sim.step()
-            assert check_properties(
-                maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
-            ).ok
+            assert check_properties(maintenance.state, sim.neighbor_csr).ok
 
 
 class TestMessageAccounting:
@@ -128,9 +119,7 @@ class TestMessageAccounting:
         # Loser resigns (1 message) + each former member re-affiliates.
         assert sim.stats.message_count("cluster") == loser_cluster_size
         assert not state.is_head(loser)
-        assert check_properties(
-            maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
-        ).ok
+        assert check_properties(maintenance.state, sim.neighbor_csr).ok
 
     def test_irrelevant_link_events_are_free(self, set_link):
         sim, maintenance = _sim_with_maintenance(vf=0.0, seed=8)

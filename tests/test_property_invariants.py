@@ -82,9 +82,7 @@ def test_maintenance_invariant_under_mobility(n, rf, seed):
     sim.attach(maintenance)
     for _ in range(15):
         sim.step()
-        violations = check_properties(
-            maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
-        )
+        violations = check_properties(maintenance.state, sim.neighbor_csr)
         assert violations.ok, violations.describe()
 
 

@@ -14,7 +14,6 @@ from repro.core.params import NetworkParameters
 from repro.mobility import EpochRandomWaypointModel
 from repro.sim import MessageStats, RateSeries, Simulation
 from repro.sim.beacon import HelloProtocol
-from repro.spatial import edges_to_adjacency
 
 
 class TestRateSeries:
@@ -122,9 +121,7 @@ class TestDynamicPriorityMaintenance:
         sim.attach(maintenance)
         for _ in range(120):
             sim.step()
-            violations = check_properties(
-                maintenance.state, edges_to_adjacency(sim.edges, sim.n_nodes)
-            )
+            violations = check_properties(maintenance.state, sim.neighbor_csr)
             assert violations.ok, violations.describe()
 
     def test_dynamic_priority_changes_merge_outcomes(self):

@@ -151,9 +151,9 @@ def clustered_graphs(draw):
     return edges, ClusterState(np.array(roles), np.array(head_of))
 
 
-def _head_or_gateway(state, adjacency) -> list[bool]:
+def _head_or_gateway(state, csr) -> list[bool]:
     return [
-        state.roles[node] == HEAD or is_gateway(state, adjacency, node)
+        state.roles[node] == HEAD or is_gateway(state, csr, node)
         for node in range(state.n_nodes)
     ]
 
@@ -162,8 +162,8 @@ def _head_or_gateway(state, adjacency) -> list[bool]:
 @given(clustered_graphs())
 def test_backbone_mask_equals_head_or_gateway_on_any_state(case):
     edges, state = case
-    adjacency = edges_to_adjacency(edges, state.n_nodes)
-    assert backbone_mask(state, edges).tolist() == _head_or_gateway(state, adjacency)
+    csr = edges_to_csr(edges, state.n_nodes)
+    assert backbone_mask(state, edges).tolist() == _head_or_gateway(state, csr)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -172,9 +172,7 @@ def test_backbone_mask_equals_head_or_gateway(seed):
     for _ in range(10):
         sim.step()
         state = maintenance.state
-        expected = _head_or_gateway(
-            state, edges_to_adjacency(sim.edges, sim.n_nodes)
-        )
+        expected = _head_or_gateway(state, sim.neighbor_csr)
         assert backbone_mask(state, sim.edges).tolist() == expected
 
 
@@ -406,7 +404,7 @@ def _flood_case(n: int, density: float, heads: float, formed: bool, seed: int):
     upper = np.triu(rng.random((n, n)) < density, k=1)
     edges = np.argwhere(upper).astype(np.int64).reshape(-1, 2)
     if formed:
-        state = sequential_formation(upper | upper.T, rng.permutation(n))
+        state = sequential_formation(edges_to_csr(edges, n), rng.permutation(n))
     else:
         state = ClusterState.unassigned(n)
         chosen = np.flatnonzero(rng.random(n) < heads)
@@ -421,9 +419,7 @@ def _flood_case(n: int, density: float, heads: float, formed: bool, seed: int):
 def _check_floods(sim, state, pairs) -> set[str]:
     """Compare every flood against the reference; returns the cases hit."""
     lists = sim.adjacency_lists
-    forwards = _head_or_gateway(
-        state, edges_to_adjacency(sim.edges, sim.n_nodes)
-    )
+    forwards = _head_or_gateway(state, edges_to_csr(sim.edges, sim.n_nodes))
     hit = set()
     if len(sim.edges) == 0:
         hit.add("empty edge set")
@@ -526,7 +522,7 @@ def _reference_on(sim, state, source, destination):
     """The reference discovery over the dense matrix and scalar backbone."""
     return _reference_discovery(
         _dense_rows(sim.edges, sim.n_nodes),
-        _head_or_gateway(state, edges_to_adjacency(sim.edges, sim.n_nodes)),
+        _head_or_gateway(state, sim.neighbor_csr),
         source,
         destination,
     )
@@ -635,9 +631,7 @@ def test_discovery_sees_the_next_steps_edges():
     assert after != before
     floods = [broadcast_flood(sim, s, state, record_stats=False) for s, _ in pairs]
     lists = _dense_rows(sim.edges, sim.n_nodes)
-    forwards = _head_or_gateway(
-        state, edges_to_adjacency(sim.edges, sim.n_nodes)
-    )
+    forwards = _head_or_gateway(state, edges_to_csr(sim.edges, sim.n_nodes))
     assert [(f.reached, f.transmissions) for f in floods] == [
         _reference_broadcast(lists, forwards, s) for s, _ in pairs
     ]
