@@ -41,6 +41,12 @@ number), the discovery and cache-hit counters of the on-demand
 routers, and the intra-cluster ``path`` answers for a fixed grid of
 same-cluster pairs at the end of the run.
 
+Send-site rows reach the record calls no row above reaches: a
+per-step ``broadcast_flood`` over the cluster backbone and a blind
+one, and adaptive HELLO under the ``analytic-rate`` and
+``churn-feedback`` policies.  They are LID rows with event HELLO (the
+flood rows) or adaptive HELLO, and pin the same digest.
+
 Traced rows gate the telemetry path: the hybrid + CBR stack at N=300
 (faults off / on, seed 0) runs under ``observe`` with a
 :class:`~repro.obs.JsonlTracer` and a live :class:`~repro.obs.MetricsRegistry`,
@@ -104,6 +110,7 @@ from repro.routing import (
     DsdvProtocol,
     HybridRoutingProtocol,
     IntraClusterRoutingProtocol,
+    broadcast_flood,
 )
 from repro.sim import (
     AodvRouterAdapter,
@@ -114,7 +121,7 @@ from repro.sim import (
     Simulation,
     TrafficProtocol,
 )
-from repro.sim.engine import ENGINE_SCHEMA_VERSION
+from repro.sim.engine import ENGINE_SCHEMA_VERSION, Protocol
 
 FIXTURE = Path(__file__).with_name("golden_stack.json")
 
@@ -198,6 +205,45 @@ def _cases() -> dict[str, dict]:
 
 CASES = _cases()
 
+SEND_SITE_CASES = {
+    "lid-event-clean-s0-flood-backbone": dict(
+        algorithm="lid", hello="event", faults=False, seed=0, flood="backbone"
+    ),
+    "lid-event-clean-s0-flood-blind": dict(
+        algorithm="lid", hello="event", faults=False, seed=0, flood="blind"
+    ),
+    "lid-adaptive-analytic-clean-s0": dict(
+        algorithm="lid", hello="adaptive", faults=False, seed=0,
+        policy="analytic-rate",
+    ),
+    "lid-adaptive-churn-clean-s0": dict(
+        algorithm="lid", hello="adaptive", faults=False, seed=0,
+        policy="churn-feedback",
+    ),
+}
+
+
+class _Flooder(Protocol):
+    """One network-wide flood per step, from a rotating source.
+
+    ``backbone`` floods over the maintained cluster state (heads and
+    gateways retransmit); otherwise every reached node does.
+    """
+
+    name = "flooder"
+
+    def __init__(self, maintenance, backbone: bool) -> None:
+        self.maintenance = maintenance
+        self.backbone = backbone
+        self.floods = 0
+
+    def on_step_end(self, sim: Simulation, time: float) -> None:
+        source = self.floods * 37 % sim.n_nodes
+        self.floods += 1
+        state = self.maintenance.state if self.backbone else None
+        broadcast_flood(sim, source, state)
+
+
 TRACED_CASES = {
     f"lid-event-{'faults' if faults else 'clean'}-s0-hybrid-cbr-traced": dict(
         faults=faults, seed=0
@@ -258,6 +304,8 @@ def run_case(
     mobility: str = "epoch-rwp",
     n_nodes: int = N_NODES,
     range_fraction: float = RANGE_FRACTION,
+    policy: str = "staleness-bounded",
+    flood: str | None = None,
 ) -> dict:
     """Run one case of the matrix and return its digest.
 
@@ -267,6 +315,8 @@ def run_case(
     maintenance (d=2) without an intra-cluster router.  ``mobility``
     (``"gauss-markov"`` or ``"rwp-pause"``) replaces the epoch random
     waypoint model.  ``n_nodes`` and ``range_fraction`` size the network.
+    ``policy`` names the adaptive HELLO beacon policy.  ``flood``
+    (``"backbone"`` or ``"blind"``) adds one ``broadcast_flood`` per step.
     """
     params = NetworkParameters.from_fractions(
         n_nodes=n_nodes,
@@ -286,7 +336,7 @@ def run_case(
         sim.attach(
             HelloProtocol(
                 mode="adaptive",
-                policy=build_policy({"policy": "staleness-bounded"}),
+                policy=build_policy({"policy": policy}),
                 signal_window=0.5,
                 miss_limit=miss_limit,
             )
@@ -326,6 +376,8 @@ def run_case(
         adapter = DsdvRouterAdapter(router)
     if router is not None:
         traffic = sim.attach(TrafficProtocol(_flows(seed, n_nodes), adapter))
+    if flood is not None:
+        sim.attach(_Flooder(maintenance, backbone=flood == "backbone"))
     ledger = sim.attach(OverheadLedger(maintenance))
     sim.run(duration=DURATION, warmup=WARMUP)
 
@@ -476,6 +528,9 @@ def regenerate_fixture(path: Path = FIXTURE) -> None:
     fixture = {
         "engine_schema_version": ENGINE_SCHEMA_VERSION,
         "digests": {name: run_case(**case) for name, case in CASES.items()},
+        "send_site_digests": {
+            name: run_case(**case) for name, case in SEND_SITE_CASES.items()
+        },
         "traced_digests": {
             name: run_traced_case(**case) for name, case in TRACED_CASES.items()
         },
@@ -497,6 +552,16 @@ def test_fixture_matches_the_engine_schema_version(fixture):
 def test_stack_digest_is_byte_identical(name, fixture):
     digest = run_case(**CASES[name])
     assert _canonical(digest) == _canonical(fixture["digests"][name])
+
+
+@pytest.mark.parametrize("name", sorted(SEND_SITE_CASES))
+def test_send_site_digest_is_byte_identical(name, fixture):
+    digest = run_case(**SEND_SITE_CASES[name])
+    assert _canonical(digest) == _canonical(fixture["send_site_digests"][name])
+
+
+def test_send_site_rows_cover_the_fixture(fixture):
+    assert set(fixture["send_site_digests"]) == set(SEND_SITE_CASES)
 
 
 @pytest.mark.parametrize("name", sorted(TRACED_CASES))
@@ -522,12 +587,19 @@ def test_traced_rows_cover_the_fixture(fixture):
     assert set(fixture["traced_digests"]) == set(TRACED_CASES)
 
 
+def _causes(digests: dict) -> set:
+    return {
+        cause
+        for digest in digests.values()
+        for per_category in digest["causes"].values()
+        for cause in per_category
+    }
+
+
 def test_matrix_exercises_every_repair_path(fixture):
     """The fixture is only a gate if the runs actually repair things."""
-    causes = set()
-    for digest in fixture["digests"].values():
-        for per_category in digest["causes"].values():
-            causes.update(per_category)
+    causes = _causes(fixture["digests"])
+    assert "unattributed" not in causes
     assert {
         "reaffiliation",
         "head-adjacency-repair",
@@ -540,4 +612,16 @@ def test_matrix_exercises_every_repair_path(fixture):
         "adaptive-hello-staleness",
         "dsdv-periodic",
         "dsdv-triggered",
+        "route-discovery",
+        "link-break-repair",
+    } <= causes
+
+
+def test_send_site_rows_reach_their_causes(fixture):
+    causes = _causes(fixture["send_site_digests"])
+    assert "unattributed" not in causes
+    assert {
+        "broadcast-flood",
+        "adaptive-hello-analytic",
+        "adaptive-hello-churn",
     } <= causes
