@@ -11,9 +11,12 @@ results back *in task order* regardless of worker scheduling, so a
 Telemetry still has to close end-to-end (the PR-1 reconciliation
 invariant): a worker process cannot write into the parent's JSONL
 tracer, shared metrics registry or phase timer, so each worker captures
-its own telemetry locally (an in-memory tracer, a private registry and
-timer pushed as the ambient observability context) and ships it back
-with the result.  The parent then merges: trace records are replayed
+its own telemetry locally and ships it back with the result.  A worker
+captures only what the parent keeps: a phase timer always, an in-memory
+tracer only when the parent traces, and a private metrics registry only
+when the parent has one.  The worker's context replaces whatever it
+inherited, so it attaches an attribution ledger exactly when a serial
+run would.  The parent then merges: trace records are replayed
 into the ambient tracer with simulation ids — and span ids, through
 the global span counter of :mod:`repro.obs.spans` — remapped through
 the parent's id counters (so concurrent workers never collide), registry
@@ -76,7 +79,8 @@ class TaskTelemetry:
     records: list[dict] = field(default_factory=list)
     #: Phase timing rows: ``(phase, seconds, calls)``.
     phases: list[tuple[str, float, int]] = field(default_factory=list)
-    #: Metrics registry snapshot (:meth:`MetricsRegistry.to_dict`).
+    #: Metrics registry snapshot (:meth:`MetricsRegistry.to_dict`);
+    #: empty when the parent keeps no registry.
     metrics: dict = field(default_factory=dict)
     #: How many tasks rode in the worker submission that ran this task
     #: (1 for serial runs); surfaced so sweeps can verify that worker
@@ -129,7 +133,7 @@ def _fn_path(fn: Callable) -> str:
 
 
 def _run_captured(
-    payload: tuple[Callable[[Any], Any], Sequence[Any], bool, Any, Sequence[Any]]
+    payload: tuple[Callable[[Any], Any], Sequence[Any], bool, bool, Any, Sequence[Any]]
 ):
     """Worker entry: run one *chunk* of tasks, each under a local context.
 
@@ -139,17 +143,19 @@ def _run_captured(
     its own observability context, so the per-task telemetry the parent
     merges is identical to what single-task submissions produced.
     """
-    fn, chunk, capture_trace, health, stored_entries = payload
+    fn, chunk, capture_trace, capture_metrics, health, stored_entries = payload
     outcomes = []
     for task, stored in zip(chunk, stored_entries):
         tracer = CollectingTracer() if capture_trace else NULL_TRACER
-        registry = MetricsRegistry()
+        registry = MetricsRegistry() if capture_metrics else None
         timer = PhaseTimer()
         # The parent's run-health configuration rides along so a
         # --jobs > 1 traced run carries the same invariant_audit/residual
         # events (and the same strict-mode behavior) as a serial one.
-        with obs_context.observe(
-            tracer=tracer, registry=registry, timer=timer, health=health
+        # A forked worker inherits the context stack of the moment it was
+        # forked, so the task's context is pushed whole, not inherited.
+        with obs_context.use(
+            obs_context.ObsContext(tracer, registry, timer, health)
         ) as context:
             started = perf_counter()
             result = fn(task)
@@ -165,7 +171,7 @@ def _run_captured(
         telemetry = TaskTelemetry(
             records=tracer.records if capture_trace else [],
             phases=[(p.phase, p.seconds, p.calls) for p in report.phases],
-            metrics=registry.to_dict(),
+            metrics=registry.to_dict() if capture_metrics else {},
             chunk_size=len(chunk),
         )
         outcomes.append((result, telemetry))
@@ -447,6 +453,7 @@ def run_tasks(
                 )
         return results
     capture_trace = context.tracer.enabled
+    capture_metrics = context.registry is not None
     chunk_size = task_chunk_size(len(pending), jobs)
     chunks = [
         pending[at : at + chunk_size]
@@ -457,6 +464,7 @@ def run_tasks(
             fn,
             [task_list[index] for index in chunk],
             capture_trace,
+            capture_metrics,
             context.health,
             [
                 (store, *keyed[index]) if keyed[index] is not None else None

@@ -704,8 +704,9 @@ def _run_sweep(args) -> int:
         n_nodes=args.n, range_fraction=args.rf, velocity_fraction=args.vf
     )
     # An ambient registry makes every per-seed run attach the overhead
-    # ledger; worker registries are folded back in by the parallel
-    # runner, so any --jobs value exports identical counters.
+    # ledger.  Workers keep a registry only when this one exists, and
+    # the parallel runner folds theirs back in, so any --jobs value
+    # exports identical counters; without it no run builds a ledger.
     registry = (
         MetricsRegistry() if args.metrics_openmetrics is not None else None
     )

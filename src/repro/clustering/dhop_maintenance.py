@@ -26,7 +26,7 @@ from collections import deque
 
 import numpy as np
 
-from ..obs.attribution import CAUSE_REAFFILIATION, attributed
+from ..obs.attribution import CAUSE_REAFFILIATION
 from ..sim.engine import Protocol, Simulation
 from .base import ClusteringAlgorithm, ClusterState, Role
 
@@ -91,9 +91,6 @@ class DHopClusterMaintenanceProtocol(Protocol):
     # ------------------------------------------------------------------
     # Repair
     # ------------------------------------------------------------------
-    def _send_cluster_message(self, sim: Simulation) -> None:
-        sim.stats.record("cluster", 1, sim.params.messages.p_cluster)
-
     def _admitting_cluster(self, sim: Simulation, node: int) -> int | None:
         """A head whose cluster can host ``node`` within ``d`` hops.
 
@@ -122,13 +119,14 @@ class DHopClusterMaintenanceProtocol(Protocol):
             self.state.make_member(node, host)
         else:
             self.state.make_head(node)
-        with attributed(
-            sim,
-            CAUSE_REAFFILIATION,
+        sim.stats.record(
+            "cluster",
+            1,
+            sim.params.messages.p_cluster,
+            cause=CAUSE_REAFFILIATION,
             node=node,
             cluster=int(node if host is None else host),
-        ):
-            self._send_cluster_message(sim)
+        )
         if sim.tracer.enabled:
             became_head = host is None
             sim.tracer.emit(

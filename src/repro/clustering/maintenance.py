@@ -45,7 +45,6 @@ from ..obs.attribution import (
     CAUSE_HEAD_ADJACENCY_REPAIR,
     CAUSE_HEAD_MERGE_CASCADE,
     CAUSE_REAFFILIATION,
-    attributed,
 )
 from ..sim.engine import Protocol, Simulation
 from .base import HEAD, MEMBER, ClusteringAlgorithm, ClusterState
@@ -111,8 +110,17 @@ class ClusterMaintenanceProtocol(Protocol):
     # ------------------------------------------------------------------
     # Repair primitives
     # ------------------------------------------------------------------
-    def _send_cluster_message(self, sim: Simulation) -> None:
-        sim.stats.record("cluster", 1, sim.params.messages.p_cluster)
+    def _send_cluster_message(
+        self, sim: Simulation, cause: str, node: int, cluster: int
+    ) -> None:
+        sim.stats.record(
+            "cluster",
+            1,
+            sim.params.messages.p_cluster,
+            cause=cause,
+            node=node,
+            cluster=int(cluster),
+        )
 
     def _neighboring_heads(self, sim: Simulation, node: int) -> np.ndarray:
         neighbors = sim.neighbors_of(node)
@@ -152,8 +160,7 @@ class ClusterMaintenanceProtocol(Protocol):
         span = None
         if spans.enabled:
             span = spans.start("reaffiliate", "handler", time, node=int(node))
-        with attributed(sim, cause, node=node, cluster=int(new_head)):
-            self._send_cluster_message(sim)
+        self._send_cluster_message(sim, cause, node, new_head)
         if sim.tracer.enabled:
             sim.tracer.emit(
                 "cluster_reaffiliation",
@@ -208,8 +215,7 @@ class ClusterMaintenanceProtocol(Protocol):
         self.state.make_member(loser, winner)
         self.head_changes_total += 1
         self.reaffiliations_total += 1
-        with attributed(sim, cause, node=loser, cluster=int(winner)):
-            self._send_cluster_message(sim)
+        self._send_cluster_message(sim, cause, loser, winner)
         if sim.tracer.enabled:
             sim.tracer.emit(
                 "head_change",

@@ -53,12 +53,7 @@ the attribution counters — in OpenMetrics text format
 (``repro-manet metrics`` and ``--metrics-openmetrics``).
 """
 
-from .attribution import (
-    KNOWN_CAUSES,
-    OverheadLedger,
-    attach_attribution,
-    attributed,
-)
+from .attribution import KNOWN_CAUSES, OverheadLedger, attach_attribution
 from .audit import AuditError, InvariantAuditor
 from .compare import TraceComparison, TraceDigest, compare_traces
 from .context import ObsContext, RunHealthConfig, current, observe
@@ -97,7 +92,6 @@ __all__ = [
     "KNOWN_CAUSES",
     "OverheadLedger",
     "attach_attribution",
-    "attributed",
     "registry_from_trace",
     "render_openmetrics",
     "write_openmetrics",

@@ -13,14 +13,17 @@ accumulate.  A run-end ``attribution`` trace event carries the full
 breakdown; a mismatch (which would indicate a bookkeeping bug, not a
 simulation property) fails the run under ``--audit strict``.
 
-Send sites annotate their cause with :func:`attributed`::
+Send sites pass their cause and transmitters to the record call::
 
-    with attributed(sim, CAUSE_REAFFILIATION, node=orphan):
-        sim.stats.record("cluster", 1, bits)
+    sim.stats.record("cluster", 1, bits, cause=CAUSE_REAFFILIATION, node=orphan)
 
-When no ledger is attached (``sim.attribution is None`` — the default)
-:func:`attributed` returns a shared no-op context manager, so untraced
-simulations pay one attribute read and no allocation.
+``node`` names a single transmitter; ``nodes`` splits the record evenly
+across several (a sequence, or a callable of ``cluster`` such as
+``ClusterState.cluster_nodes``, resolved only when a ledger reads it);
+``cluster`` charges an explicit cluster instead of each transmitter's
+current one.  When no ledger is attached (``sim.attribution is None`` —
+the default) nothing reads these arguments, so untraced simulations pay
+for the counters alone.
 
 The root-cause vocabulary mirrors the repair taxonomy of the
 maintenance layer (P1 head-adjacency repairs, P2 reaffiliations,
@@ -59,8 +62,8 @@ cause                     meaning
                           :mod:`repro.faults`) rather than mobility
 ``loss-retransmit``       HELLO retransmissions compensating Bernoulli
                           packet loss (event-mode announce retries)
-``unattributed``          recorded outside any :func:`attributed` scope
-                          (kept so per-cause sums stay exact)
+``unattributed``          recorded without a cause (kept so per-cause
+                          sums stay exact)
 ========================  ==================================================
 
 Node attribution charges each message to its transmitter (floods and
@@ -101,7 +104,6 @@ __all__ = [
     "KNOWN_CAUSES",
     "OverheadLedger",
     "attach_attribution",
-    "attributed",
 ]
 
 CAUSE_PERIODIC_HELLO = "periodic-hello"
@@ -142,69 +144,6 @@ KNOWN_CAUSES = (
     CAUSE_LOSS_RETRANSMIT,
     CAUSE_UNATTRIBUTED,
 )
-
-
-class _NullScope:
-    """Shared no-op context manager for unattributed simulations."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc_info):
-        return False
-
-
-_NULL_SCOPE = _NullScope()
-
-
-class _CauseScope:
-    """Sets the ledger's active cause for the body; nesting-safe."""
-
-    __slots__ = ("_ledger", "_scope", "_saved")
-
-    def __init__(self, ledger, scope):
-        self._ledger = ledger
-        self._scope = scope
-
-    def __enter__(self):
-        self._saved = self._ledger._scope
-        self._ledger._scope = self._scope
-        return self._scope
-
-    def __exit__(self, *exc_info):
-        self._ledger._scope = self._saved
-        return False
-
-
-def attributed(sim, cause, node=None, nodes=None, cluster=None):
-    """Scope tagging every ``sim.stats.record`` in the body with ``cause``.
-
-    Parameters
-    ----------
-    sim:
-        The simulation whose ledger (``sim.attribution``) receives the
-        tag; a no-op scope is returned when no ledger is attached.
-    cause:
-        Root-cause label (one of the ``CAUSE_*`` constants, though the
-        ledger accepts any string).
-    node:
-        Transmitting node, when a single node sent everything.
-    nodes:
-        Transmitting nodes, when the recorded burst is split evenly
-        across several transmitters (e.g. one round where every cluster
-        node sends once).  May also be a callable of ``cluster`` (e.g.
-        ``ClusterState.cluster_nodes``), resolved at record time, so
-        runs without a ledger never build the list.
-    cluster:
-        Explicit cluster (head id) to charge; defaults to each
-        transmitter's current cluster from the maintenance state.
-    """
-    ledger = getattr(sim, "attribution", None)
-    if ledger is None:
-        return _NULL_SCOPE
-    return _CauseScope(ledger, (cause, node, nodes, cluster))
 
 
 class _Tally:
@@ -294,7 +233,6 @@ class OverheadLedger:
         #: ``category -> _Tally`` accumulated in record order — the
         #: bitwise mirror of the ``MessageStats`` counters.
         self.totals: dict[str, _Tally] = {}
-        self._scope = None
         #: Weak reference to the simulation, which holds the ledger.
         self._sim = None
         self._side = 1.0
@@ -384,13 +322,11 @@ class OverheadLedger:
     # ------------------------------------------------------------------
     # Accounting (the MessageStats.on_record hook)
     # ------------------------------------------------------------------
-    def _on_record(self, category: str, messages: int, bits: float) -> None:
-        scope = self._scope
-        if scope is None:
-            cause, node, nodes, cluster = CAUSE_UNATTRIBUTED, None, None, None
-        else:
-            cause, node, nodes, cluster = scope
-
+    def _on_record(
+        self, category: str, messages: int, bits: float, cause, node, nodes, cluster
+    ) -> None:
+        if cause is None:
+            cause = CAUSE_UNATTRIBUTED
         entry = self._pair_of.get((category, cause))
         if entry is None:
             entry = self._new_pair(category, cause)
@@ -434,7 +370,7 @@ class OverheadLedger:
             self._count(category, cause, homes, share_messages, share_bits)
 
         if self._chained is not None:
-            self._chained(category, messages, bits)
+            self._chained(category, messages, bits, cause, node, nodes, cluster)
 
     def _new_pair(self, category: str, cause: str) -> tuple:
         tally = self.by_cause[(category, cause)] = _Tally()

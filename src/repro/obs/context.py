@@ -26,7 +26,7 @@ from .metrics import MetricsRegistry
 from .timing import PhaseTimer
 from .tracer import NULL_TRACER, Tracer
 
-__all__ = ["ObsContext", "RunHealthConfig", "current", "observe"]
+__all__ = ["ObsContext", "RunHealthConfig", "current", "observe", "use"]
 
 
 @dataclass(frozen=True)
@@ -103,12 +103,20 @@ def observe(
 ):
     """Push a context for the ``with`` body; unset fields inherit."""
     base = current()
-    context = ObsContext(
-        tracer=tracer if tracer is not None else base.tracer,
-        registry=registry if registry is not None else base.registry,
-        timer=timer if timer is not None else base.timer,
-        health=health if health is not None else base.health,
-    )
+    with use(
+        ObsContext(
+            tracer=tracer if tracer is not None else base.tracer,
+            registry=registry if registry is not None else base.registry,
+            timer=timer if timer is not None else base.timer,
+            health=health if health is not None else base.health,
+        )
+    ) as context:
+        yield context
+
+
+@contextmanager
+def use(context: ObsContext):
+    """Push ``context`` as given for the ``with`` body; nothing inherits."""
     _stack.append(context)
     try:
         yield context

@@ -23,7 +23,6 @@ from ..obs.attribution import (
     CAUSE_LINK_BREAK_REPAIR,
     CAUSE_LOSS_RETRANSMIT,
     CAUSE_ROUTE_DISCOVERY,
-    attributed,
 )
 from ..sim.engine import Protocol, Simulation
 from .messages import rerr_bits, rrep_bits, rreq_bits
@@ -133,10 +132,13 @@ class AodvProtocol(Protocol):
         self.discoveries += 1
         key = (source, destination)
         if destination not in parents:
-            with attributed(sim, cause, node=source):
-                sim.stats.record(
-                    "aodv", rreq_count, rreq_count * rreq_bits(messages)
-                )
+            sim.stats.record(
+                "aodv",
+                rreq_count,
+                rreq_count * rreq_bits(messages),
+                cause=cause,
+                node=source,
+            )
             attempts = self._attempts.get(key, 0)
             if attempts < self.max_retries:
                 delay = min(
@@ -158,13 +160,13 @@ class AodvProtocol(Protocol):
         path.reverse()
 
         rrep_count = len(path) - 1
-        with attributed(sim, cause, node=source):
-            sim.stats.record(
-                "aodv",
-                rreq_count + rrep_count,
-                rreq_count * rreq_bits(messages)
-                + rrep_count * rrep_bits(messages),
-            )
+        sim.stats.record(
+            "aodv",
+            rreq_count + rrep_count,
+            rreq_count * rreq_bits(messages) + rrep_count * rrep_bits(messages),
+            cause=cause,
+            node=source,
+        )
         # Install forward entries along the path (toward the destination)
         # and reverse entries (toward the source), as the RREP does.
         for position, node in enumerate(path[:-1]):
@@ -226,12 +228,13 @@ class AodvProtocol(Protocol):
             for destination in dead:
                 del self.routes[node][destination]
             if dead:
-                with attributed(sim, cause, node=node):
-                    sim.stats.record(
-                        "aodv_rerr",
-                        len(dead),
-                        len(dead) * rerr_bits(sim.params.messages),
-                    )
+                sim.stats.record(
+                    "aodv_rerr",
+                    len(dead),
+                    len(dead) * rerr_bits(sim.params.messages),
+                    cause=cause,
+                    node=node,
+                )
 
     def on_step_end(self, sim: Simulation, time: float) -> None:
         """Relaunch route discoveries whose retry backoff has expired."""

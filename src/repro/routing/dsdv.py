@@ -32,11 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..obs.attribution import (
-    CAUSE_DSDV_PERIODIC,
-    CAUSE_DSDV_TRIGGERED,
-    attributed,
-)
+from ..obs.attribution import CAUSE_DSDV_PERIODIC, CAUSE_DSDV_TRIGGERED
 from ..sim.engine import Protocol, Simulation
 from .messages import RouteEntry, route_update_bits
 
@@ -147,14 +143,16 @@ class DsdvProtocol(Protocol):
         for _ in range(n if n < 40 else 40):
             changed = False
             for node in range(n):
-                changed |= self._broadcast(sim, node, record=False)
+                changed |= self._broadcast(sim, node)
             if not changed:
                 break
 
     # ------------------------------------------------------------------
     # Table mechanics (vectorized over destinations)
     # ------------------------------------------------------------------
-    def _broadcast(self, sim: Simulation, node: int, record: bool = True) -> bool:
+    def _broadcast(
+        self, sim: Simulation, node: int, cause: str | None = None
+    ) -> bool:
         """Broadcast ``node``'s full table to all its neighbors at once.
 
         Each receiver merges the same sender snapshot (vectorized over
@@ -164,12 +162,14 @@ class DsdvProtocol(Protocol):
         destination schedule a triggered update of their own, so route
         news cascades one hop per simulation step.  The DSDV repair
         rule also runs here: a receiver that hears a broken route to
-        itself claims a fresh higher sequence number.
+        itself claims a fresh higher sequence number.  The broadcast is
+        recorded under ``cause``; without one it goes uncounted (the
+        convergence rounds at attach).
         """
-        if record:
+        if cause is not None:
             entries = int(np.count_nonzero(self._next_hop[node] != _NO_HOP))
             bits = route_update_bits(sim.params.messages, entries)
-            sim.stats.record("dsdv", 1, bits)
+            sim.stats.record("dsdv", 1, bits, cause=cause, node=node)
 
         receivers = sim.neighbors_of(node)
         if not len(receivers):
@@ -263,8 +263,7 @@ class DsdvProtocol(Protocol):
             cause = (
                 CAUSE_DSDV_PERIODIC if node in due else CAUSE_DSDV_TRIGGERED
             )
-            with attributed(sim, cause, node=int(node)):
-                self._broadcast(sim, int(node))
+            self._broadcast(sim, int(node), cause)
 
     # ------------------------------------------------------------------
     # Routing service

@@ -23,7 +23,7 @@ against the flat baselines.
 
 from __future__ import annotations
 
-from ..obs.attribution import CAUSE_LINK_BREAK_REPAIR, attributed
+from ..obs.attribution import CAUSE_LINK_BREAK_REPAIR
 from ..sim.engine import Protocol, Simulation
 from ..clustering.maintenance import ClusterMaintenanceProtocol
 from .inter_cluster import DiscoveryResult, discover_route
@@ -107,14 +107,13 @@ class HybridRoutingProtocol(Protocol):
             # One RERR per upstream hop that must learn of the failure.
             upstream = links.index(link) + 1
             # One RERR transmission per upstream node of the break.
-            with attributed(
-                sim, CAUSE_LINK_BREAK_REPAIR, nodes=path[:upstream]
-            ):
-                sim.stats.record(
-                    "route_error",
-                    upstream,
-                    upstream * rerr_bits(sim.params.messages),
-                )
+            sim.stats.record(
+                "route_error",
+                upstream,
+                upstream * rerr_bits(sim.params.messages),
+                cause=CAUSE_LINK_BREAK_REPAIR,
+                nodes=path[:upstream],
+            )
 
     # ------------------------------------------------------------------
     @property

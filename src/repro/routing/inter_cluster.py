@@ -35,11 +35,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
-from ..obs.attribution import (
-    CAUSE_BROADCAST_FLOOD,
-    CAUSE_ROUTE_DISCOVERY,
-    attributed,
-)
+from ..obs.attribution import CAUSE_BROADCAST_FLOOD, CAUSE_ROUTE_DISCOVERY
 from ..sim.engine import Simulation
 from ..clustering.base import HEAD, MEMBER, ClusterState
 from ..spatial import Csr
@@ -154,8 +150,13 @@ def broadcast_flood(
         bits = result.transmissions * rreq_bits(sim.params.messages)
         # Charged to the initiating source: the flood exists because
         # this node broadcast, even though relays transmit it.
-        with attributed(sim, CAUSE_BROADCAST_FLOOD, node=source):
-            sim.stats.record("broadcast", result.transmissions, bits)
+        sim.stats.record(
+            "broadcast",
+            result.transmissions,
+            bits,
+            cause=CAUSE_BROADCAST_FLOOD,
+            node=source,
+        )
     return result
 
 
@@ -224,10 +225,13 @@ def discover_route(
             + result.rrep_transmissions * rrep_bits(messages)
         )
         # Charged to the requesting source (see broadcast_flood).
-        with attributed(sim, CAUSE_ROUTE_DISCOVERY, node=source):
-            sim.stats.record(
-                "route_discovery", result.total_transmissions, bits
-            )
+        sim.stats.record(
+            "route_discovery",
+            result.total_transmissions,
+            bits,
+            cause=CAUSE_ROUTE_DISCOVERY,
+            node=source,
+        )
     return result
 
 

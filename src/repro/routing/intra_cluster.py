@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..obs.attribution import CAUSE_INTRA_CLUSTER_UPDATE, attributed
+from ..obs.attribution import CAUSE_INTRA_CLUSTER_UPDATE
 from ..sim.engine import Protocol, Simulation
 from ..clustering.base import HEAD
 from ..clustering.maintenance import ClusterMaintenanceProtocol
@@ -99,13 +99,14 @@ class IntraClusterRoutingProtocol(Protocol):
         entries = size if self.full_table else 1
         bits = route_update_bits(sim.params.messages, entries)
         # One transmission per cluster node, charged to each evenly.
-        with attributed(
-            sim,
-            CAUSE_INTRA_CLUSTER_UPDATE,
+        sim.stats.record(
+            "route",
+            size,
+            size * bits,
+            cause=CAUSE_INTRA_CLUSTER_UPDATE,
             nodes=state.cluster_nodes,
             cluster=head,
-        ):
-            sim.stats.record("route", size, size * bits)
+        )
 
     def _handle_link_event(self, sim: Simulation, u: int, v: int) -> None:
         head_of = self.maintenance.state.head_of

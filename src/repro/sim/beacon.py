@@ -43,7 +43,6 @@ from ..obs.attribution import (
     CAUSE_EVENT_HELLO,
     CAUSE_LOSS_RETRANSMIT,
     CAUSE_PERIODIC_HELLO,
-    attributed,
 )
 from .engine import Protocol, Simulation
 
@@ -234,8 +233,9 @@ class HelloProtocol(Protocol):
                     )
 
     def _send_hello(self, sim: Simulation, node: int, time: float) -> None:
-        with attributed(sim, self._beacon_cause, node=node):
-            sim.stats.record("hello", 1, sim.params.messages.p_hello)
+        sim.stats.record(
+            "hello", 1, sim.params.messages.p_hello, cause=self._beacon_cause, node=node
+        )
         # Every current neighbor of `node` hears the beacon — unless a
         # fault plan's Bernoulli loss eats that reception.  Neighbors
         # iterate in ascending id order, so loss draws are deterministic.
@@ -269,8 +269,9 @@ class HelloProtocol(Protocol):
         if self.mode != "event":
             return
         # Both endpoints announce themselves; each learns the other.
-        with attributed(sim, CAUSE_EVENT_HELLO, nodes=(u, v)):
-            sim.stats.record("hello", 2, self._pair_bits)
+        sim.stats.record(
+            "hello", 2, self._pair_bits, cause=CAUSE_EVENT_HELLO, nodes=(u, v)
+        )
         faults = sim.faults
         if faults is not None and faults.loss_rate > 0.0:
             # Each direction's announce is its own reception; a lost one
@@ -293,8 +294,13 @@ class HelloProtocol(Protocol):
             if not sim.has_link(*key):
                 del unheard[key]
                 continue
-            with attributed(sim, CAUSE_LOSS_RETRANSMIT, node=key[0]):
-                sim.stats.record("hello", 1, sim.params.messages.p_hello)
+            sim.stats.record(
+                "hello",
+                1,
+                sim.params.messages.p_hello,
+                cause=CAUSE_LOSS_RETRANSMIT,
+                node=key[0],
+            )
             faults.count("hello_retransmits_total")
             if faults.drop():
                 faults.count("hello_losses_total")

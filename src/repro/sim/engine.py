@@ -183,7 +183,7 @@ def _msg_tx_mirror(sim_ref):
     expects, with no dict built in between.
     """
 
-    def mirror(category: str, messages: int, bits: float) -> None:
+    def mirror(category: str, messages: int, bits: float, *_attribution) -> None:
         sim = sim_ref()
         # Attribute the transmission to the innermost materialized span
         # (the handler that sent it, or the phase/run otherwise).
@@ -282,7 +282,8 @@ class Simulation:
             self.stats.on_record = _msg_tx_mirror(weakref.ref(self))
         #: Overhead-attribution ledger, set by
         #: :func:`repro.obs.attribution.attach_attribution`; ``None``
-        #: (the default) makes every ``attributed(...)`` scope a no-op.
+        #: (the default) leaves the cause and targets of every
+        #: ``stats.record`` unread.
         self.attribution = None
         #: Fault injector, set by :func:`repro.faults.attach_faults`;
         #: ``None`` (the default) skips the fault phase entirely, so an

@@ -64,10 +64,12 @@ class MessageStats:
         self.measured_time = 0.0
         self._measuring = False
         self._categories: dict[str, tuple[Counter, Counter]] = {}
-        #: Optional ``(category, messages, bits)`` callback fired for
-        #: every record inside the measurement window — the hook the
-        #: simulation uses to mirror records into a trace as ``msg_tx``
-        #: events, guaranteeing trace/stats reconciliation.
+        #: Optional ``(category, messages, bits, cause, node, nodes,
+        #: cluster)`` callback fired for every record inside the
+        #: measurement window, with the arguments :meth:`record` got.
+        #: The simulation uses it to mirror records into a trace as
+        #: ``msg_tx`` events, guaranteeing trace/stats reconciliation;
+        #: the overhead-attribution ledger reads the last four.
         self.on_record = None
 
     # ------------------------------------------------------------------
@@ -110,20 +112,33 @@ class MessageStats:
             self._categories[category] = pair
         return pair
 
-    def record(self, category: str, messages: int = 1, bits: float = 0.0) -> None:
+    def record(
+        self,
+        category: str,
+        messages: int = 1,
+        bits: float = 0.0,
+        *,
+        cause: str | None = None,
+        node: int | None = None,
+        nodes=None,
+        cluster: int | None = None,
+    ) -> None:
         """Record ``messages`` transmissions totalling ``bits`` bits.
 
-        Records outside the measurement window are dropped (warm-up).
+        ``cause``, ``node``, ``nodes`` and ``cluster`` say why and by
+        whom the messages were sent; only :attr:`on_record` reads them
+        (see :class:`~repro.obs.attribution.OverheadLedger`).  Records
+        outside the measurement window are dropped (warm-up).
         """
         if messages < 0 or bits < 0.0:
             raise ValueError("message and bit counts must be non-negative")
         if not self._measuring:
             return
         message_counter, bit_counter = self._counters(category)
-        message_counter.inc(messages)
-        bit_counter.inc(bits)
+        message_counter.value += messages
+        bit_counter.value += bits
         if self.on_record is not None:
-            self.on_record(category, messages, bits)
+            self.on_record(category, messages, bits, cause, node, nodes, cluster)
 
     # ------------------------------------------------------------------
     # Reporting

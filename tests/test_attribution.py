@@ -31,7 +31,7 @@ from repro.obs import (
     render_openmetrics,
     summarize_trace,
 )
-from repro.obs.attribution import CAUSE_UNATTRIBUTED, attributed
+from repro.obs.attribution import CAUSE_UNATTRIBUTED
 from repro.scenario import ScenarioConfig, run_scenario
 from repro.sim import HelloProtocol, Simulation
 
@@ -143,12 +143,15 @@ class TestLedgerReconciliation:
 
 
 class TestLedgerScopes:
-    def test_no_ledger_means_noop_scope(self):
-        class Bare:
-            attribution = None
+    def test_no_ledger_leaves_targets_unresolved(self):
+        sim = _small_sim()
 
-        with attributed(Bare(), "periodic-hello", node=3):
-            pass  # must not raise nor allocate ledger state
+        def unresolvable(cluster):
+            raise AssertionError("resolved without a ledger")
+
+        sim.stats.record("route", 2, 16.0, cause="c", nodes=unresolvable, cluster=0)
+        assert sim.attribution is None
+        assert sim.stats.message_count("route") == 2
 
     def test_unattributed_fallback(self):
         sim = _small_sim()
@@ -158,14 +161,31 @@ class TestLedgerScopes:
         assert ledger.by_cause[("route", CAUSE_UNATTRIBUTED)].messages == 3
         assert ledger.reconcile() == []
 
-    def test_scopes_nest_and_restore(self):
+    def test_record_without_cause_keeps_its_targets(self):
         sim = _small_sim()
         ledger = OverheadLedger()
         sim.attach(ledger)
-        with attributed(sim, "outer-cause", node=1):
-            with attributed(sim, "inner-cause", node=2):
-                sim.stats.record("hello", 1, 10.0)
-            sim.stats.record("hello", 1, 10.0)
+        sim.stats.record("route", 2, 16.0, node=4)
+        assert ledger.by_cause[("route", CAUSE_UNATTRIBUTED)].messages == 2
+        assert ledger.by_node[4].messages == 2
+        assert ledger.reconcile() == []
+
+    def test_record_outside_window_reaches_no_ledger(self):
+        sim = _small_sim()
+        ledger = OverheadLedger()
+        sim.attach(ledger)
+        sim.stats.stop_measuring()
+        sim.stats.record("hello", 1, 10.0, cause="periodic-hello", node=1)
+        assert ledger.by_cause == {}
+        assert ledger.by_node == {}
+        assert ledger.reconcile() == []
+
+    def test_record_arguments_set_cause_and_targets(self):
+        sim = _small_sim()
+        ledger = OverheadLedger()
+        sim.attach(ledger)
+        sim.stats.record("hello", 1, 10.0, cause="inner-cause", node=2)
+        sim.stats.record("hello", 1, 10.0, cause="outer-cause", node=1)
         sim.stats.record("hello", 1, 10.0)
         assert ledger.by_cause[("hello", "inner-cause")].messages == 1
         assert ledger.by_cause[("hello", "outer-cause")].messages == 1

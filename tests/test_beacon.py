@@ -9,11 +9,7 @@ from repro.control.policies import FixedPeriodPolicy
 from repro.core.params import NetworkParameters
 from repro.faults import FaultConfig, attach_faults, build_plan
 from repro.mobility import EpochRandomWaypointModel
-from repro.obs.attribution import (
-    CAUSE_EVENT_HELLO,
-    CAUSE_LOSS_RETRANSMIT,
-    attributed,
-)
+from repro.obs.attribution import CAUSE_EVENT_HELLO, CAUSE_LOSS_RETRANSMIT
 from repro.sim import HelloProtocol, Simulation
 
 
@@ -100,8 +96,9 @@ class TableEventHello(HelloProtocol):
         self.pending = []
 
     def on_link_up(self, sim, u, v, time):
-        with attributed(sim, CAUSE_EVENT_HELLO, nodes=(u, v)):
-            sim.stats.record("hello", 2, self._pair_bits)
+        sim.stats.record(
+            "hello", 2, self._pair_bits, cause=CAUSE_EVENT_HELLO, nodes=(u, v)
+        )
         faults = sim.faults
         if faults is not None and faults.loss_rate > 0.0:
             for sender, learner in ((u, v), (v, u)):
@@ -123,8 +120,13 @@ class TableEventHello(HelloProtocol):
                 or sender in self.tables[learner]
             ):
                 continue
-            with attributed(sim, CAUSE_LOSS_RETRANSMIT, node=sender):
-                sim.stats.record("hello", 1, sim.params.messages.p_hello)
+            sim.stats.record(
+                "hello",
+                1,
+                sim.params.messages.p_hello,
+                cause=CAUSE_LOSS_RETRANSMIT,
+                node=sender,
+            )
             faults.count("hello_retransmits_total")
             if faults.drop():
                 faults.count("hello_losses_total")

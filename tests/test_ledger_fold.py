@@ -28,7 +28,7 @@ from repro.clustering import ClusterMaintenanceProtocol, LowestIdClustering
 from repro.core.params import NetworkParameters
 from repro.mobility import EpochRandomWaypointModel
 from repro.obs import JsonlTracer, MetricsRegistry, OverheadLedger, observe
-from repro.obs.attribution import CAUSE_UNATTRIBUTED, attach_attribution, attributed
+from repro.obs.attribution import CAUSE_UNATTRIBUTED, attach_attribution
 from repro.routing import IntraClusterRoutingProtocol
 from repro.sim import HelloProtocol, Simulation
 
@@ -52,10 +52,9 @@ class _Tally:
 
 
 class ReferenceLedger:
-    """Per-target accounting loop; reads the scope of ``primary``."""
+    """Per-target accounting loop over the ``on_record`` arguments."""
 
     def __init__(self, primary, sim, maintenance, registry=None, labels=None):
-        self.primary = primary
         self.sim = sim
         self.maintenance = maintenance
         self.registry = registry
@@ -69,12 +68,9 @@ class ReferenceLedger:
         self.totals: dict = {}
         self.heatmap = [0.0] * (self.bins * self.bins)
 
-    def on_record(self, category, messages, bits) -> None:
-        scope = self.primary._scope
-        if scope is None:
-            cause, node, nodes, cluster = CAUSE_UNATTRIBUTED, None, None, None
-        else:
-            cause, node, nodes, cluster = scope
+    def on_record(self, category, messages, bits, cause, node, nodes, cluster) -> None:
+        if cause is None:
+            cause = CAUSE_UNATTRIBUTED
         self.by_cause.setdefault((category, cause), _Tally()).add(messages, bits)
         self.totals.setdefault(category, _Tally()).add(messages, bits)
         if node is not None:
@@ -245,8 +241,7 @@ class Driver:
         else:
             chosen = np.array(targets)
             kwargs["nodes"] = lambda head: chosen[chosen % 3 == (head or 0) % 3]
-        with attributed(sim, cause, **kwargs):
-            sim.stats.record(category, messages, bits)
+        sim.stats.record(category, messages, bits, cause=cause, **kwargs)
 
     def compare(self, what: str) -> None:
         ledger, reference = self.ledger, self.reference

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import parallel as parallel_mod
 from repro.analysis.parallel import (
     TaskTelemetry,
     merge_telemetry,
@@ -20,14 +21,18 @@ from repro.analysis.parallel import (
 )
 from repro.analysis.sweep import measure_point
 from repro.core.params import NetworkParameters
+from repro.mobility import EpochRandomWaypointModel
 from repro.obs import (
     JsonlTracer,
     MetricsRegistry,
     PhaseTimer,
+    RunHealthConfig,
+    attach_attribution,
     current,
     observe,
     summarize_trace,
 )
+from repro.sim import HelloProtocol, Simulation
 
 
 def _square_task(task):
@@ -42,6 +47,27 @@ def _tiny_params():
     return NetworkParameters.from_fractions(
         n_nodes=40, range_fraction=0.15, velocity_fraction=0.05
     )
+
+
+def _ledger_free_task(seed):
+    """Whether a stack built the way experiments build one has no ledger."""
+    params = _tiny_params()
+    sim = Simulation(params, EpochRandomWaypointModel(params.velocity), seed=seed)
+    sim.attach(HelloProtocol(mode="event"))
+    attach_attribution(sim)
+    return sim.attribution is None
+
+
+def _counter_rows(registry) -> list:
+    """Counter rows in registration order, sim ids renumbered by appearance."""
+    sims: dict[str, str] = {}
+    rows = []
+    for row in registry.to_dict()["counters"]:
+        labels = dict(row["labels"])
+        if "sim" in labels:
+            labels["sim"] = sims.setdefault(labels["sim"], str(len(sims)))
+        rows.append((row["name"], sorted(labels.items()), row["value"]))
+    return rows
 
 
 class TestResolveJobs:
@@ -302,6 +328,44 @@ class TestSpanMergeDeterminism:
         ids = [r["span"] for r in starts]
         assert len(ids) == len(set(ids))
         assert len({r["sim"] for r in starts}) == 3
+
+
+class TestWorkerTelemetryFollowsParent:
+    """Workers capture exactly the telemetry their parent keeps."""
+
+    def test_no_ledger_without_parent_registry_or_tracer(self):
+        assert current().registry is None and not current().tracer.enabled
+        assert run_tasks(_ledger_free_task, [0, 1], jobs=1) == [True, True]
+        assert run_tasks(_ledger_free_task, [0, 1], jobs=2) == [True, True]
+
+    def test_worker_ignores_the_context_it_was_forked_under(self):
+        parallel_mod._discard_pool()
+        with observe(registry=MetricsRegistry()):
+            # The pool is created (and its workers forked) in here.
+            assert run_tasks(_ledger_free_task, [0, 1], jobs=2) == [False, False]
+        assert run_tasks(_ledger_free_task, [0, 1], jobs=2) == [True, True]
+
+    def _counters(self, jobs: int) -> list:
+        registry = MetricsRegistry()
+        with observe(registry=registry):
+            measure_point(
+                _tiny_params(), 0.15, seeds=3, duration=1.0, warmup=0.2,
+                jobs=jobs,
+            )
+        return _counter_rows(registry)
+
+    def test_merged_counter_rows_equal_serial(self):
+        serial = self._counters(jobs=1)
+        assert any(name == "overhead_messages_total" for name, _, _ in serial)
+        assert self._counters(jobs=2) == serial
+
+    def test_strict_health_without_registry_matches_serial(self):
+        config = RunHealthConfig(audit_every=0.5, strict=True)
+        kwargs = dict(seeds=2, duration=1.0, warmup=0.2)
+        with observe(health=config):
+            serial = measure_point(_tiny_params(), 0.15, **kwargs, jobs=1)
+            parallel = measure_point(_tiny_params(), 0.15, **kwargs, jobs=2)
+        assert serial == parallel
 
 
 class TestRunHealthPropagation:

@@ -279,24 +279,12 @@ def _scan_rerrs(cache: dict, u: int, v: int) -> tuple[list, dict]:
 def test_breaks_emit_the_rerrs_of_a_full_cache_scan(seed, monkeypatch):
     sim, _, _, hybrid = _data_plane(seed)
     emitted: list = []
-
-    class Recording:
-        def __init__(self, sim, cause, nodes):
-            self.nodes = list(nodes)
-
-        def __enter__(self):
-            emitted.append(self.nodes)
-
-        def __exit__(self, *exc):
-            return False
-
-    monkeypatch.setattr(hybrid_module, "attributed", Recording)
     record = sim.stats.record
 
-    def recording_record(category, messages, bits):
+    def recording_record(category, messages, bits, **attribution):
         if category == "route_error":
-            emitted[-1] = (messages, emitted[-1])
-        return record(category, messages, bits)
+            emitted.append((messages, list(attribution["nodes"])))
+        return record(category, messages, bits, **attribution)
 
     monkeypatch.setattr(sim.stats, "record", recording_record)
     on_link_down = hybrid.on_link_down
