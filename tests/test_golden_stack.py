@@ -52,9 +52,11 @@ Traced rows gate the telemetry path: the hybrid + CBR stack at N=300
 :class:`~repro.obs.JsonlTracer` and a live :class:`~repro.obs.MetricsRegistry`,
 with the ledger attached by ``attach_attribution`` ahead of the traffic
 protocol (the order ``run_scenario`` uses).  Their digests pin the
-``sha256`` of the trace bytes, of the ledger snapshot at a mid-run step
-and at run end, and of the OpenMetrics text of the registry rebuilt
-from the trace and of the live registry.  Sim and span ids are process
+``sha256`` of the trace bytes and of their schema-2 rewrite
+(:func:`trace_schema2.as_schema_2`, the byte-exact expansion of each
+``msgs`` record into per-send ``msg_tx`` lines), of the ledger snapshot
+at a mid-run step and at run end, and of the OpenMetrics text of the
+registry rebuilt from the trace and of the live registry.  Sim and span ids are process
 counters, so the rows run with both counters restarted at zero.
 
 The test asserts the digests are byte-identical to the committed
@@ -122,6 +124,7 @@ from repro.sim import (
     TrafficProtocol,
 )
 from repro.sim.engine import ENGINE_SCHEMA_VERSION, Protocol
+from trace_schema2 import as_schema_2
 
 FIXTURE = Path(__file__).with_name("golden_stack.json")
 
@@ -510,6 +513,9 @@ def run_traced_case(faults: bool, seed: int) -> dict:
                     for category, totals in sorted(sim.stats.totals.items())
                 },
                 "trace_sha256": _file_sha256(trace_path),
+                "schema2_trace_sha256": hashlib.sha256(
+                    as_schema_2(trace_path)
+                ).hexdigest(),
                 "snapshot_mid_sha256": snapshot_mid,
                 "snapshot_end_sha256": snapshot_end,
                 "openmetrics_trace_sha256": _text_sha256(

@@ -16,9 +16,10 @@ must reproduce them byte for byte:
   cut) and for the ``dsdv``, ``none`` and faulted ``aodv`` stacks under
   strict audit.
 
-Trace bytes are hashed in their schema-1 form
-(:func:`trace_schema1.as_schema_1`, a byte-exact rewrite of the
-``links`` records), so the literals pinned under schema 1 still hold.
+Trace bytes are hashed in their schema-1 form: the byte-exact rewrite
+:func:`trace_schema2.as_schema_2` expands the ``msgs`` records, then
+:func:`trace_schema1.as_schema_1` the ``links`` records, so the
+literals pinned under schema 1 still hold.
 
 Tasks are captured from what :func:`measure_point` hands to
 ``run_tasks``, so the file reads the same whatever type a task is.
@@ -45,6 +46,7 @@ from repro.scenario import ScenarioConfig, run_scenario
 from repro.sim import Simulation
 from repro.store import fingerprint, task_identity
 from trace_schema1 import as_schema_1
+from trace_schema2 import as_schema_2
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
 
@@ -166,7 +168,9 @@ def _traced(run) -> bytes:
                 tracer=tracer, registry=MetricsRegistry()
             ):
                 result = run()
-            return _json_bytes(result) + as_schema_1(path)
+            schema_2 = Path(scratch) / "trace.v2.jsonl"
+            schema_2.write_bytes(as_schema_2(path))
+            return _json_bytes(result) + as_schema_1(schema_2)
     finally:
         Simulation._instance_ids, obs_spans._span_ids = saved
 
