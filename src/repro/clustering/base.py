@@ -64,6 +64,13 @@ class ClusterState:
     view derived from the state (the backbone flood graph) is current
     while ``(state, version)`` is unchanged; writing ``roles`` or
     ``head_of`` directly bypasses it.
+
+    :meth:`cluster_nodes` reads a member index: per ``head_of`` value,
+    the list of its nodes, built once (one argsort of ``head_of``) on
+    the first read and then kept by the two mutations, plus each
+    cluster's ascending node array, rebuilt only after its cluster
+    changed.  A read costs ``O(m log m)`` for a cluster of ``m`` nodes
+    at most, not ``O(N)``.
     """
 
     roles: np.ndarray
@@ -78,6 +85,10 @@ class ClusterState:
             raise ValueError("roles and head_of must have equal shapes")
         affiliated = self.head_of[self.head_of >= 0]
         self.sizes = np.bincount(affiliated, minlength=len(self.head_of))
+        #: ``head_of`` value -> its nodes, or ``None`` until first read.
+        self._members: dict[int, list[int]] | None = None
+        #: ``head_of`` value -> its read-only ascending node array.
+        self._nodes: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -105,6 +116,20 @@ class ClusterState:
         self.sizes[head] += 1
         self.head_of[node] = head
         self.version += 1
+        members = self._members
+        if members is not None:
+            node, head = int(node), int(head)
+            group = members[old]
+            group.remove(node)
+            if not group:
+                del members[old]
+            group = members.get(head)
+            if group is None:
+                members[head] = [node]
+            else:
+                group.append(node)
+            self._nodes.pop(old, None)
+            self._nodes.pop(head, None)
 
     def make_head(self, node: int) -> None:
         """Declare ``node`` a cluster-head of its own cluster."""
@@ -133,9 +158,8 @@ class ClusterState:
 
     def members_of(self, head: int) -> np.ndarray:
         """Member indices of the cluster headed by ``head`` (excl. the head)."""
-        return np.flatnonzero(
-            (self.head_of == head) & (np.arange(self.n_nodes) != head)
-        )
+        nodes = self.cluster_nodes(head)
+        return nodes[nodes != head]
 
     def cluster_count(self) -> int:
         """Number of clusters (= number of heads)."""
@@ -157,8 +181,30 @@ class ClusterState:
         )
 
     def cluster_nodes(self, head: int) -> np.ndarray:
-        """All nodes of ``head``'s cluster, head included."""
-        return np.flatnonzero(self.head_of == head)
+        """All nodes of ``head``'s cluster, head included, ascending.
+
+        The array is read-only and shared until the cluster changes:
+        ``np.flatnonzero(head_of == head)`` without the ``O(N)`` pass.
+        """
+        head = int(head)
+        nodes = self._nodes.get(head)
+        if nodes is None:
+            if self._members is None:
+                self._members = self._index()
+            nodes = np.array(sorted(self._members.get(head, ())), dtype=np.int64)
+            nodes.flags.writeable = False
+            self._nodes[head] = nodes
+        return nodes
+
+    def _index(self) -> dict[int, list[int]]:
+        """``head_of`` value -> its nodes, from one stable argsort."""
+        order = np.argsort(self.head_of, kind="stable")
+        values, starts = np.unique(self.head_of[order], return_index=True)
+        groups = np.split(order, starts[1:])
+        return {
+            value: group.tolist()
+            for value, group in zip(values.tolist(), groups)
+        }
 
     def copy(self) -> "ClusterState":
         """Deep copy of the state."""

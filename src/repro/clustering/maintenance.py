@@ -26,8 +26,8 @@ When tracing is on, each repair runs inside a causal **span** (see
 :mod:`repro.obs.spans`): ``repair:member-break`` for the P2 case,
 ``repair:head-merge`` for the P1 case, with one ``reaffiliate`` child
 span per re-homed node and a ``span_link`` (``kind="cascade"``) from
-the merge to every reaffiliation it forced.  The CLUSTER ``msg_tx``
-events those repairs generate carry the handler's span id, which is
+the merge to every reaffiliation it forced.  The CLUSTER sends
+those repairs generate carry the handler's span id, which is
 what lets a trace attribute overhead bursts to the maintenance events
 that caused them.  The protocol also keeps unconditional running
 counters (:attr:`head_changes_total`, :attr:`reaffiliations_total`)

@@ -24,7 +24,7 @@ are differences of the maintenance protocol's unconditional running
 counters — the ones incremented at the exact code points where the
 corresponding trace events are emitted — so summing the series
 reconciles with trace event counts *by construction* (the same
-guarantee the message-total reconciliation gives ``msg_tx``).
+guarantee the message-total reconciliation gives the traced sends).
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ class ClusterDynamicsCollector(Protocol):
         positions = sim.positions
         diameters = []
         for head in state.heads():
-            nodes = np.flatnonzero(state.head_of == int(head))
+            nodes = state.cluster_nodes(head)
             if len(nodes) < 2:
                 diameters.append(0.0)
                 continue

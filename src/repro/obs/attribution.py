@@ -5,7 +5,7 @@ totals; this module decomposes those totals one level further — *why*
 was each control message sent, *who* sent it, and *where*.  An
 :class:`OverheadLedger` rides the same
 :attr:`~repro.sim.stats.MessageStats.on_record` hook the trace's
-``msg_tx`` mirror uses, so its accounting reconciles with the
+send mirror uses, so its accounting reconciles with the
 ``MessageStats`` totals **by construction**: every recorded message is
 observed exactly once, inside the measurement window, already split
 into the same ``(category, messages, bits)`` triples the totals
@@ -177,7 +177,7 @@ class OverheadLedger:
 
     Attached as an ordinary (duck-typed) protocol; its ``on_attach``
     chains itself into ``sim.stats.on_record`` *in front of* any
-    existing hook (the trace's ``msg_tx`` mirror), so it observes
+    existing hook (the trace's send mirror), so it observes
     exactly the records the totals count — records outside the
     measurement window never reach it, and the reconciliation against
     :attr:`~repro.sim.stats.MessageStats.totals` is exact by
@@ -283,7 +283,7 @@ class OverheadLedger:
         self._side = float(sim.params.side)
         self._allocate(sim.n_nodes)
         sim.attribution = self
-        # Chain in front of the existing hook (the msg_tx trace mirror)
+        # Chain in front of the existing hook (the trace's send mirror)
         # so both observe the identical record stream.
         self._chained = sim.stats.on_record
         sim.stats.on_record = self._on_record

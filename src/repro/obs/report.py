@@ -4,7 +4,7 @@
 Markdown document with four diagnostic sections per trace:
 
 * **reconciliation** — the per-category message/bit totals of the
-  ``msg_tx`` stream and the verdict of the events-vs-``run_end`` closed
+  traced sends and the verdict of the events-vs-``run_end`` closed
   loop;
 * **overhead attribution** — the run-end ``attribution`` ledger: a
   per-cause breakdown of every message category (whose totals equal the
@@ -71,7 +71,7 @@ def _dynamics_mismatches(run: RunSummary) -> list[str]:
     the exact emission points of ``head_change`` /
     ``cluster_reaffiliation`` / ``gateway_change``, so any difference
     means records were lost — the cluster-dynamics analogue of the
-    ``msg_tx`` reconciliation loop.
+    traced-sends reconciliation loop.
     """
     found: list[str] = []
     totals = run.dynamics_totals()
@@ -96,10 +96,10 @@ def _dynamics_mismatches(run: RunSummary) -> list[str]:
 
 
 def _attribution_mismatches(run: RunSummary) -> list[str]:
-    """Ledger totals that fail to reproduce the ``msg_tx`` stream.
+    """Ledger totals that fail to reproduce the traced sends.
 
     The ledger chains into the same ``MessageStats.on_record`` hook that
-    feeds the trace's ``msg_tx`` events, so the two views must agree
+    feeds the trace's sends, so the two views must agree
     message-for-message; any difference means a send site bypassed the
     hook (or a trace lost records).
     """
@@ -320,7 +320,7 @@ class HealthReport:
             return lines
         # Cause breakdown: per (sim, category) rows whose per-category
         # totals are the ledger's own `totals` — the exact counters the
-        # reconciliation check pins to the msg_tx stream, so this table
+        # reconciliation check pins to the traced sends, so this table
         # sums to the "Message totals" section by construction.
         rows = []
         for run in runs:

@@ -4,7 +4,7 @@ The flat event stream (:mod:`repro.obs.tracer`) answers *how much*
 — message counts, rates, reconciliation — but not *why*: the paper's
 central claim is that cluster-maintenance events (head changes,
 reaffiliations, gateway churn) are what drive HELLO/CLUSTER/ROUTE
-overhead, and attributing a burst of ``msg_tx`` events to the repair
+overhead, and attributing a burst of sends to the repair
 that caused it needs structure the flat stream lacks.  This module adds
 that structure as **spans**: nested intervals of simulated time,
 recorded as ``span_start`` / ``span_end`` events and connected by
@@ -24,7 +24,7 @@ handler span opens inside one, so a traced run only records the steps
 in which something structurally interesting happened — the trace stays
 proportional to the *event* count, not the step count.
 
-Events annotated with a ``span`` field (``msg_tx``, ``head_change``,
+Records annotated with a ``span`` field (``msgs``, ``head_change``,
 ``cluster_reaffiliation``) belong to the innermost *materialized* span
 at emission time, which is how a CLUSTER message burst is attributed to
 the exact repair operation that sent it.

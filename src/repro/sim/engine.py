@@ -30,7 +30,7 @@ charges its phases (mobility advance, adjacency recompute, link diff,
 each protocol's hooks) to a :class:`~repro.obs.timing.PhaseTimer`, and
 a tracer — the no-op null tracer unless one is configured explicitly or
 through the ambient observability context — receives structured
-``step`` / ``links`` / ``msg_tx`` events.
+``step`` / ``links`` / ``msgs`` events.
 
 The step size must be small enough that a link is unlikely to appear
 *and* disappear within one step; :func:`recommended_step` provides the
@@ -174,39 +174,26 @@ class Protocol:
         """
 
 
-def _msg_tx_mirror(sim_ref):
-    """``MessageStats.on_record`` hook writing each record as ``msg_tx``.
+def _send_mirror(sim_ref):
+    """``MessageStats.on_record`` hook passing each record to ``send``.
 
     It holds the simulation weakly: a bound method would close a cycle
     (sim → stats → hook → sim) that only the cyclic GC could free.  The
-    fields go to ``emit`` as keywords in the order its fixed-key encoder
-    expects, with no dict built in between.
+    tracer writes each run of sends as one ``msgs`` record.
     """
 
     def mirror(category: str, messages: int, bits: float, *_attribution) -> None:
         sim = sim_ref()
         # Attribute the transmission to the innermost materialized span
         # (the handler that sent it, or the phase/run otherwise).
-        span = sim.spans.current
-        if span is None:
-            sim.tracer.emit(
-                "msg_tx",
-                sim.time,
-                sim=sim.sim_id,
-                category=category,
-                messages=int(messages),
-                bits=float(bits),
-            )
-        else:
-            sim.tracer.emit(
-                "msg_tx",
-                sim.time,
-                sim=sim.sim_id,
-                category=category,
-                messages=int(messages),
-                bits=float(bits),
-                span=span,
-            )
+        sim.tracer.send(
+            sim.time,
+            sim.sim_id,
+            category,
+            int(messages),
+            float(bits),
+            sim.spans.current,
+        )
 
     return mirror
 
@@ -279,7 +266,7 @@ class Simulation:
         else:
             self.stats = MessageStats(params.n_nodes)
         if self.tracer.enabled:
-            self.stats.on_record = _msg_tx_mirror(weakref.ref(self))
+            self.stats.on_record = _send_mirror(weakref.ref(self))
         #: Overhead-attribution ledger, set by
         #: :func:`repro.obs.attribution.attach_attribution`; ``None``
         #: (the default) leaves the cause and targets of every

@@ -68,7 +68,7 @@ class MessageStats:
         #: cluster)`` callback fired for every record inside the
         #: measurement window, with the arguments :meth:`record` got.
         #: The simulation uses it to mirror records into a trace as
-        #: ``msg_tx`` events, guaranteeing trace/stats reconciliation;
+        #: runs of sends (``msgs``), guaranteeing trace/stats reconciliation;
         #: the overhead-attribution ledger reads the last four.
         self.on_record = None
 

@@ -3,7 +3,7 @@
 The contract under test: every control message a run records is tagged
 with a root cause, and the resulting per-cause / per-node / per-cluster
 ledgers reconcile with the run's ``MessageStats`` totals *exactly* —
-the attribution analogue of the ``msg_tx`` reconciliation loop.  On
+the attribution analogue of the traced-sends reconciliation loop.  On
 top of that: ``jobs=1`` and ``jobs=2`` runs must produce identical
 attribution output after sim-id normalization, and the OpenMetrics
 export (live registry or rebuilt from a trace) must carry the same
@@ -34,6 +34,7 @@ from repro.obs import (
 from repro.obs.attribution import CAUSE_UNATTRIBUTED
 from repro.scenario import ScenarioConfig, run_scenario
 from repro.sim import HelloProtocol, Simulation
+from trace_schema2 import msg_tx_records
 
 
 def _tiny_params(n_nodes: int = 30) -> NetworkParameters:
@@ -88,7 +89,7 @@ class TestLedgerReconciliation:
     def test_totals_match_msg_tx_per_category(self, hybrid_tracer):
         streamed: dict[str, int] = {}
         bits: dict[str, float] = {}
-        for record in hybrid_tracer.of("msg_tx"):
+        for record in msg_tx_records(hybrid_tracer.records):
             category = record["category"]
             streamed[category] = streamed.get(category, 0) + int(
                 record["messages"]
@@ -288,7 +289,7 @@ def _fixture_trace(tmp_path, tampered: bool = False, hello_scale: int = 1):
     """A hand-built two-category trace with a matching ledger event.
 
     ``tampered`` makes the ledger claim one more HELLO than the
-    ``msg_tx`` stream carries (a broken-accounting fixture);
+    traced sends carry (a broken-accounting fixture);
     ``hello_scale`` scales the HELLO traffic consistently in *both* the
     stream and the ledger (a healthy trace with a different rate, for
     compare tests).
@@ -310,12 +311,10 @@ def _fixture_trace(tmp_path, tampered: bool = False, hello_scale: int = 1):
     records = [
         {"event": "run_begin", "t": 0.0, "sim": 0, "n_nodes": 4,
          "duration": 1.0, "warmup": 0.0},
-        {"event": "msg_tx", "t": 0.2, "sim": 0, "category": "hello",
-         "messages": hello - 1, "bits": 100.0 * (hello - 1)},
-        {"event": "msg_tx", "t": 0.4, "sim": 0, "category": "hello",
-         "messages": 1, "bits": 100.0},
-        {"event": "msg_tx", "t": 0.5, "sim": 0, "category": "cluster",
-         "messages": 2, "bits": 256.0},
+        {"event": "msgs", "t": 0.2, "sim": 0, "category": ["hello"],
+         "messages": [hello - 1], "bits": [100.0 * (hello - 1)]},
+        {"event": "msgs", "t": 0.4, "sim": 0, "category": ["hello", "cluster"],
+         "messages": [1, 2], "bits": [100.0, 256.0]},
         {"event": "attribution", "t": 1.0, "sim": 0,
          "causes": causes,
          "nodes": {"0": {"messages": hello, "bits": 100.0 * hello},

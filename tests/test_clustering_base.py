@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clustering import ClusterState, Role, sequential_formation
 
@@ -128,6 +130,63 @@ class TestClusterSizes:
         state = sequential_formation(csr(adjacency), -np.arange(80, dtype=float))
         for head in state.heads():
             assert state.sizes[head] == len(state.cluster_nodes(int(head)))
+
+
+def _assert_index_exact(state: ClusterState) -> None:
+    """Every cluster read equals the ``O(N)`` scan it replaces."""
+    everyone = np.arange(state.n_nodes)
+    for head in set(state.head_of.tolist()) | set(state.heads().tolist()):
+        expected = np.flatnonzero(state.head_of == head)
+        nodes = state.cluster_nodes(head)
+        assert nodes.dtype == np.int64 and not nodes.flags.writeable
+        np.testing.assert_array_equal(nodes, expected)
+        np.testing.assert_array_equal(
+            state.members_of(head),
+            np.flatnonzero((state.head_of == head) & (everyone != head)),
+        )
+
+
+class TestMemberIndex:
+    """The member index stays in lockstep with ``head_of``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        read_first=st.booleans(),
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 11), st.integers(0, 11)),
+            max_size=40,
+        ),
+    )
+    def test_random_mutations_keep_the_index_exact(self, n, read_first, ops):
+        state = ClusterState.unassigned(n)
+        if read_first:  # build the index before any mutation
+            _assert_index_exact(state)
+        for member, node, pick in ops:
+            node %= n
+            heads = state.heads()
+            heads = heads[heads != node]
+            before = state.cluster_nodes(state.head_of.item(node))
+            kept = before.copy()
+            if member and len(heads):
+                state.make_member(node, int(heads[pick % len(heads)]))
+            else:
+                state.make_head(node)
+            np.testing.assert_array_equal(before, kept)  # reads are snapshots
+            _assert_index_exact(state)
+        _assert_index_exact(state.copy())
+
+    def test_state_built_from_arrays(self):
+        roles = np.array([2, 1, 1, 2, 1, 0], dtype=np.int8)
+        head_of = np.array([0, 0, 3, 3, 0, -1])
+        state = ClusterState(roles, head_of)
+        _assert_index_exact(state)
+        np.testing.assert_array_equal(state.cluster_nodes(0), [0, 1, 4])
+        np.testing.assert_array_equal(state.cluster_nodes(-1), [5])
+        np.testing.assert_array_equal(state.cluster_nodes(np.int64(3)), [2, 3])
+        np.testing.assert_array_equal(state.cluster_nodes(1), [])
+        state.make_member(5, 3)
+        _assert_index_exact(state)
 
 
 class TestSequentialFormation:

@@ -215,8 +215,8 @@ class TestTelemetryMerge:
     def test_merge_remaps_sim_labels(self):
         telemetry = TaskTelemetry(
             records=[
-                {"event": "msg_tx", "t": 0.1, "sim": 0, "category": "hello",
-                 "messages": 2, "bits": 64.0},
+                {"event": "msgs", "t": 0.1, "sim": 0, "category": ["hello"],
+                 "messages": [2], "bits": [64.0]},
             ],
             phases=[("mobility", 0.5, 10)],
             metrics={
@@ -241,7 +241,7 @@ class TestTelemetryMerge:
         # The worker's sim 0 must NOT stay 0 — it is remapped through
         # the parent's id counter to avoid collisions.
         record = tracer.records[0]
-        assert record["event"] == "msg_tx"
+        assert record["event"] == "msgs"
         counter_rows = registry.to_dict()["counters"]
         assert counter_rows[0]["labels"]["sim"] == str(record["sim"])
         phases = {p.phase: p for p in timer.report().phases}
@@ -267,6 +267,7 @@ class TestSpanMergeDeterminism:
         "head_change",
         "cluster_window",
         "gateway_change",
+        "msgs",
     )
 
     def _span_events(self, jobs):
@@ -328,6 +329,39 @@ class TestSpanMergeDeterminism:
         ids = [r["span"] for r in starts]
         assert len(ids) == len(set(ids))
         assert len({r["sim"] for r in starts}) == 3
+
+
+class TestTracedMergeWritesMsgs:
+    """A ``--jobs 2`` trace carries the workers' runs of sends as the
+    ``msgs`` records they captured, with remapped sim and span ids."""
+
+    def _trace(self, tmp_path, jobs):
+        path = tmp_path / f"jobs{jobs}.jsonl"
+        with JsonlTracer(path) as tracer, observe(tracer=tracer):
+            measure_point(
+                _tiny_params(), 0.15, seeds=2, duration=1.5, warmup=0.3,
+                jobs=jobs,
+            )
+        return path
+
+    def test_merged_trace_reconciles_like_serial(self, tmp_path):
+        from repro.obs import read_trace
+
+        merged = self._trace(tmp_path, jobs=2)
+        records = list(read_trace(merged))
+        events = [record["event"] for record in records]
+        assert "msg_tx" not in events
+        started = {r["span"] for r in records if r["event"] == "span_start"}
+        runs = [r for r in records if r["event"] == "msgs"]
+        assert runs and any("span" in run for run in runs)
+        for run in runs:
+            if "span" in run:
+                assert run["span"] in started
+        summary = summarize_trace(merged)
+        assert summary.reconciles(), summary.mismatches()
+        serial = summarize_trace(self._trace(tmp_path, jobs=1))
+        assert summary.messages == serial.messages
+        assert summary.bits == serial.bits
 
 
 class TestWorkerTelemetryFollowsParent:

@@ -7,7 +7,7 @@ The structural invariants a traced run must satisfy:
 * step spans are lazy — they appear in the trace only when a handler
   span materialized inside them;
 * every ``span_link`` references two spans that were actually started;
-* ``msg_tx`` events emitted inside a handler span carry its id, which
+* ``msgs`` runs sent inside a handler span carry its id, which
   is the attribution the compare/timeline tooling builds on.
 """
 
@@ -174,9 +174,9 @@ class TestEngineSpans:
         for record in reaffiliations:
             assert record["span"] in started
         annotated = [
-            r for r in tracer.of("msg_tx") if r.get("span") is not None
+            r for r in tracer.of("msgs") if r.get("span") is not None
         ]
-        assert annotated, "no msg_tx was attributed to a span"
+        assert annotated, "no run of sends was attributed to a span"
         for record in annotated:
             assert record["span"] in started
 

@@ -23,6 +23,7 @@ from repro.obs import (
 )
 from repro.routing import IntraClusterRoutingProtocol
 from repro.sim import HelloProtocol, Simulation
+from trace_schema2 import msg_tx_records
 
 
 def _build_stack(params, seed=0, tracer=None, timer=None) -> Simulation:
@@ -48,7 +49,7 @@ class TestTraceStatsReconciliation:
 
         traced_messages: dict[str, int] = {}
         traced_bits: dict[str, float] = {}
-        for record in tracer.of("msg_tx"):
+        for record in msg_tx_records(tracer.records):
             category = record["category"]
             traced_messages[category] = (
                 traced_messages.get(category, 0) + record["messages"]
@@ -87,7 +88,9 @@ class TestTraceStatsReconciliation:
         begin = next(
             r for r in tracer.records if r["event"] == "run_begin"
         )
-        for record in tracer.of("msg_tx"):
+        runs = tracer.of("msgs")
+        assert runs
+        for record in runs:
             assert record["t"] >= begin["t"]
 
 
@@ -168,7 +171,7 @@ class TestAmbientContext:
             sim.run(duration=1.0, warmup=0.0)
         assert sim.tracer is tracer
         assert sim.timer is timer
-        assert tracer.of("msg_tx")
+        assert tracer.of("msgs")
         assert timer.seconds("adjacency") > 0.0
         # Stats counters landed in the shared registry, labelled by sim.
         hello = registry.counter(

@@ -1,12 +1,13 @@
 """The trace encoders write exactly the bytes ``json.dumps`` does.
 
-``JsonlTracer.emit`` encodes ``msg_tx`` records with an f-string when
-their field keys are exactly the ones the engine emits and every value
-is a plain ``int`` / ``str`` / finite ``float``; the engine's keyword
-call (``_msg_tx_mirror``) takes that path.  A step's ``links`` record
-goes through the JSON encoder.  Every record, on the fast path or not,
-must come out as ``json.dumps(record, separators=(",", ":"),
-default=_jsonable)``.
+``Tracer.send`` buffers each run of consecutive sends that share ``t``,
+``sim`` and ``span``, and ``JsonlTracer`` writes the run as one ``msgs``
+record; the engine's mirror (``_send_mirror``) makes one ``send`` call
+per record.  A step's ``links`` record, and every other emitted record,
+goes through the JSON encoder directly.  Every record must come out as
+``json.dumps(record, separators=(",", ":"), default=_jsonable)``, with
+a run's sends as its ``category`` / ``messages`` / ``bits`` columns in
+send order.
 """
 
 from __future__ import annotations
@@ -14,15 +15,13 @@ from __future__ import annotations
 import io
 import json
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import tracer as tracer_module
 from repro.obs.tracer import TRACE_SCHEMA_VERSION, JsonlTracer, _jsonable
-from repro.sim.engine import _msg_tx_mirror
+from repro.sim.engine import _send_mirror
 
 SPECIAL_FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e22, 1e-7, 0.1)
 
@@ -50,6 +49,27 @@ def _expected(event: str, time: float, fields: dict) -> str:
     return json.dumps(record, separators=(",", ":"), default=_jsonable) + "\n"
 
 
+def _expected_runs(sends) -> str:
+    """The ``msgs`` lines of ``(time, sim, category, messages, bits,
+    span)`` sends: a new record wherever ``(time, sim, span)`` changes."""
+    lines = []
+    key = record = None
+    for time, sim, category, messages, bits, span in sends:
+        if (time, sim, span) != key:
+            if record is not None:
+                lines.append(_expected("msgs", key[0], record))
+            key = (time, sim, span)
+            record = {"sim": sim, "category": [], "messages": [], "bits": []}
+            if span is not None:
+                record["span"] = span
+        record["category"].append(category)
+        record["messages"].append(messages)
+        record["bits"].append(bits)
+    if record is not None:
+        lines.append(_expected("msgs", key[0], record))
+    return "".join(lines)
+
+
 def _written(event: str, time, fields: dict) -> str:
     sink = io.StringIO()
     tracer = JsonlTracer(sink)
@@ -59,60 +79,60 @@ def _written(event: str, time, fields: dict) -> str:
     return sink.getvalue()
 
 
-def _fast_path_only():
-    """Make the json fallback fail, so only the fixed-key path can write."""
-
-    def refuse(record):
-        raise AssertionError(f"fell back to json for {record!r}")
-
-    return mock.patch.object(tracer_module, "_encode", refuse)
+def _sent(sends) -> str:
+    sink = io.StringIO()
+    tracer = JsonlTracer(sink)
+    for send in sends:
+        tracer.send(*send)
+    tracer.close()
+    return sink.getvalue()
 
 
 @st.composite
-def msg_tx_fields(draw, category=plain_text, span=st.none() | ints):
-    fields = {
-        "sim": draw(ints),
-        "category": draw(category),
-        "messages": draw(ints),
-        "bits": draw(floats),
-    }
-    value = draw(span)
-    if value is not None:
-        fields["span"] = value
-    return fields
+def send_args(draw, time=floats, category=plain_text, bits=floats, span=ints):
+    """One ``send`` call's arguments; few distinct keys, so runs form."""
+    return (
+        draw(st.one_of(st.sampled_from((0.0, 0.5)), time)),
+        draw(st.one_of(st.sampled_from((0, 1)), ints)),
+        draw(category),
+        draw(ints),
+        draw(bits),
+        draw(st.one_of(st.none(), st.sampled_from((3, 4)), span)),
+    )
 
 
 class TestFastPath:
+    """Sends and records with the types the engine writes."""
+
     @settings(max_examples=300, deadline=None)
-    @given(time=floats, fields=msg_tx_fields())
-    def test_msg_tx_bytes_match_json(self, time, fields):
-        with _fast_path_only():
-            written = _written("msg_tx", time, fields)
-        assert written == _expected("msg_tx", time, fields)
+    @given(sends=st.lists(send_args(), min_size=1, max_size=12))
+    def test_msgs_bytes_match_json(self, sends):
+        assert _sent(sends) == _expected_runs(sends)
 
     @settings(max_examples=200, deadline=None)
     @given(
-        records=st.lists(
-            st.tuples(
-                floats,
-                msg_tx_fields(category=st.one_of(plain_text, needs_escape)),
-            ),
-            min_size=1,
-            max_size=8,
-        )
+        sends=st.lists(send_args(), min_size=1, max_size=12),
+        cuts=st.sets(st.integers(0, 12)),
     )
-    def test_msg_tx_category_cache_keeps_bytes(self, records):
-        """One tracer, repeated and mixed categories: the cached
-        plainness of each category never changes a record's bytes."""
-        records = records + records[:3]
+    def test_msgs_runs_end_at_every_emit(self, sends, cuts):
+        """An emitted record ends the run in front of it, even a
+        filtered one: each part is written where its sends happened."""
         sink = io.StringIO()
-        tracer = JsonlTracer(sink)
-        for time, fields in records:
-            tracer.emit("msg_tx", time, **fields)
+        tracer = JsonlTracer(sink, events={"msgs", "links"})
+        expected, part = [], []
+        for index, send in enumerate(sends):
+            if index in cuts:
+                tracer.emit("step", 0.0)  # filtered out
+                tracer.emit("links", 0.0, sim=0, up=[], down=[])
+                expected += [_expected_runs(part), _expected("links", 0.0, {
+                    "sim": 0, "up": [], "down": []})]
+                part = []
+            tracer.send(*send)
+            part.append(send)
         tracer.close()
-        assert sink.getvalue() == "".join(
-            _expected("msg_tx", time, fields) for time, fields in records
-        )
+        expected.append(_expected_runs(part))
+        assert sink.getvalue() == "".join(expected)
+        assert tracer.suppressed == len(cuts & set(range(len(sends))))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -126,7 +146,7 @@ class TestFastPath:
     def test_engine_keyword_path_matches_json(
         self, time, sim, category, messages, bits, span
     ):
-        """``_msg_tx_mirror``'s keyword call is a fast-path record."""
+        """``_send_mirror`` writes each record as one send of a run."""
         sink = io.StringIO()
         tracer = JsonlTracer(sink)
         # The attributes the mirror reads from a simulation.
@@ -136,15 +156,12 @@ class TestFastPath:
             time=time,
             spans=SimpleNamespace(current=span),
         )
-        mirror = _msg_tx_mirror(lambda: simulation)
-        with _fast_path_only():
-            mirror(category, messages, bits)
+        mirror = _send_mirror(lambda: simulation)
+        mirror(category, messages, bits)
+        mirror(category, messages, bits)
         tracer.close()
-        fields = {"sim": sim, "category": category, "messages": messages,
-                  "bits": bits}
-        if span is not None:
-            fields["span"] = span
-        assert sink.getvalue() == _expected("msg_tx", time, fields)
+        send = (time, sim, category, messages, bits, span)
+        assert sink.getvalue() == _expected_runs([send, send])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -159,62 +176,70 @@ class TestFastPath:
         assert _written("links", time, fields) == _expected("links", time, fields)
 
     def test_integer_time_is_written_as_float(self):
-        fields = {"sim": 0, "category": "hello", "messages": 1, "bits": 8.0}
-        with _fast_path_only():
-            assert _written("msg_tx", 3, fields) == _expected("msg_tx", 3, fields)
+        send = (3, 0, "hello", 1, 8.0, None)
+        assert _sent([send]) == _expected_runs([send])
+        assert '"t":3.0,' in _sent([send])
 
 
 class TestFallback:
-    """Records the fixed-key encoders must refuse still match json."""
+    """Values outside the engine's types still match json."""
 
     @settings(max_examples=150, deadline=None)
-    @given(time=floats, fields=msg_tx_fields(category=needs_escape))
-    def test_escaped_category(self, time, fields):
-        assert _written("msg_tx", time, fields) == _expected("msg_tx", time, fields)
+    @given(sends=st.lists(send_args(category=needs_escape), min_size=1, max_size=6))
+    def test_escaped_category(self, sends):
+        assert _sent(sends) == _expected_runs(sends)
 
     @settings(max_examples=150, deadline=None)
     @given(
-        time=floats,
-        fields=msg_tx_fields(),
+        send=send_args(),
         bad=st.sampled_from(
             (float("nan"), float("inf"), float("-inf"), np.float64(0.5), 7)
         ),
         where=st.sampled_from(("bits", "time")),
     )
-    def test_non_finite_or_non_float(self, time, fields, bad, where):
+    def test_non_finite_or_non_float(self, send, bad, where):
+        time, sim, category, messages, bits, span = send
         if where == "time":
             time = bad
         else:
-            fields["bits"] = bad
-        assert _written("msg_tx", time, fields) == _expected("msg_tx", time, fields)
+            bits = bad
+        sends = [(time, sim, category, messages, bits, span)] * 2
+        assert _sent(sends) == _expected_runs(sends)
 
     @settings(max_examples=150, deadline=None)
     @given(
-        fields=msg_tx_fields(span=ints),
-        key=st.sampled_from(("sim", "messages", "span")),
+        send=send_args(),
+        key=st.sampled_from((1, 3, 5)),  # sim, messages, span
         wrap=st.sampled_from((np.int64, np.int32, bool, float)),
     )
-    def test_numpy_scalars_bools_and_floats_in_int_fields(self, fields, key, wrap):
-        value = fields[key]
+    def test_numpy_scalars_bools_and_floats_in_int_fields(self, send, key, wrap):
+        send = list(send)
+        value = send[key] if send[key] is not None else 1
         if wrap in (np.int64, np.int32):
             value = wrap(value % 1000)
         elif wrap is bool:
             value = bool(value % 2)
         else:
             value = float(value % 1000)
-        fields[key] = value
-        assert _written("msg_tx", 1.5, fields) == _expected("msg_tx", 1.5, fields)
+        send[key] = value
+        sends = [tuple(send), tuple(send)]
+        assert _sent(sends) == _expected_runs(sends)
 
     @settings(max_examples=100, deadline=None)
-    @given(fields=msg_tx_fields(), data=st.data())
-    def test_extra_or_reordered_keys(self, fields, data):
+    @given(send=send_args(), data=st.data())
+    def test_extra_or_reordered_keys(self, send, data):
+        """A ``msgs`` record emitted whole, as the parallel merge replays
+        a worker's, is any other record to the encoder."""
+        time, sim, category, messages, bits, _ = send
+        fields = {"sim": sim, "category": [category], "messages": [messages],
+                  "bits": [bits]}
         keys = list(fields)
         if data.draw(st.booleans()):
-            fields = dict(fields, extra=data.draw(ints))
+            fields = dict(fields, span=data.draw(ints))
         else:
             order = data.draw(st.permutations(keys).filter(lambda p: list(p) != keys))
             fields = {key: fields[key] for key in order}
-        assert _written("msg_tx", 2.0, fields) == _expected("msg_tx", 2.0, fields)
+        assert _written("msgs", time, fields) == _expected("msgs", time, fields)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -243,7 +268,7 @@ class TestFallback:
         sink = io.StringIO()
         tracer = JsonlTracer(sink)
         try:
-            tracer.emit("msg_tx", 0.0, sim=0, category="hello", t=1.0)
+            tracer.emit("msgs", 0.0, sim=0, category=["hello"], t=1.0)
         except ValueError as error:
             assert "shadow envelope keys" in str(error)
         else:
