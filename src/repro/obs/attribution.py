@@ -80,6 +80,7 @@ import weakref
 
 import numpy as np
 
+from ..protocol import Protocol
 from . import context as obs_context
 from .audit import AuditError
 
@@ -155,10 +156,6 @@ class _Tally:
         self.messages = messages
         self.bits = bits
 
-    def add(self, messages, bits) -> None:
-        self.messages += messages
-        self.bits += bits
-
 
 def _num(value):
     """Integral floats → int, for compact deterministic JSON."""
@@ -172,10 +169,10 @@ def _tallies(seen, messages, bits):
     return zip(slots.tolist(), messages[slots].tolist(), bits[slots].tolist())
 
 
-class OverheadLedger:
+class OverheadLedger(Protocol):
     """Per-cause / per-node / per-cluster control-overhead accounting.
 
-    Attached as an ordinary (duck-typed) protocol; its ``on_attach``
+    Attached as an ordinary protocol; its ``on_attach``
     chains itself into ``sim.stats.on_record`` *in front of* any
     existing hook (the trace's send mirror), so it observes
     exactly the records the totals count — records outside the
@@ -185,11 +182,13 @@ class OverheadLedger:
     with the complete breakdown and verifies the reconciliation,
     raising :class:`~repro.obs.audit.AuditError` in strict mode.
 
-    ``by_cause``, ``totals`` and the registry counters are updated on
-    every record.  The per-target fan-out behind ``by_node``,
-    ``by_cluster``, ``by_cell`` and ``heatmap`` is buffered as rows and
-    applied to numpy accumulators by :meth:`fold`, once per step; those
-    four are read-only views that fold before they are built.
+    ``by_cause`` and ``totals`` are updated on every record.  The
+    per-target fan-out behind ``by_node``, ``by_cluster``, ``by_cell``
+    and ``heatmap`` is buffered as rows and applied to numpy
+    accumulators by :meth:`fold`, once per step; those four are
+    read-only views that fold before they are built.  The registry
+    counters are registered when their cell first appears and take the
+    folded cell sums at each fold.
 
     Parameters
     ----------
@@ -201,8 +200,9 @@ class OverheadLedger:
     registry:
         When given, ``overhead_messages_total`` / ``overhead_bits_total``
         counters labelled ``{cause, protocol, cluster}`` (plus
-        ``labels``) are kept live in it — the source of the OpenMetrics
-        export, and merged across workers by the parallel runner.
+        ``labels``) are kept in it, current as of the last fold — the
+        source of the OpenMetrics export, and merged across workers by
+        the parallel runner.
     strict:
         Raise :class:`AuditError` when the run-end reconciliation
         fails (the ``--audit strict`` contract).
@@ -237,7 +237,8 @@ class OverheadLedger:
         self._sim = None
         self._side = 1.0
         self._chained = None
-        self._counter_cache: dict[tuple[str, str, int], tuple] = {}
+        #: ``(pair id, home) -> (messages counter, bits counter)``
+        self._counters: dict[tuple[int, int], tuple] = {}
         self._flushed = False
         #: ``(category, cause) -> (by_cause tally, category total, pair id)``
         self._pair_of: dict[tuple[str, str], tuple] = {}
@@ -274,7 +275,7 @@ class OverheadLedger:
         self._heat = np.zeros(self.bins * self.bins)
 
     # ------------------------------------------------------------------
-    # Protocol hooks (duck-typed; see Simulation.attach)
+    # Protocol hooks
     # ------------------------------------------------------------------
     def on_attach(self, sim) -> None:
         # A strong reference would close a cycle (sim → protocols →
@@ -287,15 +288,6 @@ class OverheadLedger:
         # so both observe the identical record stream.
         self._chained = sim.stats.on_record
         sim.stats.on_record = self._on_record
-
-    def on_step_begin(self, sim, time: float) -> None:
-        pass
-
-    def on_link_up(self, sim, u: int, v: int, time: float) -> None:
-        pass
-
-    def on_link_down(self, sim, u: int, v: int, time: float) -> None:
-        pass
 
     def on_step_end(self, sim, time: float) -> None:
         self.fold()
@@ -331,8 +323,10 @@ class OverheadLedger:
         if entry is None:
             entry = self._new_pair(category, cause)
         tally, total, pair_id = entry
-        tally.add(messages, bits)
-        total.add(messages, bits)
+        tally.messages += messages
+        tally.bits += bits
+        total.messages += messages
+        total.bits += bits
 
         if node is not None:
             targets = (node,)
@@ -367,7 +361,7 @@ class OverheadLedger:
         self._bits.append(share_bits)
         self._pair_ids.append(pair_id)
         if self.registry is not None:
-            self._count(category, cause, homes, share_messages, share_bits)
+            self._register(category, cause, pair_id, homes)
 
         if self._chained is not None:
             self._chained(category, messages, bits, cause, node, nodes, cluster)
@@ -390,32 +384,33 @@ class OverheadLedger:
         head_of = maintenance.state.head_of
         return [head_of.item(target) for target in targets]
 
-    def _count(self, category, cause, homes, messages, bits) -> None:
-        """Add one record's rows to the registry counters, in row order.
+    def _register(self, category, cause, pair_id, homes) -> None:
+        """Create the counters of the record's new cells, in row order.
 
-        Counters are created at record time, so the registry keeps the
-        registration order (and ``to_dict`` output) of the record stream.
+        Registering at record time keeps the registration order (and
+        ``to_dict`` output) of the record stream; :meth:`fold` sets the
+        values.
         """
-        cache = self._counter_cache
-        for home in homes:
-            pair = cache.get((category, cause, home))
-            if pair is None:
+        counters = self._counters
+        for home in dict.fromkeys(homes):
+            if (pair_id, home) not in counters:
                 labels = dict(
                     cause=cause, protocol=category, cluster=str(home), **self.labels
                 )
-                pair = cache[(category, cause, home)] = (
+                counters[(pair_id, home)] = (
                     self.registry.counter("overhead_messages_total", **labels),
                     self.registry.counter("overhead_bits_total", **labels),
                 )
-            pair[0].inc(messages)
-            pair[1].inc(bits)
 
     def fold(self) -> None:
         """Apply the buffered rows to the folded accumulators.
 
         ``np.add.at`` applies repeated indices one at a time in input
         order, so each accumulator receives the same additions in the
-        same order as a per-row loop: the sums are bit-identical.
+        same order as a per-row loop: the sums are bit-identical.  The
+        registry counters of the cells this fold touched are set to
+        their cell sums, which is the value per-row ``inc`` calls from
+        zero would give.
         Heatmap bins come from the current positions, which is why
         :meth:`Simulation.step` folds before it moves the nodes.
         """
@@ -458,6 +453,17 @@ class OverheadLedger:
         np.add.at(self._cell_messages, cells, messages)
         np.add.at(self._cell_bits, cells, bits)
         self._cell_seen[cells] = True
+        if self._counters:
+            touched = np.unique(cells)
+            for cell, cell_messages, cell_bits in zip(
+                touched.tolist(),
+                self._cell_messages[touched].tolist(),
+                self._cell_bits[touched].tolist(),
+            ):
+                pair_id, slot = divmod(cell, width)
+                counters = self._counters[(pair_id, slot - 1)]
+                counters[0].value = cell_messages
+                counters[1].value = cell_bits
 
         sent = targets >= 0
         targets, messages, bits = targets[sent], messages[sent], bits[sent]

@@ -33,6 +33,8 @@ not balance), and an imbalance fails the audit like a P1/P2 violation.
 
 from __future__ import annotations
 
+from ..protocol import Protocol
+
 __all__ = ["AuditError", "InvariantAuditor"]
 
 
@@ -40,7 +42,7 @@ class AuditError(RuntimeError):
     """A strict-mode invariant audit found a P1/P2 violation."""
 
 
-class InvariantAuditor:
+class InvariantAuditor(Protocol):
     """Protocol auditing P1/P2 of a maintained cluster structure.
 
     Parameters
@@ -75,19 +77,10 @@ class InvariantAuditor:
         self._next_audit: float = 0.0
 
     # ------------------------------------------------------------------
-    # Protocol hooks (duck-typed; see Simulation.attach)
+    # Protocol hooks
     # ------------------------------------------------------------------
     def on_attach(self, sim) -> None:
         self._next_audit = sim.time
-
-    def on_step_begin(self, sim, time: float) -> None:
-        pass
-
-    def on_link_up(self, sim, u: int, v: int, time: float) -> None:
-        pass
-
-    def on_link_down(self, sim, u: int, v: int, time: float) -> None:
-        pass
 
     def on_step_end(self, sim, time: float) -> None:
         if time + 1e-12 < self._next_audit:

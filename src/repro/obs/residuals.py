@@ -28,6 +28,7 @@ verdict (aggregate measured rate vs the time-weighted mean bound);
 from __future__ import annotations
 
 from ..core.overhead import cluster_frequency, hello_frequency, route_frequency
+from ..protocol import Protocol
 
 __all__ = ["MONITORED_CATEGORIES", "ResidualMonitor"]
 
@@ -35,7 +36,7 @@ __all__ = ["MONITORED_CATEGORIES", "ResidualMonitor"]
 MONITORED_CATEGORIES = ("hello", "cluster", "route")
 
 
-class ResidualMonitor:
+class ResidualMonitor(Protocol):
     """Protocol streaming measured-vs-bound residuals into the trace.
 
     Parameters
@@ -108,20 +109,8 @@ class ResidualMonitor:
         self._ratio_samples = 0
 
     # ------------------------------------------------------------------
-    # Protocol hooks (duck-typed; see Simulation.attach)
+    # Protocol hooks
     # ------------------------------------------------------------------
-    def on_attach(self, sim) -> None:
-        pass
-
-    def on_step_begin(self, sim, time: float) -> None:
-        pass
-
-    def on_link_up(self, sim, u: int, v: int, time: float) -> None:
-        pass
-
-    def on_link_down(self, sim, u: int, v: int, time: float) -> None:
-        pass
-
     def on_step_end(self, sim, time: float) -> None:
         stats = sim.stats
         if not stats.measuring:

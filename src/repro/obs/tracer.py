@@ -16,7 +16,12 @@ through :meth:`Tracer.emit` one record each: :meth:`Tracer.send`
 buffers a *run* of consecutive sends that share ``t``, ``sim`` and
 ``span``, and the run is written as one columnar ``msgs`` record in
 the place its sends happened.  Every record, ``msgs`` and ``links``
-included, goes through the JSON encoder.
+included, goes through the JSON encoder: :class:`JsonlTracer` writes a
+cached ``{"schema":3,"event":<event>,"t":`` prefix per event name, the
+time's ``repr`` and the ``fields`` dict encoded by one prebuilt encoder
+with its opening brace dropped.  Those are the bytes ``json.dumps`` of
+the whole record gives; a record with a non-finite ``t`` or no fields
+is encoded whole.
 
 Schema 3 replaced schema 2's per-send ``msg_tx`` records (fields
 ``sim``, ``category``, ``messages``, ``bits`` and an optional ``span``)
@@ -112,6 +117,7 @@ from __future__ import annotations
 
 import atexit
 import json
+import math
 import threading
 from pathlib import Path
 
@@ -172,6 +178,32 @@ def _jsonable(value):
 #: ``json.dumps(record, separators=(",", ":"), default=_jsonable)``
 #: without building a new encoder per call.
 _encode = json.JSONEncoder(separators=(",", ":"), default=_jsonable).encode
+
+if json.encoder.c_make_encoder is not None:
+    # The encoder ``JSONEncoder.encode`` builds afresh for every call,
+    # built once: the same arguments as ``_encode``'s, except that it
+    # keeps no circular-reference markers.  A markers dict would be
+    # state shared by every tracer and thread (and left dirty by a
+    # failed call); a circular value still raises, as RecursionError.
+    _encode_chunks = json.encoder.c_make_encoder(
+        None,  # markers
+        _jsonable,  # default
+        json.encoder.encode_basestring_ascii,  # ensure_ascii
+        None,  # indent
+        ":",  # key separator
+        ",",  # item separator
+        False,  # sort_keys
+        False,  # skipkeys
+        True,  # allow_nan
+    )
+
+    def _encode_fields(fields: dict) -> str:
+        return "".join(_encode_chunks(fields, 0))
+
+else:  # pragma: no cover - interpreters without the C accelerator
+    _encode_fields = json.JSONEncoder(
+        separators=(",", ":"), default=_jsonable, check_circular=False
+    ).encode
 
 #: Events earlier schemas wrote and this one does not, by the record
 #: that took their place (``links`` since schema 2, ``msgs`` since
@@ -347,6 +379,9 @@ class JsonlTracer(Tracer):
                     f"known: {sorted(TRACE_EVENTS)}"
                 )
         self._events = events
+        #: ``event -> '{"schema":3,"event":<event>,"t":'``, the envelope
+        #: up to its time, encoded as ``_encode`` encodes it.
+        self._prefixes: dict[str, str] = {}
         self.step_every = step_every
         self.emitted = 0
         self.suppressed = 0
@@ -384,9 +419,21 @@ class JsonlTracer(Tracer):
         if RESERVED_FIELDS & fields.keys():
             clash = sorted(RESERVED_FIELDS & fields.keys())
             raise ValueError(f"event fields shadow envelope keys: {clash}")
-        record = {"schema": TRACE_SCHEMA_VERSION, "event": event, "t": time}
-        record.update(fields)
-        self._fh.write(_encode(record) + "\n")
+        if fields and math.isfinite(time):
+            # The envelope spliced onto the encoded fields: the bytes of
+            # ``_encode(record)`` (``repr`` is how json writes a finite
+            # float), without building the record or an encoder.
+            prefix = self._prefixes.get(event)
+            if prefix is None:
+                prefix = self._prefixes[event] = (
+                    f'{{"schema":{TRACE_SCHEMA_VERSION},"event":{_encode(event)},"t":'
+                )
+            line = prefix + repr(time) + "," + _encode_fields(fields)[1:] + "\n"
+        else:
+            record = {"schema": TRACE_SCHEMA_VERSION, "event": event, "t": time}
+            record.update(fields)
+            line = _encode(record) + "\n"
+        self._fh.write(line)
         self.emitted += 1
 
     def close(self) -> None:

@@ -25,6 +25,10 @@ No step builds an ``N x N`` matrix.
 Message accounting flows into a shared
 :class:`~repro.sim.stats.MessageStats`.
 
+A step calls only the hooks a protocol overrides: one inherited
+unchanged from :class:`~repro.protocol.Protocol` is skipped (see
+:func:`repro.protocol.overriding`).
+
 The kernel is fully instrumented (see :mod:`repro.obs`): every step
 charges its phases (mobility advance, adjacency recompute, link diff,
 each protocol's hooks) to a :class:`~repro.obs.timing.PhaseTimer`, and
@@ -52,6 +56,7 @@ from ..mobility.base import MobilityModel
 from ..obs import context as obs_context
 from ..obs.spans import SpanTracker
 from ..obs.timing import PhaseTimer, TimingReport
+from ..protocol import Protocol, overriding
 from ..spatial import (
     Boundary,
     IncrementalConnectivityEngine,
@@ -119,59 +124,6 @@ def recommended_step(tx_range: float, velocity: float, fraction: float = 0.05) -
     if velocity <= 0.0:
         return 0.1
     return fraction * tx_range / (2.0 * velocity)
-
-
-class Protocol:
-    """Base class for everything the simulation drives.
-
-    Subclasses override the hooks they need.  Hook order per step:
-    ``on_step_begin`` → link events (``on_link_up`` / ``on_link_down``,
-    interleaved in deterministic pair order) → ``on_step_end``.
-
-    Every subclass must declare a distinct ``name``: it is the label
-    under which the protocol's hook time is charged
-    (``protocol:<name>`` in the timing report) and the key
-    :meth:`Simulation.attach` uses to reject double-attachment.
-    """
-
-    name: str = "protocol"
-
-    def on_attach(self, sim: "Simulation") -> None:
-        """Called once when attached, after the simulation is initialized."""
-
-    def on_step_begin(self, sim: "Simulation", time: float) -> None:
-        """Called after mobility advanced, before link events are delivered."""
-
-    def on_link_up(self, sim: "Simulation", u: int, v: int, time: float) -> None:
-        """A link appeared between nodes ``u`` and ``v`` (``u < v``)."""
-
-    def on_link_down(self, sim: "Simulation", u: int, v: int, time: float) -> None:
-        """A link disappeared between nodes ``u`` and ``v`` (``u < v``)."""
-
-    def on_step_end(self, sim: "Simulation", time: float) -> None:
-        """Called after all link events of the step were delivered."""
-
-    def on_node_fail(self, sim: "Simulation", node: int, time: float) -> None:
-        """``node`` crashed: wipe any state the protocol keeps *at* it.
-
-        Fired by the engine's fault phase (see :mod:`repro.faults`)
-        before the step's link events are delivered.  The crash also
-        breaks all the node's links, so handlers at *other* nodes react
-        through their ordinary ``on_link_down`` path; this hook only
-        models the loss of the crashed node's own memory.
-        """
-
-    def on_node_recover(self, sim: "Simulation", node: int, time: float) -> None:
-        """``node``'s radio came back (with the state wiped at crash)."""
-
-    def on_run_end(self, sim: "Simulation", time: float) -> None:
-        """Called once when a measurement run finishes.
-
-        Fired by :meth:`Simulation.run` after the measurement window
-        closes (and by drivers that step manually, via
-        :meth:`Simulation.notify_run_end`) — the hook run-health
-        protocols use to flush partial windows and emit final verdicts.
-        """
 
 
 def _send_mirror(sim_ref):
@@ -577,23 +529,15 @@ class Simulation:
         self._edge_keys: np.ndarray | None = None
 
     def notify_node_fail(self, node: int) -> None:
-        """Deliver ``on_node_fail`` (state wipe) to every protocol.
-
-        Protocols are duck-typed (see :meth:`attach`), so hooks are
-        looked up with ``getattr`` — an attached object predating the
-        fault hooks simply does not hear about crashes.
-        """
-        for protocol in self._protocols:
-            hook = getattr(protocol, "on_node_fail", None)
-            if hook is not None:
-                hook(self, node, self.time)
+        """Deliver ``on_node_fail`` (state wipe) to every protocol that
+        has one (see :func:`~repro.protocol.overriding`)."""
+        for _, hook in overriding(self._protocols, "on_node_fail"):
+            hook(self, node, self.time)
 
     def notify_node_recover(self, node: int) -> None:
-        """Deliver ``on_node_recover`` to every protocol."""
-        for protocol in self._protocols:
-            hook = getattr(protocol, "on_node_recover", None)
-            if hook is not None:
-                hook(self, node, self.time)
+        """Deliver ``on_node_recover`` to every protocol that has one."""
+        for _, hook in overriding(self._protocols, "on_node_recover"):
+            hook(self, node, self.time)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -679,43 +623,46 @@ class Simulation:
 
         protocols = self._protocols
         if protocols:
-            # One on_link_down / on_link_up call per (event, protocol),
-            # event-major in pair order.  The clock is read once after
-            # each call, and the time since the previous read is charged
-            # to that call's protocol, so the protocol:<name> phases
-            # partition the whole dispatch loop.  Hooks are bound once
-            # per step.  Endpoints reach them as Python ints zipped from
-            # one list per column, built before the clock starts, so no
+            # One call per (event, protocol) whose hook does work,
+            # event-major in pair order: a hook a protocol inherits
+            # unchanged from Protocol is not called (see
+            # repro.sim.protocol.overriding).  The clock is read once
+            # after each call, and the time since the previous read is
+            # charged to that call's protocol, so the protocol:<name>
+            # phases partition the whole dispatch loop.  Hooks are bound
+            # once per step, before the clock starts.  Endpoints reach
+            # them as Python ints zipped from one list per column, so no
             # event builds a container for the cyclic GC to track.
+            begins = overriding(protocols, "on_step_begin")
+            down_hooks = overriding(protocols, "on_link_down") if n_broken else ()
+            up_hooks = overriding(protocols, "on_link_up") if n_generated else ()
+            ends = overriding(protocols, "on_step_end")
             downs = zip(broken[:, 0].tolist(), broken[:, 1].tolist())
             ups = zip(generated[:, 0].tolist(), generated[:, 1].tolist())
             now = self.time
             spent = [0.0] * len(protocols)
-            slots = range(len(protocols))
             last = perf_counter()
-            for index in slots:
-                protocols[index].on_step_begin(self, now)
+            for index, hook in begins:
+                hook(self, now)
                 tick = perf_counter()
                 spent[index] += tick - last
                 last = tick
-            if n_broken:
-                hooks = [protocol.on_link_down for protocol in protocols]
+            if down_hooks:
                 for u, v in downs:
-                    for index in slots:
-                        hooks[index](self, u, v, now)
+                    for index, hook in down_hooks:
+                        hook(self, u, v, now)
                         tick = perf_counter()
                         spent[index] += tick - last
                         last = tick
-            if n_generated:
-                hooks = [protocol.on_link_up for protocol in protocols]
+            if up_hooks:
                 for u, v in ups:
-                    for index in slots:
-                        hooks[index](self, u, v, now)
+                    for index, hook in up_hooks:
+                        hook(self, u, v, now)
                         tick = perf_counter()
                         spent[index] += tick - last
                         last = tick
-            for index in slots:
-                protocols[index].on_step_end(self, now)
+            for index, hook in ends:
+                hook(self, now)
                 tick = perf_counter()
                 spent[index] += tick - last
                 last = tick

@@ -16,6 +16,7 @@ from repro.clustering import (
 )
 from repro.core.params import NetworkParameters
 from repro.mobility import ConstantVelocityModel, EpochRandomWaypointModel
+from repro.obs import InvariantAuditor, OverheadLedger, ResidualMonitor
 from repro.obs.timing import PhaseTimer
 from repro.routing import HybridRoutingProtocol, IntraClusterRoutingProtocol
 from repro.sim import (
@@ -292,6 +293,13 @@ class TestDispatchAllocation:
                 # the dispatch code touches them.
                 self.begin = gc.get_count()[0]
 
+            # Overridden, so the engine dispatches every link event.
+            def on_link_down(self, sim, u, v, time):
+                pass
+
+            def on_link_up(self, sim, u, v, time):
+                pass
+
             def on_step_end(self, sim, time):
                 self.end = gc.get_count()[0]
 
@@ -313,6 +321,112 @@ class TestDispatchAllocation:
         assert events.break_count and events.generation_count
         assert events.change_count >= 100
         assert probe.end - probe.begin < events.change_count // 10
+
+
+class Quiet(Protocol):
+    """Overrides no hook at all."""
+
+    name = "quiet"
+
+
+class TestHookDispatch:
+    """The engine calls only the step hooks a protocol overrides."""
+
+    @pytest.fixture
+    def base_calls(self, monkeypatch):
+        """Counts calls that reach Protocol's own step hooks."""
+        calls = []
+        for hook in ("on_step_begin", "on_link_up", "on_link_down", "on_step_end"):
+
+            def no_op(self, *args, hook=hook):
+                calls.append(hook)
+
+            monkeypatch.setattr(Protocol, hook, no_op)
+        return calls
+
+    def test_inherited_hooks_are_not_called(self, params, base_calls):
+        sim = Simulation(
+            params, EpochRandomWaypointModel(params.velocity, 1.0), seed=1
+        )
+        sim.attach(Quiet())
+        recording = sim.attach(RecordingProtocol())
+        events = sim.step()
+        assert events.break_count and events.generation_count
+        assert base_calls == []
+        kinds = [event[0] for event in recording.events]
+        assert kinds.count("down") == events.break_count
+        assert kinds.count("up") == events.generation_count
+        assert kinds.count("begin") == kinds.count("end") == 1
+
+    def test_instance_wrapper_is_called_once_per_event(self, params, base_calls):
+        sim = Simulation(
+            params, EpochRandomWaypointModel(params.velocity, 1.0), seed=1
+        )
+        quiet = sim.attach(Quiet())
+        calls = {}
+        for hook in ("on_step_begin", "on_link_up", "on_link_down", "on_step_end"):
+            inherited = getattr(quiet, hook)
+
+            def wrapper(*args, hook=hook, inherited=inherited):
+                calls[hook] = calls.get(hook, 0) + 1
+                return inherited(*args)
+
+            # Set on the instance after attach, as perfbench's probes do.
+            setattr(quiet, hook, wrapper)
+        events = sim.step()
+        assert events.break_count and events.generation_count
+        assert calls == {
+            "on_step_begin": 1,
+            "on_link_down": events.break_count,
+            "on_link_up": events.generation_count,
+            "on_step_end": 1,
+        }
+        # Each wrapper reached the inherited no-op it wraps.
+        assert len(base_calls) == 2 + events.change_count
+
+    def test_duck_typed_protocol_without_hooks(self, params):
+        sim = Simulation(
+            params, EpochRandomWaypointModel(params.velocity, 1.0), seed=1
+        )
+
+        class Bare:
+            name = "bare"
+
+            def on_attach(self, sim):
+                pass
+
+        sim.attach(Bare())
+        assert sim.step().change_count
+
+    @pytest.mark.parametrize(
+        "cls, inherited",
+        [
+            (OverheadLedger, ("on_step_begin", "on_link_up", "on_link_down")),
+            (InvariantAuditor, ("on_step_begin", "on_link_up", "on_link_down")),
+            (
+                ResidualMonitor,
+                ("on_attach", "on_step_begin", "on_link_up", "on_link_down"),
+            ),
+        ],
+    )
+    def test_observers_inherit_the_no_ops(self, cls, inherited):
+        assert issubclass(cls, Protocol)
+        for hook in inherited:
+            assert hook not in vars(cls), f"{cls.__name__}.{hook}"
+            assert getattr(cls, hook) is getattr(Protocol, hook)
+
+    def test_every_protocol_keeps_its_timing_row(self, params):
+        sim = Simulation(
+            params,
+            EpochRandomWaypointModel(params.velocity, 1.0),
+            seed=1,
+            timer=PhaseTimer(),
+        )
+        sim.attach(Quiet())
+        sim.attach(RecordingProtocol())
+        sim.step()
+        phases = {phase.phase for phase in sim.timing_report().phases}
+        assert {"protocol:quiet", "protocol:recording"} <= phases
 
 
 class TestRun:

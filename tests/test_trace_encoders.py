@@ -7,7 +7,9 @@ per record.  A step's ``links`` record, and every other emitted record,
 goes through the JSON encoder directly.  Every record must come out as
 ``json.dumps(record, separators=(",", ":"), default=_jsonable)``, with
 a run's sends as its ``category`` / ``messages`` / ``bits`` columns in
-send order.
+send order.  The writer splices a cached envelope prefix onto the
+fields encoded by one prebuilt encoder; records with a non-finite ``t``
+or no fields are encoded whole.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -276,3 +279,92 @@ class TestFallback:
         finally:
             tracer.close()
         assert sink.getvalue() == ""
+
+
+# Values of every JSON type the writer may meet, numpy scalars and
+# non-finite floats included.
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    ints,
+    st.floats(),
+    st.sampled_from((-0.0, float("nan"), float("inf"), float("-inf"))),
+    ints.map(lambda x: np.int64(x % 2**62)),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.booleans().map(np.bool_),
+    st.text(),
+    needs_escape,
+    st.sampled_from(("é", "日本", "\U0001f600", '"quoted"', "\x00\x1f", " ")),
+)
+values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=6) | st.integers(-5, 5), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+field_names = st.text(min_size=1, max_size=8).filter(
+    lambda key: key not in ("schema", "event", "t")
+)
+
+
+class TestSplicedEnvelope:
+    """``JsonlTracer`` splices the envelope onto the encoded fields; every
+    line must still be the bytes ``json.dumps`` gives for the record."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        event=st.sampled_from(("msgs", "links", "span_start")) | st.text(max_size=8),
+        time=st.floats(),
+        fields=st.dictionaries(field_names, values, max_size=5),
+    )
+    def test_line_matches_json_dumps(self, event, time, fields):
+        # Finite times take the spliced path, non-finite times and empty
+        # fields the record path; both must give the same bytes.
+        assert _written(event, time, fields) == _expected(event, time, fields)
+
+    def test_prefix_is_cached_per_event(self):
+        sink = io.StringIO()
+        tracer = JsonlTracer(sink)
+        for time in (0.5, 1.5):
+            tracer.emit("step", time, sim=0)
+            tracer.emit("é\"", time, sim=1)
+        tracer.close()
+        assert sink.getvalue() == "".join(
+            _expected(event, time, {"sim": sim})
+            for time in (0.5, 1.5)
+            for event, sim in (("step", 0), ('é"', 1))
+        )
+
+    @pytest.mark.parametrize("time", [0.5, float("nan")])
+    @pytest.mark.parametrize("bad", [object(), {1, 2}, 1j, b"bytes"])
+    def test_unencodable_value_raises_type_error(self, time, bad):
+        with pytest.raises(TypeError):
+            json.dumps({"v": bad}, default=_jsonable)
+        sink = io.StringIO()
+        tracer = JsonlTracer(sink)
+        with pytest.raises(TypeError):
+            tracer.emit("step", time, sim=0, v=[1, bad])
+        tracer.emit("step", time, sim=0)
+        tracer.close()
+        assert sink.getvalue() == _expected("step", time, {"sim": 0})
+
+    def test_circular_reference_still_raises(self):
+        """A circular value is not *detected* on the spliced path, as it
+        is by ``json.dumps`` (``ValueError``): the prebuilt encoder keeps
+        no markers, so it raises ``RecursionError`` instead.  A later
+        line is unaffected."""
+        loop: list = []
+        loop.append(loop)
+        with pytest.raises(ValueError, match="Circular reference"):
+            json.dumps({"v": loop})
+        sink = io.StringIO()
+        tracer = JsonlTracer(sink)
+        with pytest.raises(RecursionError):
+            tracer.emit("step", 0.5, sim=0, v=loop)
+        shared = [1, 2]
+        tracer.emit("step", 0.5, a=shared, b=shared)
+        tracer.close()
+        assert sink.getvalue() == _expected("step", 0.5, {"a": shared, "b": shared})
