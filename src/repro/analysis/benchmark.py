@@ -1,19 +1,23 @@
-"""Engine performance benchmark: incremental vs batch edge-set kernels.
+"""Engine performance benchmark: the paper stack per link event.
 
 ``repro-manet bench`` drives this module and writes ``BENCH_engine.json``.
-It answers two questions about the simulation substrate:
+It answers two questions about the simulator:
 
-* **How much faster is the incremental kernel?**  The edge engine is a
-  bare loop that re-runs the batch KD-tree pair sweep every step and
-  diffs the edge sets; the incremental engine is a
-  :class:`~repro.sim.Simulation`, which runs the temporal-coherence
-  kernel (:mod:`repro.spatial.incremental`).  Both run the same
-  mobility model with the same seeds, so the steps/sec ratio isolates
-  the connectivity kernel.  Each incremental row is preceded by an
-  **equivalence check** — a short run comparing the simulation's edge
-  sets and link events with a fresh sweep of its positions every step
-  — so a speedup number is never reported for a kernel that silently
-  diverged.
+* **What does a link event cost?**  Each row times the stack that
+  :func:`~repro.run_spec.build_stack` builds for a default
+  :class:`~repro.run_spec.RunSpec`: event HELLO, intra-cluster routing
+  and LID cluster maintenance over the incremental connectivity
+  engine, with the stats window open as in a real run.  Every overhead
+  term of the paper is a rate of link events (Eqn 3:
+  ``λ = 16 d v / (π² r)``) and the recommended step is ``dt ∝ r / v``,
+  so at constant degree ``d`` each node sees a constant number of
+  events per step.  The rows hold the degree fixed (:func:`bench_params`),
+  which makes µs per link event comparable across sizes; a flat
+  µs/event is the shape the paper's model asks of the simulator.
+  Each row is preceded by an **equivalence check** — a short run
+  comparing the simulation's edge sets and link events with a fresh
+  sweep of its positions every step — so no number is reported for a
+  kernel that silently diverged.
 * **Does process parallelism pay?**  ``--sweep-jobs`` times an
   identical small sweep point at several ``jobs`` values; numbers are
   whatever the current machine supports (a single-core container shows
@@ -21,8 +25,8 @@ It answers two questions about the simulation substrate:
   can judge).
 
 Peak RSS is read from ``getrusage`` and is monotone over the process
-lifetime; modes are benchmarked smallest-N-first so the per-mode
-snapshot is still a usable upper bound for that mode.  A background
+lifetime; sizes are benchmarked smallest-N-first so each row's
+snapshot is still a usable upper bound for that size.  A background
 :class:`~repro.obs.resources.ResourceSampler` additionally records the
 *current* RSS and CPU utilisation over the whole benchmark
 (``resources`` in the report).
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import platform
 import resource
 import sys
@@ -53,14 +58,16 @@ from ..core.params import NetworkParameters
 from ..mobility import EpochRandomWaypointModel
 from ..obs.resources import ResourceSampler
 from ..obs.timing import PhaseTimer
+from ..run_spec import RunSpec, build_stack
 from ..sim import Simulation, recommended_step
-from ..spatial import Boundary, SquareRegion, compute_edges, diff_edge_sets
+from ..spatial import compute_edges, diff_edge_sets
 
 __all__ = [
     "DEFAULT_SIZES",
-    "DEFAULT_MODES",
     "DEFAULT_REGRESSION_THRESHOLD",
-    "bench_step_modes",
+    "WARMUP_STEPS",
+    "bench_params",
+    "bench_steps",
     "check_equivalence",
     "bench_parallel_sweep",
     "run_bench",
@@ -81,17 +88,17 @@ EQUIVALENCE_VALIDATIONS = 3
 EQUIVALENCE_MAX_STEPS = 200
 
 #: Network sizes the step benchmark reports on.
-DEFAULT_SIZES = (100, 500, 2000, 5000)
+DEFAULT_SIZES = (500, 1000, 2000, 4000)
 
-#: Kernel modes the step benchmark runs, in reporting order.  Tokens
-#: are the ``--modes`` CLI vocabulary; labels are the ``mode`` field in
-#: result rows and history points.
-DEFAULT_MODES = ("edge", "incremental")
+#: Steps each row runs before its stats window opens and its clock
+#: starts, so formation and the first validations stay out of it.
+WARMUP_STEPS = 5
 
-_MODE_LABELS = {
-    "edge": "edge-engine",
-    "incremental": "incremental-engine",
-}
+#: The size at which a row's r and v are perfbench ``paper-stack``'s
+#: (r = 0.1a, v = 0.05a); other sizes scale both by sqrt(N0 / N).
+REFERENCE_NODES = 2000
+REFERENCE_RANGE_FRACTION = 0.1
+REFERENCE_VELOCITY_FRACTION = 0.05
 
 
 def _peak_rss_kb() -> int:
@@ -99,9 +106,21 @@ def _peak_rss_kb() -> int:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
-def _params_for(n_nodes: int) -> NetworkParameters:
+def bench_params(n_nodes: int) -> NetworkParameters:
+    """Parameters of the ``n_nodes`` row, at constant degree.
+
+    r and v scale by ``sqrt(REFERENCE_NODES / n_nodes)``: the expected
+    degree ``π r² N / a²`` and the events per node per step (Eqn 3 at
+    the recommended step) are then the same at every size.  Below
+    N = 80, r passes a/2 and the disc wraps the torus, so a node sees
+    fewer neighbors and events than that.  Raises :class:`ValueError`
+    for a size the scaling cannot place (r >= a, so N <= 20).
+    """
+    scale = math.sqrt(REFERENCE_NODES / n_nodes)
     return NetworkParameters.from_fractions(
-        n_nodes=n_nodes, range_fraction=0.1, velocity_fraction=0.05
+        n_nodes=n_nodes,
+        range_fraction=REFERENCE_RANGE_FRACTION * scale,
+        velocity_fraction=REFERENCE_VELOCITY_FRACTION * scale,
     )
 
 
@@ -113,96 +132,73 @@ def _median(values: list[float]) -> float | None:
     return float(np.median(values)) if values else None
 
 
-def _bench_edge_engine(
-    params: NetworkParameters, steps: int, seed: int = 0
-) -> dict:
-    """The batch edge-set kernel as a bare loop.
-
-    Each step advances the same mobility model as the incremental row,
-    re-sweeps every pair (:func:`~repro.spatial.compute_edges`, the
-    KD-tree sweep) and diffs the edge sets, charged to the
-    simulation's phase names (``mobility``, ``adjacency``,
-    ``link_diff``).
-    """
-    timer = PhaseTimer()
-    region = SquareRegion(params.side, Boundary.TORUS)
-    mobility = EpochRandomWaypointModel(params.velocity, epoch=1.0)
-    mobility.reset(params.n_nodes, region, seed)
-    dt = recommended_step(params.tx_range, params.velocity)
-    edges = compute_edges(region, mobility.positions, params.tx_range)
-    start = perf_counter()
-    for _ in range(steps):
-        t0 = perf_counter()
-        positions = mobility.advance(dt)
-        t1 = perf_counter()
-        new_edges = compute_edges(region, positions, params.tx_range)
-        t2 = perf_counter()
-        diff_edge_sets(edges, new_edges)
-        t3 = perf_counter()
-        timer.add("mobility", t1 - t0)
-        timer.add("adjacency", t2 - t1)
-        timer.add("link_diff", t3 - t2)
-        edges = new_edges
-    elapsed = perf_counter() - start
-    return {
-        "mode": "edge-engine",
-        "n_nodes": params.n_nodes,
-        "connectivity": "tree",
-        "steps": steps,
-        "elapsed_s": elapsed,
-        "steps_per_sec": steps / elapsed,
-        "phases_s": _phase_dict(timer),
-        "peak_rss_kb": _peak_rss_kb(),
-    }
+def _engine_counters(engine) -> np.ndarray:
+    """Validations, incremental steps and pairs rechecked so far."""
+    return np.array(
+        [engine.full_rebuilds, engine.incremental_steps, engine.at_risk_total]
+    )
 
 
-def _bench_incremental_engine(
-    params: NetworkParameters, steps: int, seed: int = 0
-) -> dict:
-    """The temporal-coherence kernel through :meth:`Simulation.step`.
+def _bench_stack(params: NetworkParameters, steps: int, seed: int = 0) -> dict:
+    """Time ``steps`` steps of the default stack after the warm-up.
 
-    ``engine_stats`` counts the full validations and incremental steps;
+    ``us_per_event_by_phase`` splits ``us_per_event`` over the
+    simulation's :class:`~repro.obs.timing.PhaseTimer` phases, plus an
+    ``untimed`` entry for the wall time no phase covers, so its values
+    sum to ``us_per_event``.  ``engine_stats`` covers the timed steps:
+    ``full_rebuilds`` counts the engine's validations, and
     ``mean_at_risk`` is the mean number of candidate pairs whose
     distance an incremental step recomputed.  ``validation_ms_p50`` and
     ``incremental_ms_p50`` are the median step wall times of the steps
     whose engine step was a validation and of the rest (``None`` when
-    the run had no such step).
+    the window had no such step).
     """
-    timer = PhaseTimer()
-    sim = Simulation(
-        params,
-        EpochRandomWaypointModel(params.velocity, epoch=1.0),
-        seed=seed,
-        timer=timer,
+    dt = recommended_step(params.tx_range, params.velocity)
+    spec = RunSpec(
+        params, seed=seed, duration=steps * dt, warmup=WARMUP_STEPS * dt
     )
+    sim = build_stack(spec).sim
+    for _ in range(WARMUP_STEPS):
+        sim.step()
+    sim.stats.start_measuring()
+    sim.timer.reset()
     engine = sim._incremental
+    counters = _engine_counters(engine)
     step_ms: dict[bool, list[float]] = {True: [], False: []}
+    events = 0
     start = perf_counter()
     for _ in range(steps):
         rebuilds = engine.full_rebuilds
         before = perf_counter()
-        sim.step()
+        events += sim.step().change_count
         step_ms[engine.full_rebuilds != rebuilds].append(
             (perf_counter() - before) * 1e3
         )
     elapsed = perf_counter() - start
+    validations, incremental, at_risk = (
+        _engine_counters(engine) - counters
+    ).tolist()
+    phases = _phase_dict(sim.timer)
+    us_per_event = {
+        phase: seconds * 1e6 / events for phase, seconds in phases.items()
+    }
+    us_per_event["untimed"] = (elapsed - sum(phases.values())) * 1e6 / events
     return {
-        "mode": "incremental-engine",
+        "mode": "stack",
         "n_nodes": params.n_nodes,
-        "connectivity": "incremental",
         "steps": steps,
         "elapsed_s": elapsed,
         "steps_per_sec": steps / elapsed,
-        "phases_s": _phase_dict(timer),
+        "events_per_step": events / steps,
+        "ms_per_step": elapsed * 1e3 / steps,
+        "us_per_event": elapsed * 1e6 / events,
+        "us_per_event_by_phase": us_per_event,
+        "phases_s": phases,
         "peak_rss_kb": _peak_rss_kb(),
         "engine_stats": {
-            "full_rebuilds": engine.full_rebuilds,
-            "incremental_steps": engine.incremental_steps,
-            "mean_at_risk": (
-                engine.at_risk_total / engine.incremental_steps
-                if engine.incremental_steps
-                else 0.0
-            ),
+            "full_rebuilds": validations,
+            "incremental_steps": incremental,
+            "mean_at_risk": at_risk / incremental if incremental else 0.0,
             "validation_ms_p50": _median(step_ms[True]),
             "incremental_ms_p50": _median(step_ms[False]),
         },
@@ -259,55 +255,24 @@ def check_equivalence(
     return "ok"
 
 
-def bench_step_modes(
-    sizes=DEFAULT_SIZES,
-    steps: int = 30,
-    modes=DEFAULT_MODES,
-) -> tuple[list[dict], dict[str, dict]]:
-    """Benchmark the requested kernels across ``sizes``.
+def bench_steps(
+    sizes=DEFAULT_SIZES, steps: int = 30
+) -> tuple[list[dict], dict[str, str]]:
+    """Benchmark the stack across ``sizes``, smallest first.
 
-    Returns ``(results, tables)``.  ``tables`` holds two per-size maps
-    keyed by ``str(N)``:
-
-    * ``"speedup_vs_edge"`` — mode steps/sec over the edge engine's,
-      per mode label, at every size the edge engine ran.
-    * ``"equivalence"`` — the :func:`check_equivalence` verdict for the
-      incremental engine at that size (``"ok"`` or a mismatch string).
+    Returns ``(results, equivalence)``: one row per size, and the
+    :func:`check_equivalence` verdict at each size (``"ok"`` or a
+    mismatch string), keyed by ``str(N)``.  Every size's parameters are
+    built before any row runs, so a size :func:`bench_params` cannot
+    place raises its :class:`ValueError` up front.
     """
-    unknown = [m for m in modes if m not in _MODE_LABELS]
-    if unknown:
-        raise ValueError(
-            f"unknown bench modes {unknown}; "
-            f"choose from {sorted(_MODE_LABELS)}"
-        )
+    all_params = [bench_params(n_nodes) for n_nodes in sorted(sizes)]
     results: list[dict] = []
-    speedup_vs_edge: dict[str, dict[str, float]] = {}
     equivalence: dict[str, str] = {}
-    for n_nodes in sorted(sizes):
-        params = _params_for(n_nodes)
-        per_size: dict[str, dict] = {}
-        if "edge" in modes:
-            per_size["edge"] = _bench_edge_engine(params, steps)
-        if "incremental" in modes:
-            equivalence[str(n_nodes)] = check_equivalence(params)
-            per_size["incremental"] = _bench_incremental_engine(
-                params, steps
-            )
-        results.extend(
-            per_size[m] for m in DEFAULT_MODES if m in per_size
-        )
-        if "edge" in per_size:
-            edge_rate = per_size["edge"]["steps_per_sec"]
-            speedup_vs_edge[str(n_nodes)] = {
-                _MODE_LABELS[token]: row["steps_per_sec"] / edge_rate
-                for token, row in per_size.items()
-                if token != "edge"
-            }
-    tables = {
-        "speedup_vs_edge": speedup_vs_edge,
-        "equivalence": equivalence,
-    }
-    return results, tables
+    for params in all_params:
+        equivalence[str(params.n_nodes)] = check_equivalence(params)
+        results.append(_bench_stack(params, steps))
+    return results, equivalence
 
 
 def bench_parallel_sweep(
@@ -326,7 +291,11 @@ def bench_parallel_sweep(
     from .parallel import task_chunk_size
     from .sweep import measure_point
 
-    params = _params_for(n_nodes)
+    params = NetworkParameters.from_fractions(
+        n_nodes=n_nodes,
+        range_fraction=REFERENCE_RANGE_FRACTION,
+        velocity_fraction=REFERENCE_VELOCITY_FRACTION,
+    )
     rows = []
     serial_s: float | None = None
     for jobs in jobs_values:
@@ -362,7 +331,6 @@ def run_bench(
     sizes=DEFAULT_SIZES,
     steps: int = 30,
     sweep_jobs=None,
-    modes=DEFAULT_MODES,
 ) -> dict:
     """Run the requested benchmark stages and assemble the report."""
     import os
@@ -370,7 +338,7 @@ def run_bench(
     from ..sim.engine import ENGINE_SCHEMA_VERSION
 
     payload: dict = {
-        "schema_version": 4,
+        "schema_version": 5,
         "engine_schema_version": ENGINE_SCHEMA_VERSION,
         "machine": {
             "platform": platform.platform(),
@@ -381,21 +349,22 @@ def run_bench(
         "config": {
             "sizes": list(sizes),
             "steps": steps,
-            "modes": list(modes),
+            "warmup_steps": WARMUP_STEPS,
         },
         "notes": [
-            "incremental-engine rows are preceded by an equivalence "
-            "check against a fresh pair sweep every step (see the "
-            "equivalence table)",
-            "peak_rss_kb is process-monotone (getrusage); modes run "
+            "rows hold the expected degree fixed: r and v are 0.1a and "
+            "0.05a at N=2000, scaled by sqrt(2000/N)",
+            "each row is preceded by an equivalence check against a "
+            "fresh pair sweep every step (see the equivalence table)",
+            "peak_rss_kb is process-monotone (getrusage); sizes run "
             "smallest-N-first",
         ],
     }
     sampler = ResourceSampler(interval=0.2)
     with sampler:
-        results, tables = bench_step_modes(sizes, steps, modes)
+        results, equivalence = bench_steps(sizes, steps)
         payload["step_benchmarks"] = results
-        payload.update(tables)
+        payload["equivalence"] = equivalence
         if sweep_jobs:
             payload["parallel_sweep"] = bench_parallel_sweep(
                 tuple(sweep_jobs)

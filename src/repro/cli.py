@@ -11,7 +11,7 @@ Subcommands::
     repro-manet report t.jsonl           # Markdown run-health report
     repro-manet timeline t.jsonl         # Chrome/Perfetto trace export
     repro-manet compare a.jsonl b.jsonl  # diff two traced runs
-    repro-manet bench                    # engine perf -> BENCH_engine.json
+    repro-manet bench                    # stack perf -> BENCH_engine.json
     repro-manet store stats              # inspect the result store
     repro-manet model --n 400 --rf 0.15 --vf 0.05
                                          # evaluate the closed-form model
@@ -47,10 +47,9 @@ attaches the P1/P2 invariant auditor and the analytic-residual monitor
 trace.  ``bench --history FILE`` appends steps/sec results to a JSONL
 history and exits 1 when a point regresses more than the threshold
 against the best prior entry (regressions come with a per-phase
-attribution table when phase data is available).  ``bench --modes``
-picks which kernels run; whenever the incremental engine is among
-them, its equivalence check against a fresh pair sweep gates the
-exit code too.
+attribution table when phase data is available).  Each ``bench``
+row is gated by an equivalence check of the connectivity engine
+against a fresh pair sweep, which sets the exit code too.
 
 Timeline tooling (see README, "Timelines & run comparison"):
 ``timeline`` exports a trace as Chrome trace-event JSON for
@@ -74,6 +73,14 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .analysis.benchmark import (
+    DEFAULT_REGRESSION_THRESHOLD,
+    DEFAULT_SIZES,
+    bench_params,
+    run_bench,
+    update_bench_history,
+    write_bench,
+)
 from .core.lid_analysis import lid_head_probability
 from .core.overhead import overhead_breakdown
 from .core.params import NetworkParameters
@@ -529,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bench = sub.add_parser(
-        "bench", help="benchmark the engine; writes BENCH_engine.json"
+        "bench", help="benchmark the paper stack; writes BENCH_engine.json"
     )
     bench.add_argument(
         "--out",
@@ -537,25 +544,17 @@ def build_parser() -> argparse.ArgumentParser:
         default="BENCH_engine.json",
         help="output JSON report path (default: BENCH_engine.json)",
     )
+    default_sizes = ",".join(map(str, DEFAULT_SIZES))
     bench.add_argument(
         "--sizes",
-        default="100,500,2000,5000",
-        help="comma-separated network sizes (default: 100,500,2000,5000)",
+        default=default_sizes,
+        help=f"comma-separated network sizes (default: {default_sizes})",
     )
     bench.add_argument(
         "--steps",
         type=_positive_int,
         default=30,
-        help="simulation steps per (size, mode) point (default 30)",
-    )
-    bench.add_argument(
-        "--modes",
-        default="edge,incremental",
-        metavar="M1,M2",
-        help=(
-            "comma-separated kernels to benchmark: edge, incremental "
-            "(default: both)"
-        ),
+        help="timed simulation steps per size (default 30)",
     )
     bench.add_argument(
         "--sweep-jobs",
@@ -575,11 +574,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--regression-threshold",
         type=float,
-        default=0.20,
+        default=DEFAULT_REGRESSION_THRESHOLD,
         metavar="F",
         help=(
             "fractional steps/sec drop counted as a regression when "
-            "gating with --history (default 0.20)"
+            f"gating with --history (default {DEFAULT_REGRESSION_THRESHOLD})"
         ),
     )
     _add_logging_flags(bench)
@@ -745,19 +744,6 @@ def _run_sweep(args) -> int:
 
 
 def _run_bench(args) -> int:
-    from .analysis.benchmark import DEFAULT_MODES, run_bench, write_bench
-
-    modes = tuple(
-        token.strip() for token in args.modes.split(",") if token.strip()
-    )
-    unknown = [token for token in modes if token not in DEFAULT_MODES]
-    if unknown:
-        raise _CliError(
-            f"unknown bench modes {','.join(unknown)!r}; "
-            f"choose from {','.join(DEFAULT_MODES)}"
-        )
-    if not modes:
-        raise _CliError("no bench modes given")
     try:
         sizes = [int(v) for v in args.sizes.split(",") if v.strip()]
     except ValueError:
@@ -771,6 +757,11 @@ def _run_bench(args) -> int:
         raise _CliError(
             f"bad --sizes {args.sizes!r}: sizes must be >= 2, got {too_small}"
         )
+    try:
+        for size in sizes:
+            bench_params(size)
+    except ValueError as error:
+        raise _CliError(f"bad --sizes {args.sizes!r}: {error}") from None
     sweep_jobs = None
     if args.sweep_jobs is not None:
         tokens = [token.strip() for token in args.sweep_jobs.split(",")]
@@ -792,45 +783,27 @@ def _run_bench(args) -> int:
                 f"bad --sweep-jobs {args.sweep_jobs!r}: jobs values must "
                 f"be >= 1, got {invalid}"
             )
-    payload = run_bench(
-        sizes=sizes,
-        steps=args.steps,
-        sweep_jobs=sweep_jobs,
-        modes=modes,
-    )
+    payload = run_bench(sizes=sizes, steps=args.steps, sweep_jobs=sweep_jobs)
     path = write_bench(payload, args.out)
     print(f"benchmark report written to {path}")
-    for row in payload["step_benchmarks"]:
+    rows = payload["step_benchmarks"]
+    for row in rows:
         print(
-            f"  N={row['n_nodes']:>5d}  {row['mode']:<18s} "
-            f"{row['steps_per_sec']:>10.1f} steps/s  "
+            f"  N={row['n_nodes']:>5d}  {row['events_per_step']:>8.0f} "
+            f"events/step  {row['ms_per_step']:>8.2f} ms/step  "
+            f"{row['us_per_event']:>6.2f} µs/event  "
+            f"{row['steps_per_sec']:>8.1f} steps/s  "
             f"peak RSS {row['peak_rss_kb'] / 1024:.0f} MiB"
         )
-    for row in payload["step_benchmarks"]:
-        stats = row.get("engine_stats")
-        if stats:
-            print(
-                f"  N={row['n_nodes']:>5d}  incremental engine: "
-                f"{stats['full_rebuilds']} validations, "
-                f"{stats['incremental_steps']} incremental steps, "
-                f"{stats['mean_at_risk']:.0f} pairs recomputed per "
-                "incremental step (mean_at_risk)"
-            )
-            validation = stats.get("validation_ms_p50")
-            incremental = stats.get("incremental_ms_p50")
-            if validation is not None and incremental:
-                print(
-                    f"  N={row['n_nodes']:>5d}  note: a validation step "
-                    f"(p50 {validation:.2f} ms) costs "
-                    f"{validation / incremental:.1f}x an incremental "
-                    f"step (p50 {incremental:.2f} ms)"
-                )
-    for size, per_mode in payload.get("speedup_vs_edge", {}).items():
-        for mode, speedup in per_mode.items():
-            print(f"  N={size:>5s}  {mode} vs edge: {speedup:.1f}x")
+    if len(rows) > 1:
+        smallest, largest = rows[0], rows[-1]
+        print(
+            f"  µs/event N={largest['n_nodes']} / N={smallest['n_nodes']}: "
+            f"{largest['us_per_event'] / smallest['us_per_event']:.2f}x"
+        )
     violations = [
-        f"  N={size:>5s}  incremental-engine equivalence: {verdict}"
-        for size, verdict in payload.get("equivalence", {}).items()
+        f"  N={size:>5s}  engine equivalence: {verdict}"
+        for size, verdict in payload["equivalence"].items()
         if verdict != "ok"
     ]
     for line in violations:
@@ -847,8 +820,6 @@ def _run_bench(args) -> int:
             f"  ({resources['rss_source']})"
         )
     if args.history is not None:
-        from .analysis.benchmark import update_bench_history
-
         try:
             entry, regressions = update_bench_history(
                 payload, args.history, threshold=args.regression_threshold

@@ -626,7 +626,7 @@ class Simulation:
             # One call per (event, protocol) whose hook does work,
             # event-major in pair order: a hook a protocol inherits
             # unchanged from Protocol is not called (see
-            # repro.sim.protocol.overriding).  The clock is read once
+            # repro.protocol.overriding).  The clock is read once
             # after each call, and the time since the previous read is
             # charged to that call's protocol, so the protocol:<name>
             # phases partition the whole dispatch loop.  Hooks are bound

@@ -165,7 +165,7 @@ class TestMain:
             [
                 "bench",
                 "--sizes",
-                "60",
+                "60,100",
                 "--steps",
                 "3",
                 "--out",
@@ -174,55 +174,41 @@ class TestMain:
         )
         assert code == 0
         payload = json.loads(out.read_text())
-        modes = {row["mode"] for row in payload["step_benchmarks"]}
-        assert modes == {"edge-engine", "incremental-engine"}
-        for row in payload["step_benchmarks"]:
+        assert payload["schema_version"] == 5
+        assert set(payload) == {
+            "schema_version",
+            "engine_schema_version",
+            "machine",
+            "config",
+            "notes",
+            "step_benchmarks",
+            "equivalence",
+            "resources",
+        }
+        assert payload["equivalence"] == {"60": "ok", "100": "ok"}
+        rows = payload["step_benchmarks"]
+        assert [row["n_nodes"] for row in rows] == [60, 100]
+        for row in rows:
+            assert row["mode"] == "stack"
             assert row["steps_per_sec"] > 0
             assert row["peak_rss_kb"] > 0
-            assert set(row["phases_s"]) >= {
+            assert row["events_per_step"] > 0
+            assert row["ms_per_step"] > 0
+            assert row["us_per_event"] > 0
+            assert set(row["us_per_event_by_phase"]) >= {
                 "mobility",
                 "adjacency",
-                "link_diff",
+                "protocol:hello",
+                "protocol:intra-cluster-routing",
+                "protocol:cluster-maintenance",
+                "untimed",
             }
-        assert payload["schema_version"] == 4
-        assert "speedup_vs_dense" not in payload
-        assert "crossover" not in payload
-        assert payload["speedup_vs_edge"]["60"]["incremental-engine"] > 0
-        assert payload["equivalence"] == {"60": "ok"}
-        stats = next(
-            row["engine_stats"]
-            for row in payload["step_benchmarks"]
-            if row["mode"] == "incremental-engine"
-        )
-        assert stats["full_rebuilds"] >= 1
-        # Step wall time split on whether the engine validated: three
-        # steps at N=60 are all incremental.
-        assert stats["validation_ms_p50"] is None
-        assert stats["incremental_ms_p50"] > 0
-
-    def test_bench_modes_subset(self, capsys, tmp_path):
-        import json
-
-        out = tmp_path / "bench.json"
-        code = main(
-            [
-                "bench",
-                "--sizes",
-                "60",
-                "--steps",
-                "3",
-                "--modes",
-                "edge",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        modes = {row["mode"] for row in payload["step_benchmarks"]}
-        assert modes == {"edge-engine"}
-        assert payload["speedup_vs_edge"] == {"60": {}}
-        assert payload["equivalence"] == {}
+            stats = row["engine_stats"]
+            assert stats["full_rebuilds"] + stats["incremental_steps"] == 3
+            assert stats["incremental_ms_p50"] > 0
+        text = capsys.readouterr().out
+        assert "events/step" in text and "µs/event" in text
+        assert "µs/event N=100 / N=60:" in text
 
     def test_bench_bad_sizes(self, capsys):
         assert main(["bench", "--sizes", "abc"]) == 2
@@ -232,9 +218,17 @@ class TestMain:
         assert main(["bench", "--sizes", sizes]) == 2
         assert "sizes must be >= 2" in capsys.readouterr().err
 
-    def test_bench_bad_modes(self, capsys):
-        assert main(["bench", "--modes", "edge,warp"]) == 2
-        assert main(["bench", "--modes", "dense"]) == 2
+    def test_bench_size_the_scaling_cannot_place(self, capsys, tmp_path):
+        # r scales by sqrt(2000/N): N=20 puts it at the side, r >= a.
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--sizes", "60,20", "--out", str(out)]) == 2
+        assert "r < a" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bench_modes_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--modes", "edge"])
+        assert exit_info.value.code == 2
 
     def test_bench_sweep_jobs_empty_entry(self, capsys):
         assert main(["bench", "--sweep-jobs", "1,,0"]) == 2
