@@ -117,7 +117,7 @@ def _attribution_mismatches(run: RunSummary) -> list[str]:
         if ledger != streamed:
             found.append(
                 f"sim {run.sim} {category}: attribution ledger has "
-                f"{ledger} messages, traced msg_tx stream has {streamed}"
+                f"{ledger} messages, traced sends have {streamed}"
             )
     return found
 
@@ -273,7 +273,7 @@ class HealthReport:
         if rows:
             lines.extend(_table(["category", "messages", "bits"], rows))
         else:
-            lines.append("No `msg_tx` events in this trace.")
+            lines.append("No traced sends in this trace.")
         lines.append("")
         mismatches = summary.mismatches()
         if mismatches:
@@ -283,7 +283,7 @@ class HealthReport:
             run.reported_totals is not None for run in summary.runs.values()
         ):
             lines.append(
-                "Reconciliation: traced `msg_tx` events match the "
+                "Reconciliation: traced sends match the "
                 "`run_end` reported totals exactly."
             )
         else:
@@ -375,8 +375,8 @@ class HealthReport:
         else:
             lines.append(
                 "Reconciliation: the ledger's per-cause totals match the "
-                "run's `MessageStats` counters (and the traced `msg_tx` "
-                "stream) exactly."
+                "run's `MessageStats` counters (and the traced sends) "
+                "exactly."
             )
         lines.append("")
         return lines

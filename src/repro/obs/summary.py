@@ -314,7 +314,7 @@ class TraceSummary:
             run.reported_totals is not None for run in self.runs.values()
         ):
             lines.append(
-                "reconciliation: traced msg_tx events match reported totals"
+                "reconciliation: traced sends match reported totals"
             )
         return "\n".join(lines)
 

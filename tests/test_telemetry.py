@@ -205,7 +205,7 @@ class TestTraceSummaryCli:
         assert main(["trace-summary", str(path)]) == 0
         out = capsys.readouterr().out
         assert "per-category message totals" in out
-        assert "reconciliation: traced msg_tx events match" in out
+        assert "reconciliation: traced sends match" in out
 
     def test_cli_json_output(self, params, tmp_path, capsys):
         from repro.cli import main

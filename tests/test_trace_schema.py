@@ -203,7 +203,7 @@ class TestSameAnswers:
 class TestSchema2Fixture:
     def test_reads_and_reconciles(self, capsys):
         assert main(["trace-summary", str(SCHEMA_2_FIXTURE)]) == 0
-        assert "msg_tx events match" in capsys.readouterr().out
+        assert "traced sends match" in capsys.readouterr().out
 
     def test_folds_like_its_schema_1_rewrite(self, tmp_path):
         schema_1 = tmp_path / "schema1.jsonl"
