@@ -1,35 +1,26 @@
 """Engine performance benchmark: the paper stack per link event.
 
 ``repro-manet bench`` drives this module and writes ``BENCH_engine.json``.
-It answers two questions about the simulator:
+It answers one question about the simulator: **what does a link event
+cost?**  Each row times the stack that
+:func:`~repro.run_spec.build_stack` builds for a default
+:class:`~repro.run_spec.RunSpec`: event HELLO, intra-cluster routing and
+LID cluster maintenance over the incremental connectivity engine, with
+the stats window open as in a real run.  Every overhead term of the
+paper is a rate of link events (Eqn 3: ``λ = 16 d v / (π² r)``) and the
+recommended step is ``dt ∝ r / v``, so at constant degree ``d`` each
+node sees a constant number of events per step.  The rows hold the
+degree fixed (:func:`bench_params`), which makes µs per link event
+comparable across sizes; a flat µs/event is the shape the paper's model
+asks of the simulator.
 
-* **What does a link event cost?**  Each row times the stack that
-  :func:`~repro.run_spec.build_stack` builds for a default
-  :class:`~repro.run_spec.RunSpec`: event HELLO, intra-cluster routing
-  and LID cluster maintenance over the incremental connectivity
-  engine, with the stats window open as in a real run.  Every overhead
-  term of the paper is a rate of link events (Eqn 3:
-  ``λ = 16 d v / (π² r)``) and the recommended step is ``dt ∝ r / v``,
-  so at constant degree ``d`` each node sees a constant number of
-  events per step.  The rows hold the degree fixed (:func:`bench_params`),
-  which makes µs per link event comparable across sizes; a flat
-  µs/event is the shape the paper's model asks of the simulator.
-  Each row is preceded by an **equivalence check** — a short run
-  comparing the simulation's edge sets and link events with a fresh
-  sweep of its positions every step — so no number is reported for a
-  kernel that silently diverged.
-* **Does process parallelism pay?**  ``--sweep-jobs`` times an
-  identical small sweep point at several ``jobs`` values; numbers are
-  whatever the current machine supports (a single-core container shows
-  overhead, not speedup — the report records ``cpu_count`` so readers
-  can judge).
-
-Peak RSS is read from ``getrusage`` and is monotone over the process
-lifetime; sizes are benchmarked smallest-N-first so each row's
-snapshot is still a usable upper bound for that size.  A background
-:class:`~repro.obs.resources.ResourceSampler` additionally records the
-*current* RSS and CPU utilisation over the whole benchmark
-(``resources`` in the report).
+Every size first passes an **equivalence check** — a short run
+comparing the simulation's edge sets and link events with a fresh sweep
+of its positions every step — so no number is reported for a kernel
+that silently diverged.  Then one warmed stack per size is timed in
+:data:`WINDOWS` rounds; each round times one window per size, smallest
+first, so a slow stretch of the host lands on every size alike rather
+than on whichever row ran through it.  A row reports its median window.
 
 **Bench history** (``repro-manet bench --history FILE``) turns a
 one-off report into a perf-regression tracker: each run appends one
@@ -56,7 +47,6 @@ import numpy as np
 
 from ..core.params import NetworkParameters
 from ..mobility import EpochRandomWaypointModel
-from ..obs.resources import ResourceSampler
 from ..obs.timing import PhaseTimer
 from ..run_spec import RunSpec, build_stack
 from ..sim import Simulation, recommended_step
@@ -66,10 +56,10 @@ __all__ = [
     "DEFAULT_SIZES",
     "DEFAULT_REGRESSION_THRESHOLD",
     "WARMUP_STEPS",
+    "WINDOWS",
     "bench_params",
     "bench_steps",
     "check_equivalence",
-    "bench_parallel_sweep",
     "run_bench",
     "write_bench",
     "history_entry",
@@ -93,6 +83,10 @@ DEFAULT_SIZES = (500, 1000, 2000, 4000)
 #: Steps each row runs before its stats window opens and its clock
 #: starts, so formation and the first validations stay out of it.
 WARMUP_STEPS = 5
+
+#: Timed windows per size, run in rounds across the sizes.  Odd, so a
+#: row's median is a window that ran.
+WINDOWS = 7
 
 #: The size at which a row's r and v are perfbench ``paper-stack``'s
 #: (r = 0.1a, v = 0.05a); other sizes scale both by sqrt(N0 / N).
@@ -139,31 +133,30 @@ def _engine_counters(engine) -> np.ndarray:
     )
 
 
-def _bench_stack(params: NetworkParameters, steps: int, seed: int = 0) -> dict:
-    """Time ``steps`` steps of the default stack after the warm-up.
-
-    ``us_per_event_by_phase`` splits ``us_per_event`` over the
-    simulation's :class:`~repro.obs.timing.PhaseTimer` phases, plus an
-    ``untimed`` entry for the wall time no phase covers, so its values
-    sum to ``us_per_event``.  ``engine_stats`` covers the timed steps:
-    ``full_rebuilds`` counts the engine's validations, and
-    ``mean_at_risk`` is the mean number of candidate pairs whose
-    distance an incremental step recomputed.  ``validation_ms_p50`` and
-    ``incremental_ms_p50`` are the median step wall times of the steps
-    whose engine step was a validation and of the rest (``None`` when
-    the window had no such step).
-    """
+def _warm_stack(params: NetworkParameters, steps: int) -> Simulation:
+    """The default seed-0 stack for ``params``, warmed up, stats open."""
     dt = recommended_step(params.tx_range, params.velocity)
     spec = RunSpec(
-        params, seed=seed, duration=steps * dt, warmup=WARMUP_STEPS * dt
+        params,
+        seed=0,
+        duration=WINDOWS * steps * dt,
+        warmup=WARMUP_STEPS * dt,
     )
     sim = build_stack(spec).sim
     for _ in range(WARMUP_STEPS):
         sim.step()
     sim.stats.start_measuring()
-    sim.timer.reset()
+    return sim
+
+
+def _time_window(sim: Simulation, steps: int) -> dict:
+    """Time ``steps`` steps of ``sim``, its phase timer reset first.
+
+    ``step_ms`` splits the step wall times by whether the engine step
+    was a validation (``True``) or incremental (``False``).
+    """
     engine = sim._incremental
-    counters = _engine_counters(engine)
+    sim.timer.reset()
     step_ms: dict[bool, list[float]] = {True: [], False: []}
     events = 0
     start = perf_counter()
@@ -174,33 +167,66 @@ def _bench_stack(params: NetworkParameters, steps: int, seed: int = 0) -> dict:
         step_ms[engine.full_rebuilds != rebuilds].append(
             (perf_counter() - before) * 1e3
         )
-    elapsed = perf_counter() - start
-    validations, incremental, at_risk = (
-        _engine_counters(engine) - counters
-    ).tolist()
-    phases = _phase_dict(sim.timer)
+    return {
+        "elapsed_s": perf_counter() - start,
+        "events": events,
+        "phases_s": _phase_dict(sim.timer),
+        "step_ms": step_ms,
+    }
+
+
+def _stack_row(
+    n_nodes: int, steps: int, windows: list[dict], counters: np.ndarray
+) -> dict:
+    """One size's row from its timed ``windows``.
+
+    The timing fields come from the median window by µs/event.
+    ``us_per_event_by_phase`` splits its ``us_per_event`` over the
+    simulation's :class:`~repro.obs.timing.PhaseTimer` phases, plus an
+    ``untimed`` entry for the wall time no phase covers, so its values
+    sum to ``us_per_event``.  ``events_per_step`` and ``engine_stats``
+    cover all timed steps; ``counters`` is the engine's
+    :func:`_engine_counters` delta over them.  ``full_rebuilds``
+    counts the engine's validations, and ``mean_at_risk`` is the mean
+    number of candidate pairs whose distance an incremental step
+    recomputed.  ``validation_ms_p50`` and ``incremental_ms_p50`` are
+    the median step wall times of the steps whose engine step was a
+    validation and of the rest (``None`` when no timed step was).
+    """
+    us_windows = [w["elapsed_s"] * 1e6 / w["events"] for w in windows]
+    order = sorted(range(len(windows)), key=us_windows.__getitem__)
+    median = windows[order[len(order) // 2]]
+    elapsed, events, phases = (
+        median["elapsed_s"], median["events"], median["phases_s"]
+    )
     us_per_event = {
         phase: seconds * 1e6 / events for phase, seconds in phases.items()
     }
     us_per_event["untimed"] = (elapsed - sum(phases.values())) * 1e6 / events
+    validations, incremental, at_risk = counters.tolist()
     return {
         "mode": "stack",
-        "n_nodes": params.n_nodes,
+        "n_nodes": n_nodes,
         "steps": steps,
         "elapsed_s": elapsed,
         "steps_per_sec": steps / elapsed,
-        "events_per_step": events / steps,
+        "events_per_step": sum(w["events"] for w in windows)
+        / (steps * len(windows)),
         "ms_per_step": elapsed * 1e3 / steps,
         "us_per_event": elapsed * 1e6 / events,
+        "us_per_event_windows": us_windows,
         "us_per_event_by_phase": us_per_event,
         "phases_s": phases,
-        "peak_rss_kb": _peak_rss_kb(),
         "engine_stats": {
             "full_rebuilds": validations,
             "incremental_steps": incremental,
             "mean_at_risk": at_risk / incremental if incremental else 0.0,
-            "validation_ms_p50": _median(step_ms[True]),
-            "incremental_ms_p50": _median(step_ms[False]),
+            "validation_ms_p50": _median(
+                [ms for w in windows for ms in w["step_ms"][True]]
+            ),
+            "incremental_ms_p50": _median(
+                [ms for w in windows for ms in w["step_ms"][False]]
+            ),
         },
     }
 
@@ -258,87 +284,49 @@ def check_equivalence(
 def bench_steps(
     sizes=DEFAULT_SIZES, steps: int = 30
 ) -> tuple[list[dict], dict[str, str]]:
-    """Benchmark the stack across ``sizes``, smallest first.
+    """Benchmark the stack across ``sizes`` in alternating windows.
 
-    Returns ``(results, equivalence)``: one row per size, and the
-    :func:`check_equivalence` verdict at each size (``"ok"`` or a
-    mismatch string), keyed by ``str(N)``.  Every size's parameters are
-    built before any row runs, so a size :func:`bench_params` cannot
-    place raises its :class:`ValueError` up front.
+    Returns ``(results, equivalence)``: one row per size, smallest
+    first, and the :func:`check_equivalence` verdict at each size
+    (``"ok"`` or a mismatch string), keyed by ``str(N)``.  Every size's
+    parameters are built before anything runs, so a size
+    :func:`bench_params` cannot place raises its :class:`ValueError`
+    up front, and every equivalence check runs before any timing.
+    Each of the :data:`WINDOWS` rounds then times one window of
+    ``steps`` steps per size, smallest size first.
     """
     all_params = [bench_params(n_nodes) for n_nodes in sorted(sizes)]
-    results: list[dict] = []
-    equivalence: dict[str, str] = {}
-    for params in all_params:
-        equivalence[str(params.n_nodes)] = check_equivalence(params)
-        results.append(_bench_stack(params, steps))
+    equivalence = {
+        str(params.n_nodes): check_equivalence(params)
+        for params in all_params
+    }
+    sims = [_warm_stack(params, steps) for params in all_params]
+    counters = [_engine_counters(sim._incremental) for sim in sims]
+    windows: list[list[dict]] = [[] for _ in sims]
+    for _ in range(WINDOWS):
+        for sim, timed in zip(sims, windows):
+            timed.append(_time_window(sim, steps))
+    results = [
+        _stack_row(
+            sim.n_nodes,
+            steps,
+            timed,
+            _engine_counters(sim._incremental) - before,
+        )
+        for sim, timed, before in zip(sims, windows, counters)
+    ]
     return results, equivalence
 
 
-def bench_parallel_sweep(
-    jobs_values=(1, 4),
-    n_nodes: int = 120,
-    seeds: int = 4,
-    duration: float = 4.0,
-) -> dict:
-    """Wall-clock one sweep point at each ``jobs`` value.
-
-    The per-seed work and results are identical across rows (the runner
-    is deterministic), so the wall-clock ratio is pure scheduling.
-    ``chunk_size`` records how many tasks each worker dispatch carried
-    (the amortization knob of :func:`repro.analysis.parallel.run_tasks`).
-    """
-    from .parallel import task_chunk_size
-    from .sweep import measure_point
-
-    params = NetworkParameters.from_fractions(
-        n_nodes=n_nodes,
-        range_fraction=REFERENCE_RANGE_FRACTION,
-        velocity_fraction=REFERENCE_VELOCITY_FRACTION,
-    )
-    rows = []
-    serial_s: float | None = None
-    for jobs in jobs_values:
-        start = perf_counter()
-        measure_point(
-            params,
-            params.tx_range,
-            seeds=seeds,
-            duration=duration,
-            warmup=duration * 0.15,
-            jobs=jobs,
-        )
-        elapsed = perf_counter() - start
-        if jobs == 1:
-            serial_s = elapsed
-        rows.append(
-            {
-                "jobs": jobs,
-                "chunk_size": task_chunk_size(seeds, jobs),
-                "wall_s": elapsed,
-                "vs_serial": None if serial_s is None else elapsed / serial_s,
-            }
-        )
-    return {
-        "n_nodes": n_nodes,
-        "seeds": seeds,
-        "duration": duration,
-        "rows": rows,
-    }
-
-
-def run_bench(
-    sizes=DEFAULT_SIZES,
-    steps: int = 30,
-    sweep_jobs=None,
-) -> dict:
-    """Run the requested benchmark stages and assemble the report."""
+def run_bench(sizes=DEFAULT_SIZES, steps: int = 30) -> dict:
+    """Run the step benchmark and assemble the report."""
     import os
 
     from ..sim.engine import ENGINE_SCHEMA_VERSION
 
-    payload: dict = {
-        "schema_version": 5,
+    results, equivalence = bench_steps(sizes, steps)
+    return {
+        "schema_version": 6,
         "engine_schema_version": ENGINE_SCHEMA_VERSION,
         "machine": {
             "platform": platform.platform(),
@@ -349,28 +337,25 @@ def run_bench(
         "config": {
             "sizes": list(sizes),
             "steps": steps,
+            "windows": WINDOWS,
             "warmup_steps": WARMUP_STEPS,
         },
         "notes": [
             "rows hold the expected degree fixed: r and v are 0.1a and "
             "0.05a at N=2000, scaled by sqrt(2000/N)",
-            "each row is preceded by an equivalence check against a "
-            "fresh pair sweep every step (see the equivalence table)",
-            "peak_rss_kb is process-monotone (getrusage); sizes run "
-            "smallest-N-first",
+            "every size passes an equivalence check against a fresh "
+            "pair sweep every step before any timing (see the "
+            "equivalence table)",
+            f"each row is the median of {WINDOWS} windows of `steps` "
+            "steps; each round times one window per size, smallest N "
+            "first",
+            "peak_rss_kb is the process's peak over the whole benchmark "
+            "(getrusage)",
         ],
+        "step_benchmarks": results,
+        "equivalence": equivalence,
+        "peak_rss_kb": _peak_rss_kb(),
     }
-    sampler = ResourceSampler(interval=0.2)
-    with sampler:
-        results, equivalence = bench_steps(sizes, steps)
-        payload["step_benchmarks"] = results
-        payload["equivalence"] = equivalence
-        if sweep_jobs:
-            payload["parallel_sweep"] = bench_parallel_sweep(
-                tuple(sweep_jobs)
-            )
-    payload["resources"] = sampler.summary()
-    return payload
 
 
 def write_bench(payload: dict, path: str | Path) -> Path:

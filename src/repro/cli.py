@@ -48,8 +48,9 @@ trace.  ``bench --history FILE`` appends steps/sec results to a JSONL
 history and exits 1 when a point regresses more than the threshold
 against the best prior entry (regressions come with a per-phase
 attribution table when phase data is available).  Each ``bench``
-row is gated by an equivalence check of the connectivity engine
-against a fresh pair sweep, which sets the exit code too.
+size is gated by an equivalence check of the connectivity engine
+against a fresh pair sweep, which sets the exit code too, and each
+row is the median of alternating timed windows.
 
 Timeline tooling (see README, "Timelines & run comparison"):
 ``timeline`` exports a trace as Chrome trace-event JSON for
@@ -76,6 +77,7 @@ import sys
 from .analysis.benchmark import (
     DEFAULT_REGRESSION_THRESHOLD,
     DEFAULT_SIZES,
+    WINDOWS,
     bench_params,
     run_bench,
     update_bench_history,
@@ -554,13 +556,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--steps",
         type=_positive_int,
         default=30,
-        help="timed simulation steps per size (default 30)",
-    )
-    bench.add_argument(
-        "--sweep-jobs",
-        default=None,
-        metavar="J1,J2",
-        help="also time a small sweep point at these jobs values, e.g. 1,4",
+        help=(
+            "simulation steps per timed window; each size is timed in "
+            f"{WINDOWS} windows (default 30)"
+        ),
     )
     bench.add_argument(
         "--history",
@@ -655,11 +654,11 @@ def _run_sweep(args) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
-        print(f"could not parse sweep values: {args.values!r}")
-        return 2
+        raise _CliError(
+            f"could not parse sweep values: {args.values!r}"
+        ) from None
     if not values:
-        print("no sweep values given")
-        return 2
+        raise _CliError("no sweep values given")
     store = _resolve_store(args)
     beacon = None
     if args.beacon_policy is not None:
@@ -675,8 +674,7 @@ def _run_sweep(args) -> int:
         try:
             hello_from_config(beacon)
         except ValueError as error:
-            print(f"bad --beacon-policy: {error}")
-            return 2
+            raise _CliError(f"bad --beacon-policy: {error}") from None
     faults = None
     if (
         args.fault_crash_rate is not None
@@ -694,11 +692,9 @@ def _run_sweep(args) -> int:
         try:
             fault_config_from_dict(faults)
         except ValueError as error:
-            print(f"bad --fault-* flags: {error}")
-            return 2
+            raise _CliError(f"bad --fault-* flags: {error}") from None
     elif args.fault_crash_recover is not None:
-        print("--fault-crash-recover requires --fault-crash-rate")
-        return 2
+        raise _CliError("--fault-crash-recover requires --fault-crash-rate")
     base = NetworkParameters.from_fractions(
         n_nodes=args.n, range_fraction=args.rf, velocity_fraction=args.vf
     )
@@ -762,28 +758,7 @@ def _run_bench(args) -> int:
             bench_params(size)
     except ValueError as error:
         raise _CliError(f"bad --sizes {args.sizes!r}: {error}") from None
-    sweep_jobs = None
-    if args.sweep_jobs is not None:
-        tokens = [token.strip() for token in args.sweep_jobs.split(",")]
-        if not tokens or any(not token for token in tokens):
-            raise _CliError(
-                f"bad --sweep-jobs {args.sweep_jobs!r}: empty entry "
-                "(use a comma-separated list like 1,4)"
-            )
-        try:
-            sweep_jobs = [int(token) for token in tokens]
-        except ValueError:
-            raise _CliError(
-                f"bad --sweep-jobs {args.sweep_jobs!r}: entries must be "
-                "integers (use a comma-separated list like 1,4)"
-            ) from None
-        invalid = [jobs for jobs in sweep_jobs if jobs < 1]
-        if invalid:
-            raise _CliError(
-                f"bad --sweep-jobs {args.sweep_jobs!r}: jobs values must "
-                f"be >= 1, got {invalid}"
-            )
-    payload = run_bench(sizes=sizes, steps=args.steps, sweep_jobs=sweep_jobs)
+    payload = run_bench(sizes=sizes, steps=args.steps)
     path = write_bench(payload, args.out)
     print(f"benchmark report written to {path}")
     rows = payload["step_benchmarks"]
@@ -792,15 +767,16 @@ def _run_bench(args) -> int:
             f"  N={row['n_nodes']:>5d}  {row['events_per_step']:>8.0f} "
             f"events/step  {row['ms_per_step']:>8.2f} ms/step  "
             f"{row['us_per_event']:>6.2f} µs/event  "
-            f"{row['steps_per_sec']:>8.1f} steps/s  "
-            f"peak RSS {row['peak_rss_kb'] / 1024:.0f} MiB"
+            f"{row['steps_per_sec']:>8.1f} steps/s"
         )
     if len(rows) > 1:
         smallest, largest = rows[0], rows[-1]
         print(
             f"  µs/event N={largest['n_nodes']} / N={smallest['n_nodes']}: "
-            f"{largest['us_per_event'] / smallest['us_per_event']:.2f}x"
+            f"{largest['us_per_event'] / smallest['us_per_event']:.2f}x "
+            "(medians)"
         )
+    print(f"  peak RSS {payload['peak_rss_kb'] / 1024:.0f} MiB")
     violations = [
         f"  N={size:>5s}  engine equivalence: {verdict}"
         for size, verdict in payload["equivalence"].items()
@@ -808,17 +784,6 @@ def _run_bench(args) -> int:
     ]
     for line in violations:
         print(f"EQUIVALENCE VIOLATION{line}", file=sys.stderr)
-    resources = payload.get("resources") or {}
-    if resources.get("samples"):
-        rss_max = resources.get("rss_kb_max")
-        rss_text = (
-            f"{rss_max / 1024:.0f} MiB" if rss_max is not None else "n/a"
-        )
-        print(
-            f"  resources: peak RSS {rss_text}"
-            f"  mean CPU {resources['cpu_util_mean']:.2f} cores"
-            f"  ({resources['rss_source']})"
-        )
     if args.history is not None:
         try:
             entry, regressions = update_bench_history(

@@ -236,17 +236,6 @@ class ResultStore:
             },
         )
 
-    def get_manifest(self, key: str):
-        """The manifest record for ``key``, or :data:`MISS`."""
-        path = self.manifest_path(key)
-        if not path.exists():
-            return MISS
-        try:
-            return self.load_record(path)
-        except ValueError as error:
-            self.quarantine(path, str(error))
-            return MISS
-
     # ------------------------------------------------------------------
     # Maintenance: stats / ls / gc / verify
     # ------------------------------------------------------------------

@@ -619,7 +619,7 @@ class TestCliBeaconPolicy:
             ]
         )
         assert code == 2
-        assert "valid policies" in capsys.readouterr().out
+        assert "valid policies" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
