@@ -29,9 +29,19 @@ audit also checks data-plane conservation: the packets actually held in
 flight must equal ``generated - delivered - dropped``.  The audit event
 then carries ``traffic_unbalanced`` (traffic protocols whose books do
 not balance), and an imbalance fails the audit like a P1/P2 violation.
+
+Every audit also checks the connectivity engine: the live edge set must
+equal a fresh :func:`~repro.spatial.compute_edges` sweep of the current
+positions with failed radios masked, so the engine's recheck budgets,
+odometers and validations are checked inside every audited run, not
+only on the test inputs.  A mismatch fails the audit, and the event
+then carries ``stale_links``, the number of links the two sets disagree
+on; clean audits write no such field.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from ..protocol import Protocol
 
@@ -39,7 +49,7 @@ __all__ = ["AuditError", "InvariantAuditor"]
 
 
 class AuditError(RuntimeError):
-    """A strict-mode invariant audit found a P1/P2 violation."""
+    """A strict-mode invariant audit found a violation."""
 
 
 class InvariantAuditor(Protocol):
@@ -107,8 +117,9 @@ class InvariantAuditor(Protocol):
             return True
         found = check_properties(state, sim.neighbor_csr)
         unbalanced = _unbalanced_traffic(sim)
+        stale = _stale_links(sim)
         self.audits += 1
-        ok = found.ok and not unbalanced
+        ok = found.ok and not unbalanced and not stale
         counts = {
             "adjacent_heads": len(found.adjacent_heads),
             "unaffiliated": len(found.unaffiliated),
@@ -117,6 +128,8 @@ class InvariantAuditor(Protocol):
         }
         if unbalanced is not None:
             counts["traffic_unbalanced"] = len(unbalanced)
+        if stale:
+            counts["stale_links"] = stale
         if not ok:
             self.violations += 1
             if self._violating_since is None:
@@ -137,6 +150,10 @@ class InvariantAuditor(Protocol):
         if not ok and self.strict:
             problems = [] if found.ok else [found.describe()]
             problems.extend(unbalanced or ())
+            if stale:
+                problems.append(
+                    f"live edge set differs from a fresh sweep in {stale} links"
+                )
             raise AuditError(
                 f"invariant audit failed at t={time:.6g} "
                 f"(sim {sim.sim_id}): {'; '.join(problems)}"
@@ -178,3 +195,24 @@ def _unbalanced_traffic(sim) -> list[str] | None:
                 f"{books.dropped} = {books.in_flight}"
             )
     return problems
+
+
+def _stale_links(sim) -> int:
+    """Links on which ``sim.edges`` and a fresh sweep disagree.
+
+    The sweep is :func:`~repro.spatial.compute_edges` of the current
+    positions at the transmission range, with every link of a failed
+    radio dropped, as the simulation masks it.
+    """
+    from ..spatial import compute_edges, diff_edge_sets
+
+    expected = compute_edges(sim.region, sim.positions, sim.params.tx_range)
+    active = sim.active
+    if not active.all():
+        expected = expected.compress(
+            active[expected[:, 0]] & active[expected[:, 1]], axis=0
+        )
+    edges = sim.edges
+    if np.array_equal(edges, expected):
+        return 0
+    return diff_edge_sets(expected, edges).change_count

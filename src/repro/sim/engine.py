@@ -10,7 +10,9 @@ connectivity path produces it: the temporal-coherence engine
 flips are the step's link generation/break events; its full validations
 return exact events too.  Only while a radio is failed on either side
 of a step are the (masked) edge sets diffed instead
-(:func:`~repro.spatial.diff_edge_sets`).  The kernel delivers
+(:func:`~repro.spatial.diff_edge_sets`).  On the other steps the
+edge array is built only when something reads
+:attr:`Simulation.edges`.  The kernel delivers
 those events — in deterministic order — to attached protocols (HELLO
 beaconing, clustering maintenance, routing).
 Neighbor views are derived from the edge set lazily and cached until
@@ -60,6 +62,7 @@ from ..protocol import Protocol, overriding
 from ..spatial import (
     Boundary,
     IncrementalConnectivityEngine,
+    IncrementalStepResult,
     LinkEvents,
     SquareRegion,
     # Neither is called here (no module calls ``edges_to_adjacency``):
@@ -253,10 +256,7 @@ class Simulation:
         #: masking happened on either side of the diff.
         self._prev_all_active = True
         # No radio has failed yet, so nothing is masked.
-        self._set_edges(
-            self._incremental.step(self.mobility.positions).edges,
-            unmasked=True,
-        )
+        self._set_edges(self._incremental.step(self.mobility.positions))
         logger.debug(
             "sim %d: N=%d side=%.4g r=%.4g v=%.4g dt=%.4g seed=%s",
             self.sim_id,
@@ -366,6 +366,19 @@ class Simulation:
     def positions(self) -> np.ndarray:
         """Current node positions."""
         return self.mobility.positions
+
+    @property
+    def edges(self) -> np.ndarray:
+        """Primary connectivity state: sorted ``(E, 2)`` edge array, ``i < j``.
+
+        On an unmasked step the engine's step result builds it on the
+        first read, and every later read in the step returns that same
+        object, so steps nobody reads the edge set of never build it.
+        """
+        edges = self._edges
+        if edges is None:
+            edges = self._edges = self._step_result.edges
+        return edges
 
     @property
     def neighbor_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -512,16 +525,22 @@ class Simulation:
         alive = self.active[edges[:, 0]] & self.active[edges[:, 1]]
         return edges.compress(alive, axis=0)
 
-    def _set_edges(self, edges: np.ndarray, unmasked: bool = False) -> None:
-        """Commit ``edges`` as the live edge set and drop the derived views.
+    def _set_edges(self, edges: np.ndarray | IncrementalStepResult) -> None:
+        """Commit the live edge set and drop the derived views.
 
-        ``unmasked`` says that ``edges`` is exactly the engine's last
-        step (no radio masked); while it holds, :meth:`neighbors_of`
-        reads the engine's pair index.
+        ``edges`` is either a sorted ``(E, 2)`` array or an unmasked
+        engine step result (no radio masked), whose edge set
+        :attr:`edges` builds on first read; while a result is live,
+        :meth:`neighbors_of` reads the engine's pair index.
         """
-        #: Primary connectivity state: sorted (E, 2) edge array, i < j.
-        self.edges = edges
-        self._pair_index = self._incremental if unmasked else None
+        if isinstance(edges, IncrementalStepResult):
+            self._step_result = edges
+            self._edges: np.ndarray | None = None
+            self._pair_index = self._incremental
+        else:
+            self._step_result = None
+            self._edges = edges
+            self._pair_index = None
         self._neighbor_csr: tuple[np.ndarray, np.ndarray] | None = None
         self._adjacency_lists: list[list[int]] | None = None
         #: :func:`~repro.spatial.edge_keys` of the live edge set (sorted),
@@ -570,7 +589,6 @@ class Simulation:
             t1 = t1b
         all_active = bool(self.active.all())
         result = self._incremental.step(positions)
-        new_edges = self._mask_failed(result.edges)
         t2 = perf_counter()
         # The engine's events describe the *unmasked* connectivity; they
         # stand in for diff_edge_sets only while no radio was failed on
@@ -578,7 +596,8 @@ class Simulation:
         if result.events is not None and all_active and self._prev_all_active:
             events = result.events
         else:
-            events = diff_edge_sets(self.edges, new_edges)
+            masked = self._mask_failed(result.edges)
+            events = diff_edge_sets(self.edges, masked)
         t3 = perf_counter()
         # Keep the sub-phases disjoint: "adjacency" is the engine step
         # minus the revalidation portion, which gets its own label so
@@ -588,7 +607,7 @@ class Simulation:
             timer.add("incremental_revalidate", result.revalidate_seconds)
         timer.add("link_diff", t3 - t2)
         self._prev_all_active = all_active
-        self._set_edges(new_edges, unmasked=all_active)
+        self._set_edges(result if all_active else masked)
         self.time += self.dt
         self.stats.advance_time(self.dt)
 

@@ -64,6 +64,15 @@ Every distance, in a validation and in a recompute, comes from
 :func:`~repro.spatial.neighbors._pair_distances`, bit-equal to
 ``region.distance`` and thus to the batch engine.
 
+The candidates are kept as the two key-sorted columns the sweep
+returns, with one edge-status mask.  A step's link events are gathered
+from the columns at the flipped pairs, and its
+:class:`IncrementalStepResult` builds the ``(E, 2)`` edge set only when
+something reads it: most steps' callers read the events alone.  Each
+incremental step updates a copy of the mask, so a result owns the mask
+it was returned with and still gives its own step's edges when read
+after later steps.
+
 The candidates double as a **pair index** for point neighbor queries.
 Each validation also keeps the forward row pointer of the key-sorted
 pairs (node ``x``'s pairs ``(x, j)`` are one contiguous slice) and a
@@ -82,7 +91,6 @@ fault transition needs no validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -97,39 +105,104 @@ __all__ = [
 ]
 
 #: Candidate-cache margin of the engine, as a fraction of ``tx_range``:
-#: candidates are cached out to ``(1 + fraction) * tx_range``.  A wider
-#: margin amortizes full validations over more steps but inflates the
-#: per-step candidate set; 0.5 balances the two at the paper's default
-#: velocities (see the README Performance section).  Re-measured with
-#: per-pair recheck budgets (bare engine, N=2000, r = 0.1a, v = 0.05a,
-#: 300 steps, three interleaved repeats on a 2-vCPU x86-64 VM): 0.25,
-#: 0.5 and 0.75 run 3.7-5.5 ms/step and sit within the repeat-to-repeat
-#: noise of each other (61, 31 and 20 validations; 23 k, 31 k and 36 k
-#: pairs recomputed per step), while 1.0 is 1-1.5 ms/step slower in
-#: every repeat (251 k candidates).
-INCREMENTAL_MARGIN_FRACTION = 0.5
+#: candidates are cached out to ``(1 + fraction) * tx_range``.  It
+#: decides only when the engine re-sweeps, never what a step returns.
+#: Cost model at the recommended step, where the two fastest nodes close
+#: in by ~5 % of r per step: a fraction m keeps K(m) ∝ (1 + m)²
+#: candidates and validates every S(m) ≈ m / 0.05 steps, so a step costs
+#: about A·K + B·K / S.  On the bare engine at N=2000 (r = 0.1a,
+#: v = 0.05a, epoch RWP, 400 steps, 2-vCPU x86-64 VM) an incremental
+#: step costs A ≈ 13-17 ns and a validation B ≈ 95-100 ns per
+#: candidate, so the mean step is cheapest near m = 0.3, and the p95
+#: step, a validation, falls with K: 141 k candidates at 0.5, 132 k at
+#: 0.45, 123 k at 0.4.  Below 0.4 too few incremental steps run between
+#: validations under non-uniform motion (at 0.35 group motion runs
+#: fewer than three per validation, which the engine's long-run lockstep
+#: test requires).  perfbench, 10 s runs alternating 0.4 / 0.45 / 0.5
+#: over seeds 901-905, medians: paper-stack ``step_ms_p95`` 15.1 /
+#: 16.2 / 16.2 ms and ``steps_per_s`` 127.5 / 125.1 / 126.7; jsonl-trace
+#: ``step_ms_p95`` 10.4 / 10.4 / 12.0 ms (``step_ms_p50`` 6.88 / 6.87 /
+#: 6.76); data-plane and sweep within their run-to-run spread.
+INCREMENTAL_MARGIN_FRACTION = 0.4
 
 
-@dataclass(frozen=True)
+class _Candidates:
+    """One validation's key-sorted candidate pairs, as two columns.
+
+    Event pairs are gathered from them by :meth:`at`, edge sets by
+    :meth:`masked`.  The latter reads the ``(K, 2)`` pair array, made
+    from the columns on first use and kept until the next validation: a
+    run that never reads an edge set never builds it, and one that reads
+    every step's pays one masked gather of 16-byte rows per read, not an
+    interleave of two compressed columns (about twice the time).
+    """
+
+    __slots__ = ("ci", "cj", "_pairs")
+
+    def __init__(self, ci: np.ndarray, cj: np.ndarray) -> None:
+        self.ci = ci
+        self.cj = cj
+        self._pairs: np.ndarray | None = None
+
+    def at(self, idx: np.ndarray) -> np.ndarray:
+        """The ``(len(idx), 2)`` candidate pairs at the indices ``idx``."""
+        return np.column_stack((self.ci.take(idx), self.cj.take(idx)))
+
+    def masked(self, mask: np.ndarray) -> np.ndarray:
+        """The ``(count_nonzero(mask), 2)`` candidate pairs where ``mask`` holds."""
+        pairs = self._pairs
+        if pairs is None:
+            pairs = self._pairs = np.column_stack((self.ci, self.cj))
+        return pairs.compress(mask, axis=0)
+
+
 class IncrementalStepResult:
     """Outcome of one engine step.
 
-    ``edges`` is the canonical sorted ``(E, 2)`` edge set.  ``events``
-    carries the exact link changes since the previous step, on
-    incremental and validation steps alike; it is ``None`` only on the
-    engine's first step and when the node count changed, where there
-    is no previous step of the same nodes to compare.  ``at_risk`` is the
-    number of candidate pairs whose distance this step recomputed.
-    ``revalidate_seconds`` is the time spent on the odometers and on
-    classifying and recomputing pairs, kept separate so the simulation
-    can charge it to a dedicated sub-phase.
+    ``edges`` is the canonical sorted ``(E, 2)`` edge set, built from
+    the step's candidate columns and edge status on first read and then
+    kept, so a step whose edges nobody reads never builds them.  The
+    result owns its status mask (the engine never writes to it again),
+    so ``edges`` stays the edge set of *this* step when read after
+    later steps.  ``events`` carries the exact link changes since the
+    previous step, on incremental and validation steps alike; it is
+    ``None`` only on the engine's first step and when the node count
+    changed, where there is no previous step of the same nodes to
+    compare.  ``at_risk`` is the number of candidate pairs whose
+    distance this step recomputed.  ``revalidate_seconds`` is the time
+    spent on the odometers and on classifying and recomputing pairs,
+    kept separate so the simulation can charge it to a dedicated
+    sub-phase.
     """
 
-    edges: np.ndarray
-    events: LinkEvents | None
-    rebuilt: bool
-    at_risk: int
-    revalidate_seconds: float
+    __slots__ = (
+        "events", "rebuilt", "at_risk", "revalidate_seconds",
+        "_candidates", "_mask", "_edges",
+    )
+
+    def __init__(
+        self,
+        candidates: _Candidates,
+        mask: np.ndarray,
+        events: LinkEvents | None,
+        rebuilt: bool,
+        at_risk: int,
+        revalidate_seconds: float,
+    ) -> None:
+        self._candidates = candidates
+        self._mask = mask
+        self._edges: np.ndarray | None = None
+        self.events = events
+        self.rebuilt = rebuilt
+        self.at_risk = at_risk
+        self.revalidate_seconds = revalidate_seconds
+
+    @property
+    def edges(self) -> np.ndarray:
+        edges = self._edges
+        if edges is None:
+            edges = self._edges = self._candidates.masked(self._mask)
+        return edges
 
 
 class IncrementalConnectivityEngine:
@@ -162,7 +235,7 @@ class IncrementalConnectivityEngine:
         self._ref: np.ndarray | None = None
         self._prev: np.ndarray | None = None
         self._odo: np.ndarray | None = None
-        self._cand: np.ndarray | None = None
+        self._candidates: _Candidates | None = None
         self._ci: np.ndarray | None = None
         self._cj: np.ndarray | None = None
         self._ci_counts: np.ndarray | None = None
@@ -171,7 +244,6 @@ class IncrementalConnectivityEngine:
         self._cj_bounds: list[int] | None = None
         self._due: np.ndarray | None = None
         self._mask: np.ndarray | None = None
-        self._edges: np.ndarray | None = None
         # Grown-on-demand scratch (keyed by role) so steady-state steps
         # allocate almost nothing.
         self._buffers: dict[str, np.ndarray] = {}
@@ -188,24 +260,21 @@ class IncrementalConnectivityEngine:
             self._buffers[name] = buf
         return buf[:size]
 
-    def _validate(
-        self, pos: np.ndarray
-    ) -> tuple[np.ndarray, LinkEvents | None]:
+    def _validate(self, pos: np.ndarray) -> LinkEvents | None:
         """Full candidate sweep at the expanded radius; reseeds all state.
 
-        Returns the edge set and, when the engine holds a previous step
-        of as many nodes, the exact link events since that step.
+        Returns, when the engine holds a previous step of as many
+        nodes, the exact link events since that step.
         """
         n = len(pos)
         ci, cj, dist = pairs_within(self.region, pos, self._r_cand)
-        cand = np.column_stack((ci, cj))
         up = dist <= self.tx_range
         dist -= self.tx_range
         gap = np.abs(dist, out=dist)
-        edges = cand.compress(up, axis=0)
         events = None
         if self._prev is not None and len(self._prev) == n:
-            events = self._validation_events(pos, cand, up, gap, len(edges))
+            events = self._validation_events(pos, ci, cj, up, gap)
+        self._candidates = _Candidates(ci, cj)
         self._ci = ci
         self._cj = cj
         # Pair index (module docstring).  ci ascends, so its row
@@ -223,7 +292,6 @@ class IncrementalConnectivityEngine:
         self._cj_bounds = [
             0, *np.cumsum(np.bincount(cj, minlength=n)).tolist()
         ]
-        self._cand = cand
         self._mask = up
         gap -= self._eps
         self._due = gap
@@ -232,39 +300,45 @@ class IncrementalConnectivityEngine:
         self._ref = pos.copy()
         self._prev = pos.copy()
         self._odo = np.zeros(n)
-        self._edges = edges
         self.full_rebuilds += 1
         self.last_at_risk = 0
-        return edges, events
+        return events
 
     def _validation_events(
         self,
         pos: np.ndarray,
-        cand: np.ndarray,
+        ci: np.ndarray,
+        cj: np.ndarray,
         up: np.ndarray,
         gap: np.ndarray,
-        n_edges: int,
     ) -> LinkEvents:
         """Exact link events from the previous step to a fresh sweep.
 
-        ``cand`` are the new candidates, ``up`` their edge status,
-        ``gap`` their ``|d - r|`` and ``n_edges`` the new edge count
-        (module docstring).
+        ``ci`` / ``cj`` are the new candidates, ``up`` their edge
+        status and ``gap`` their ``|d - r|`` (module docstring).  The
+        engine still holds the previous step's candidates and status.
         """
         region, r = self.region, self.tx_range
         prev = self._prev
         moved = region.distance(prev, pos)
         reach = 2.0 * float(moved.max()) if moved.size else 0.0
         shell = (gap <= reach + self._eps).nonzero()[0]
-        pairs = cand.take(shell, axis=0)
-        was = _pair_distances(region, prev, pairs[:, 0], pairs[:, 1]) <= r
+        si, sj = ci.take(shell), cj.take(shell)
+        was = _pair_distances(region, prev, si, sj) <= r
         now = up.take(shell)
-        generated = pairs.compress(now > was, axis=0)
-        broken = pairs.compress(was > now, axis=0)
-        old = self._edges
-        if n_edges - len(generated) + len(broken) != len(old):
-            lost = ~np.isin(edge_keys(old), edge_keys(cand), assume_unique=True)
-            broken = np.concatenate((broken, old.compress(lost, axis=0)))
+        gained = now > was
+        lost = was > now
+        generated = np.column_stack((si.compress(gained), sj.compress(gained)))
+        broken = np.column_stack((si.compress(lost), sj.compress(lost)))
+        n_edges = np.count_nonzero(up)
+        if n_edges - len(generated) + len(broken) != np.count_nonzero(self._mask):
+            old = self._candidates.masked(self._mask)
+            gone = ~np.isin(
+                edge_keys(old),
+                edge_keys(np.column_stack((ci, cj))),
+                assume_unique=True,
+            )
+            broken = np.concatenate((broken, old.compress(gone, axis=0)))
             broken = broken.take(np.argsort(edge_keys(broken)), axis=0)
         return LinkEvents(generated=generated, broken=broken)
 
@@ -304,9 +378,10 @@ class IncrementalConnectivityEngine:
             or self._needs_validation(self.region.distance(self._ref, pos))
         )
         if rebuild:
-            edges, events = self._validate(pos)
+            events = self._validate(pos)
             return IncrementalStepResult(
-                edges=edges,
+                self._candidates,
+                self._mask,
                 events=events,
                 rebuilt=True,
                 at_risk=0,
@@ -328,8 +403,10 @@ class IncrementalConnectivityEngine:
             self.region, pos, self._ci.take(risk_idx), self._cj.take(risk_idx)
         )
         up = d_now <= self.tx_range
-        flipped = up != self._mask.take(risk_idx)
-        self._mask[risk_idx] = up
+        # The last result owns the current mask: update a copy.
+        mask = self._mask = self._mask.copy()
+        flipped = up != mask.take(risk_idx)
+        mask[risk_idx] = up
         # Fresh budget from this step: due = odo[i] + odo[j] + |d - r| - eps.
         d_now -= self.tx_range
         np.abs(d_now, out=d_now)
@@ -341,15 +418,14 @@ class IncrementalConnectivityEngine:
         # events are bit-identical to diff_edge_sets on the snapshots.
         flip_idx = risk_idx[flipped]
         up = up[flipped]
-        generated = self._cand[flip_idx[up]]
-        broken = self._cand[flip_idx[~up]]
-        edges = self._cand.compress(self._mask, axis=0)
-        self._edges = edges
+        generated = self._candidates.at(flip_idx[up])
+        broken = self._candidates.at(flip_idx[~up])
         self.incremental_steps += 1
         self.last_at_risk = int(risk_idx.size)
         self.at_risk_total += self.last_at_risk
         return IncrementalStepResult(
-            edges=edges,
+            self._candidates,
+            mask,
             events=LinkEvents(generated=generated, broken=broken),
             rebuilt=False,
             at_risk=self.last_at_risk,

@@ -15,6 +15,7 @@ from repro.obs import AuditError, CollectingTracer, InvariantAuditor
 from repro.routing import HybridRoutingProtocol, IntraClusterRoutingProtocol
 from repro.sim import HelloProtocol, Simulation
 from repro.sim.traffic import CbrFlow, HybridRouterAdapter, Packet, TrafficProtocol
+from repro.spatial import IncrementalConnectivityEngine
 
 
 def _build_stack(params, seed=0, tracer=None, every=1.0, strict=False, flows=()):
@@ -168,6 +169,70 @@ class TestTrafficConservation:
         traffic._in_flight.append(Packet(10**6, 0, 50, sim.time, current=0))
         with pytest.raises(AuditError, match="packets in flight"):
             auditor.audit(sim, sim.time)
+
+
+def _skip_rechecks(monkeypatch):
+    """Mutate the engine: after each validation no candidate pair is due
+    for a recheck again, so incremental steps keep stale edge sets."""
+    validate = IncrementalConnectivityEngine._validate
+
+    def stale(engine, positions):
+        events = validate(engine, positions)
+        engine._due[:] = np.inf
+        return events
+
+    monkeypatch.setattr(IncrementalConnectivityEngine, "_validate", stale)
+
+
+class TestEngineCheck:
+    """Every audit compares the live edge set with a fresh sweep."""
+
+    def test_clean_runs_write_no_stale_field(self, params):
+        tracer = CollectingTracer()
+        sim, _, auditor = _build_stack(params, tracer=tracer, every=0.2)
+        sim.run(duration=2.0, warmup=0.0)
+        assert auditor.ok
+        records = tracer.of("invariant_audit")
+        assert records
+        assert all("stale_links" not in record for record in records)
+
+    def test_stale_edges_fail_the_audit(self, params, monkeypatch):
+        _skip_rechecks(monkeypatch)
+        tracer = CollectingTracer()
+        sim, _, auditor = _build_stack(params, tracer=tracer, every=0.05)
+        sim.run(duration=1.0, warmup=0.0)
+        assert auditor.violations > 0
+        failed = [r for r in tracer.of("invariant_audit") if not r["ok"]]
+        # Validation steps re-sweep, so only audits between them see
+        # stale links (the stale events may break P1/P2 as well).
+        assert any(record.get("stale_links", 0) > 0 for record in failed)
+
+    def test_strict_run_raises_on_skipped_rechecks(self, params, monkeypatch):
+        _skip_rechecks(monkeypatch)
+        sim, _, _ = _build_stack(params, strict=True, every=0.05)
+        with pytest.raises(AuditError, match="differs from a fresh sweep"):
+            sim.run(duration=1.0, warmup=0.0)
+
+    def test_strict_cli_run_exits_3_on_skipped_rechecks(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        _skip_rechecks(monkeypatch)
+        code = main(
+            ["run", "fig1", "--quick", "--audit", "strict", "--audit-every", "0.05"]
+        )
+        assert code == 3
+        assert "differs from a fresh sweep" in capsys.readouterr().err
+
+    def test_masked_links_are_not_stale(self, params):
+        sim, _, auditor = _build_stack(params, strict=True, every=0.05)
+        sim.run(duration=0.5, warmup=0.0)
+        for node in (3, 11, 40):
+            sim.fail_node(node)
+        sim.run(duration=0.5, warmup=0.0)
+        sim.recover_node(11)
+        sim.run(duration=0.5, warmup=0.0)
+        assert auditor.ok
+        assert not np.any(np.isin(sim.edges, (3, 40)))
 
 
 class TestSnapshotMemory:

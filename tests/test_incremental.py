@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import repro.sim.engine as engine_module
+import repro.spatial.incremental as incremental_module
 from repro.clustering import ClusterMaintenanceProtocol, LowestIdClustering
 from repro.core.params import NetworkParameters
 from repro.mobility import (
@@ -546,7 +547,10 @@ class TestRecheckBudget:
         assert engine.step(positions).rebuilt
         return engine, positions
 
-    def test_recompute_restarts_the_budget(self, unit_torus):
+    def test_recompute_restarts_the_budget(self, unit_torus, monkeypatch):
+        # 40 steps of STEP stay below a 0.5 * TX_RANGE margin, so no
+        # validation restarts the budget mid-run.
+        monkeypatch.setattr(incremental_module, "INCREMENTAL_MARGIN_FRACTION", 0.5)
         engine, positions = self._pair_engine(unit_torus)
         rechecked = []
         for step in range(1, 41):
@@ -616,7 +620,9 @@ class TestBoundaryInputs:
         positions = rng.uniform(-0.2, 1.2, (150, 2))
         self._assert_matches_dense(region, positions, 0.1, rng)
 
-    def test_torus_candidate_radius_past_half_side(self, unit_torus):
+    def test_torus_candidate_radius_past_half_side(self, unit_torus, monkeypatch):
+        # At a 0.5 margin the candidate radius 0.525 passes half the side.
+        monkeypatch.setattr(incremental_module, "INCREMENTAL_MARGIN_FRACTION", 0.5)
         rng = np.random.default_rng(23)
         positions = unit_torus.uniform_positions(60, rng)
         engine = IncrementalConnectivityEngine(unit_torus, 0.35)
@@ -783,3 +789,152 @@ class TestParallelDeterminism:
         serial = measure_point(params, params.tx_range, **kwargs, jobs=1)
         parallel = measure_point(params, params.tx_range, **kwargs, jobs=2)
         assert serial == parallel
+
+
+class TestMarginIsPerformanceOnly:
+    """The candidate margin decides only when the engine re-sweeps: every
+    margin returns the same edges and events at every step."""
+
+    FRACTIONS = (0.15, 0.4, 0.5, 1.0)
+
+    @pytest.mark.parametrize("boundary", [Boundary.TORUS, Boundary.REFLECT])
+    @pytest.mark.parametrize("model_name", ["rwp", "gauss-markov"])
+    def test_margins_step_in_lockstep(self, monkeypatch, boundary, model_name):
+        params = _incremental_params(150)
+        region = SquareRegion(params.side, boundary)
+        model = MODEL_FACTORIES[model_name](params.velocity)
+        positions = model.reset(params.n_nodes, region, 13)
+        dt = engine_module.recommended_step(params.tx_range, params.velocity)
+        engines = []
+        for fraction in self.FRACTIONS:
+            monkeypatch.setattr(
+                incremental_module, "INCREMENTAL_MARGIN_FRACTION", fraction
+            )
+            engines.append(IncrementalConnectivityEngine(region, params.tx_range))
+        previous = None
+        for _ in range(60):
+            expected = compute_edges(
+                region, positions, params.tx_range, method="dense"
+            )
+            for engine in engines:
+                result = engine.step(positions)
+                np.testing.assert_array_equal(result.edges, expected)
+                if previous is None:
+                    assert result.events is None
+                else:
+                    _assert_same_events(
+                        result.events, diff_edge_sets(previous, expected)
+                    )
+            previous = expected
+            positions = model.advance(dt)
+        # The margins did re-sweep at different cadences.
+        rebuilds = [engine.full_rebuilds for engine in engines]
+        assert rebuilds == sorted(rebuilds, reverse=True)
+        assert rebuilds[0] > rebuilds[-1]
+
+
+def _lazy_stack(seed=3):
+    """Event HELLO + LID maintenance + intra routing + the overhead ledger."""
+    from repro.obs.attribution import OverheadLedger
+
+    params = _incremental_params(200)
+    sim = Simulation(
+        params, EpochRandomWaypointModel(params.velocity, epoch=1.0), seed=seed
+    )
+    sim.attach(HelloProtocol(mode="event"))
+    maintenance = ClusterMaintenanceProtocol(LowestIdClustering())
+    sim.attach(IntraClusterRoutingProtocol(maintenance))
+    sim.attach(maintenance)
+    ledger = sim.attach(OverheadLedger(maintenance))
+    return sim, maintenance, ledger
+
+
+class TestLazyEdgeSet:
+    """The edge array is built only when read, and always the right one."""
+
+    def test_step_result_keeps_its_own_edges(self, unit_torus):
+        rng = np.random.default_rng(41)
+        positions = unit_torus.uniform_positions(150, rng)
+        engine = IncrementalConnectivityEngine(unit_torus, 0.1)
+        results, frames = [], []
+        for _ in range(30):
+            results.append(engine.step(positions))
+            frames.append(positions)
+            positions = (positions + rng.normal(0.0, 0.003, positions.shape)) % 1.0
+        assert engine.full_rebuilds >= 3
+        # Each result is first read three or more steps after its own.
+        for result, frame in zip(results[:-3], frames):
+            np.testing.assert_array_equal(
+                result.edges, compute_edges(unit_torus, frame, 0.1, method="dense")
+            )
+            assert result.edges is result.edges
+
+    def test_repeated_reads_return_one_object(self):
+        sim, _, _ = _lazy_stack()
+        for _ in range(12):
+            sim.step()
+            first = sim.edges
+            assert sim.edges is first
+            assert sim.edges is first
+
+    def test_crash_after_unread_steps_matches_a_reading_run(self):
+        def run(read_every_step):
+            sim, maintenance, ledger = _lazy_stack()
+            events = []
+            for step in range(40):
+                if step == 17:
+                    sim.fail_node(5)
+                    sim.fail_node(42)
+                if step == 29:
+                    sim.recover_node(42)
+                happened = sim.step()
+                events.append((happened.generated.copy(), happened.broken.copy()))
+                if read_every_step:
+                    np.testing.assert_array_equal(sim.edges, _dense_edges(sim))
+            np.testing.assert_array_equal(sim.edges, _dense_edges(sim))
+            digest = (
+                {c: (t.messages, t.bits) for c, t in sim.stats.totals.items()},
+                maintenance.state.roles.tobytes(),
+                maintenance.state.head_of.tobytes(),
+                ledger.snapshot(),
+            )
+            return events, digest
+
+        read_events, read_digest = run(read_every_step=True)
+        lazy_events, lazy_digest = run(read_every_step=False)
+        assert len(read_events) == len(lazy_events)
+        for (gen_a, brk_a), (gen_b, brk_b) in zip(read_events, lazy_events):
+            np.testing.assert_array_equal(gen_a, gen_b)
+            np.testing.assert_array_equal(brk_a, brk_b)
+        assert read_digest == lazy_digest
+        # The crash breaks links on its step.
+        assert len(read_events[17][1]) > 0
+
+    def test_neighbor_views_after_unread_steps(self):
+        sim, _, _ = _lazy_stack()
+        for _ in range(15):
+            sim.step()
+        expected = _dense_edges(sim)
+        n = sim.n_nodes
+        indptr, indices = sim.neighbor_csr
+        expected_indptr, expected_indices = edges_to_csr(expected, n)
+        np.testing.assert_array_equal(indptr, expected_indptr)
+        np.testing.assert_array_equal(indices, expected_indices)
+        for _ in range(4):
+            sim.step()
+        expected = _dense_edges(sim)
+        np.testing.assert_array_equal(
+            sim.degrees(), np.bincount(expected.ravel(), minlength=n)
+        )
+        for _ in range(4):
+            sim.step()
+        expected = _dense_edges(sim)
+        linked = {(int(u), int(v)) for u, v in expected}
+        for u, v in expected[:50]:
+            assert sim.has_link(int(u), int(v))
+            assert sim.has_link(int(v), int(u))
+        rng = np.random.default_rng(5)
+        for u, v in rng.integers(0, n, (200, 2)):
+            if u != v:
+                pair = (min(u, v), max(u, v))
+                assert sim.has_link(int(u), int(v)) == (pair in linked)
